@@ -10,9 +10,11 @@ plus the max-power bound, for orders alpha > 1 including alpha = inf:
 * ``sharpened_constant``: n-aware, strictly better for every finite n.
 * ``optimized_constant``: instance optimal given the individual powers.
 
-``repi.verify`` certifies the bounds numerically on grid densities,
-``repi.filters`` applies them to linear filter outputs, and
-``repi.diagnostics`` checks the curvature structure behind the optimizer.
+``bound_report`` assembles all four bounds for one power vector, and every
+other consumer reads them from it. ``repi.verify`` certifies the bounds
+numerically on grid densities, ``repi.filters.filter_bounds`` turns them
+into linear filter output entropies, and ``repi.diagnostics`` checks the
+curvature structure behind the optimizer.
 """
 
 from .bounds import (
@@ -47,14 +49,7 @@ from .diagnostics import (
     reduced_hessian,
     secular_max_eigenvalue,
 )
-from .filters import (
-    FilterSpec,
-    filter_bound_bc,
-    filter_bound_bv,
-    filter_bound_optimized,
-    filter_bound_sharpened,
-    gaussian_reference,
-)
+from .filters import FilterSpec, filter_bounds, gaussian_reference
 from .optimizer import (
     DegeneratePowersError,
     RatioVector,
@@ -69,7 +64,6 @@ from .optimizer import (
     two_summand_constant,
     two_summand_weight,
     weight_sum,
-    weight_sum_at_infinity,
     weight_sum_derivative,
     weight_sum_grid,
 )
@@ -124,7 +118,6 @@ __all__ = [
     "weight_sum",
     "weight_sum_derivative",
     "weight_sum_grid",
-    "weight_sum_at_infinity",
     "solve_leading_weight",
     "optimal_weights",
     "optimized_constant",
@@ -161,9 +154,6 @@ __all__ = [
     "random_corpus",
     # filters
     "FilterSpec",
-    "filter_bound_optimized",
-    "filter_bound_sharpened",
-    "filter_bound_bc",
-    "filter_bound_bv",
+    "filter_bounds",
     "gaussian_reference",
 ]

@@ -24,17 +24,10 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .bounds import bc_constant, bv_bound, sharpened_constant
+from .bounds import bc_constant, sharpened_constant
 from .core import as_power_vector
-from .filters import (
-    FilterSpec,
-    filter_bound_bc,
-    filter_bound_bv,
-    filter_bound_optimized,
-    filter_bound_sharpened,
-    gaussian_reference,
-)
-from .optimizer import optimized_constant
+from .filters import FilterSpec, filter_bounds, gaussian_reference
+from .optimizer import bound_report
 from .verify import certify, gaussian_density, random_corpus, uniform_density
 
 __all__ = ["SweepSpec", "main", "entry"]
@@ -170,25 +163,19 @@ def cmd_constants(spec: SweepSpec) -> list[Row]:
 def cmd_compare(spec: SweepSpec) -> list[Row]:
     """Every lower bound on the entropy power of the sum, per order."""
     pv = as_power_vector(spec.powers)
-    total = pv.total
     n = len(pv)
-    rows: list[Row] = []
-    for alpha in spec.alphas:
-        rows.append((alpha, "bc", bc_constant(alpha) * total, n))
-        rows.append((alpha, "sharpened", sharpened_constant(alpha, n) * total, n))
-        rows.append((alpha, "optimized", optimized_constant(pv, alpha) * total, n))
-        rows.append((alpha, "bv", bv_bound(pv), n))
-    return rows
+    return [
+        (alpha, method, value, n)
+        for alpha in spec.alphas
+        for method, value in bound_report(pv, alpha).lower_bounds().items()
+    ]
 
 
 def cmd_filter(taps: tuple[float, ...], dim: int, alpha: float) -> list[Row]:
     """All four output-entropy bounds plus the Gaussian reference, in nats."""
     spec = FilterSpec(taps, dim, alpha)  # type: ignore[arg-type]
     rows: list[Row] = [
-        (alpha, "optimized", filter_bound_optimized(spec), None),
-        (alpha, "sharpened", filter_bound_sharpened(spec), None),
-        (alpha, "bc", filter_bound_bc(spec), None),
-        (alpha, "bv", filter_bound_bv(spec), None),
+        (alpha, method, value, None) for method, value in filter_bounds(spec).items()
     ]
     if dim == 1:
         rows.append((alpha, "gaussian", gaussian_reference(spec), None))

@@ -5,26 +5,22 @@ an i.i.d. d-dimensional sequence U is a sum of independent terms H_k U_k,
 and N_alpha(H U) = |det H|^(2/d) N_alpha(U). With the input normalized to
 N_alpha(U) = 1 the summand entropy powers are |det H_k|^(2/d), so every
 constant in this package turns into a lower bound on the output entropy
-h_alpha in nats. Only the tap determinant magnitudes matter; signs are
-irrelevant throughout, including for the Gaussian reference.
+h_alpha in nats: :func:`filter_bounds` takes (d/2) log of each lower bound
+in the package's bound report. Only the tap determinant magnitudes matter;
+signs are irrelevant throughout, including for the Gaussian reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from .bounds import weight_kernel
 from .core import Order, as_order
-from .optimizer import optimal_weights
+from .optimizer import bound_report
 
 __all__ = [
     "FilterSpec",
-    "filter_bound_optimized",
-    "filter_bound_sharpened",
-    "filter_bound_bc",
-    "filter_bound_bv",
+    "filter_bounds",
     "gaussian_reference",
 ]
 
@@ -61,51 +57,18 @@ class FilterSpec:
         return tuple(t ** (2.0 / self.dim) for t in self.taps)
 
 
-def filter_bound_optimized(spec: FilterSpec) -> float:
-    """Output entropy bound from the instance-optimal weights, in nats.
+def filter_bounds(spec: FilterSpec) -> dict[str, float]:
+    """All four output entropy bounds, in nats, keyed by method.
 
-        (d/2) (log(alpha)/(alpha-1) + sum_k g(t_k)) + sum_k t_k log|det H_k|
-
-    For a single tap this collapses to log|det H| exactly.
+    Each is (d/2) log of the matching :meth:`BoundReport.lower_bounds`
+    entry for the summand powers, so a single tap gives log|det H| (to
+    rounding) for every method except the n-free one.
     """
-    order = spec.order
-    weights = optimal_weights(spec.powers(), order)
-    kernel = order.log_alpha_slope() + sum(weight_kernel(t, order) for t in weights)
-    cross = sum(t * math.log(h) for t, h in zip(weights, spec.taps) if t > 0.0)
-    return 0.5 * spec.dim * kernel + cross
-
-
-def filter_bound_sharpened(spec: FilterSpec) -> float:
-    """Output entropy bound from the n-aware constant, in nats.
-
-        (d/2) log sum_k |det H_k|^(2/d)
-            + (d/2) (log(alpha)/(alpha-1) + (L a' - 1) log(1 - 1/(L a')))
-    """
-    order = spec.order
-    m = spec.length * order.alpha_conj
-    # for a single tap the slope and the tail cancel exactly at every order
-    kernel = (
-        0.0
-        if spec.length == 1
-        else order.log_alpha_slope() + (m - 1.0) * math.log1p(-1.0 / m)
-    )
-    return 0.5 * spec.dim * (math.log(sum(spec.powers())) + kernel)
-
-
-def filter_bound_bc(spec: FilterSpec) -> float:
-    """Output entropy bound from the n-free constant, in nats.
-
-        (d/2) (log sum_k |det H_k|^(2/d) + log(alpha)/(alpha-1) - 1)
-    """
-    order = spec.order
-    return 0.5 * spec.dim * (
-        math.log(sum(spec.powers())) + order.log_alpha_slope() - 1.0
-    )
-
-
-def filter_bound_bv(spec: FilterSpec) -> float:
-    """Max-power output entropy bound log max_k |det H_k|, in nats."""
-    return math.log(max(spec.taps))
+    bounds = bound_report(spec.powers(), spec.order).lower_bounds()
+    return {
+        method: 0.5 * spec.dim * math.log(bounds[method])
+        for method in ("optimized", "sharpened", "bc", "bv")
+    }
 
 
 def gaussian_reference(spec: FilterSpec, gram_det: float | None = None) -> float:

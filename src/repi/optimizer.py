@@ -44,7 +44,6 @@ __all__ = [
     "weight_sum",
     "weight_sum_derivative",
     "weight_sum_grid",
-    "weight_sum_at_infinity",
     "solve_leading_weight",
     "optimal_weights",
     "optimized_constant",
@@ -167,15 +166,6 @@ def weight_sum_grid(
     return out
 
 
-def weight_sum_at_infinity(x: float, ratios: RatioVector | Sequence[float]) -> float:
-    """The alpha = inf limit of :func:`weight_sum` (conjugate a' = 1).
-
-    Fixes weight_sum(0) = 0 and weight_sum(1) = 1; an interior root below 1
-    exists precisely when the ratios sum to more than 1.
-    """
-    return weight_sum(x, ratios, Order(math.inf))
-
-
 def _bisect(f, lo: float, hi: float, tol: float, max_iter: int) -> float:
     """Sign-based bisection of f with f(lo) < 0 < f(hi).
 
@@ -232,17 +222,12 @@ def solve_leading_weight(
 
     if sum(cs) <= 1.0 + 1e-12:
         return 1.0
-    if weight_sum_derivative(0.5, cs, order) <= 0.0:
-        peak = 0.5
-    else:
-        lo, hi = 0.5, 1.0
-        for _ in range(max_iter):
-            mid = 0.5 * (lo + hi)
-            if weight_sum_derivative(mid, cs, order) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        peak = 0.5 * (lo + hi)
+    # At a' = 1 every derivative term has numerator c (1 - 2x), which is 0
+    # at x = 1/2, so the derivative is exactly 1 there and 1 - sum(cs) < 0
+    # at x = 1: [1/2, 1] always brackets the peak.
+    peak = _bisect(
+        lambda x: -weight_sum_derivative(x, cs, order), 0.5, 1.0, tol, max_iter
+    )
     if resid(peak) <= 0.0:
         # the interior hump barely clears 1; the endpoint root is as good
         return 1.0

@@ -23,9 +23,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bounds import bc_constant, sharpened_constant
+from .bounds import sharpened_constant
 from .core import Order, as_order, power_from_entropy
-from .optimizer import optimized_constant
+from .optimizer import bound_report
 
 __all__ = [
     "DEFAULT_SPACING",
@@ -340,22 +340,28 @@ def certify(
     slack: float = 1e-4,
     method: str = "auto",
 ) -> Certification:
-    """Convolve the densities and measure every bound on the result."""
+    """Convolve the densities and measure every bound on the result.
+
+    A non-finite slack is rejected: NaN or inf would pass every check.
+    """
     order = as_order(order)
     if len(densities) < 2:
         raise ValueError("need at least two summands to certify")
+    if not math.isfinite(slack):
+        raise ValueError(f"slack must be finite, got {slack!r}")
     powers = tuple(entropy_power(d, order) for d in densities)
     total = sum(powers)
+    report = bound_report(powers, order)
     conv_power = entropy_power(convolve_many(densities, method=method), order)
     ratio = conv_power / total
     constants = {
-        "bc": bc_constant(order),
-        "sharpened": sharpened_constant(order, len(densities)),
-        "optimized": optimized_constant(powers, order),
+        "bc": report.bc,
+        "sharpened": report.sharpened,
+        "optimized": report.optimized,
     }
     violations = tuple(
         name for name, c in constants.items() if ratio < c - slack
-    ) + (("bv",) if conv_power < max(powers) - slack else ())
+    ) + (("bv",) if conv_power < report.bv - slack else ())
     return Certification(
         order=order,
         powers=powers,
@@ -363,7 +369,7 @@ def certify(
         conv_power=conv_power,
         ratio=ratio,
         constants=constants,
-        bv=max(powers),
+        bv=report.bv,
         slack=slack,
         violations=violations,
     )

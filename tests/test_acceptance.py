@@ -24,10 +24,7 @@ from repi import (
     binary_kl,
     certify,
     concavity_slacks,
-    filter_bound_bc,
-    filter_bound_bv,
-    filter_bound_optimized,
-    filter_bound_sharpened,
+    filter_bounds,
     gaussian_density,
     gaussian_reference,
     jacobi_eigenvalues,
@@ -95,19 +92,15 @@ class TestExactSmallConstants:
 
 class TestReferenceFilterTable:
     SPEC = FilterSpec((2.0, 1.0, 1.0), 1, 2.0)
+    TABLE = [("optimized", 0.8195), ("sharpened", 0.7866), ("bc", 0.7425), ("bv", 0.6931)]
 
+    # the ids keep the names of the former one-function-per-method API
     @pytest.mark.parametrize(
-        "bound, expected",
-        [
-            (filter_bound_optimized, 0.8195),
-            (filter_bound_sharpened, 0.7866),
-            (filter_bound_bc, 0.7425),
-            (filter_bound_bv, 0.6931),
-        ],
+        "method, expected", TABLE, ids=[f"filter_bound_{m}-{v}" for m, v in TABLE]
     )
-    def test_output_entropy_bounds(self, bound, expected):
+    def test_output_entropy_bounds(self, method, expected):
         """Taps (2, 1, 1) in one dimension reproduce the frozen table."""
-        assert bound(self.SPEC) == pytest.approx(expected, abs=5e-4)
+        assert filter_bounds(self.SPEC)[method] == pytest.approx(expected, abs=5e-4)
 
     def test_gaussian_reference(self):
         """The matched Gaussian output entropy is 0.8959 nats."""
@@ -117,10 +110,7 @@ class TestReferenceFilterTable:
         """The full five-entry table evaluates in under ten milliseconds."""
 
         def work():
-            filter_bound_optimized(self.SPEC)
-            filter_bound_sharpened(self.SPEC)
-            filter_bound_bc(self.SPEC)
-            filter_bound_bv(self.SPEC)
+            filter_bounds(self.SPEC)
             gaussian_reference(self.SPEC)
 
         assert best_of(work) < 1e-2

@@ -141,6 +141,13 @@ class TestVerifyCommand:
         assert code == 1
         assert lines[-1] == ",violations,1.0,"
 
+    @pytest.mark.parametrize("slack", ["nan", "inf"])
+    def test_non_finite_slack_exit(self, slack):
+        """A slack that would pass every check is a usage error."""
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--corpus", "two-uniforms", "--slack", slack])
+        assert err.value.code == 2
+
     def test_empty_corpus_exit(self):
         """A zero-instance corpus is a usage error."""
         with pytest.raises(SystemExit) as err:

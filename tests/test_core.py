@@ -1,11 +1,14 @@
 """Tests for the shared domain types and conversions."""
 
 import dataclasses
+import importlib
+import inspect
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repi
 from repi import (
     BoundReport,
     Order,
@@ -209,3 +212,21 @@ class TestBoundReport:
                 bv=1.0,
                 weights=SimplexWeights((0.5, 0.5)),
             )
+
+
+class TestPackageExports:
+    MODULES = ("core", "bounds", "optimizer", "diagnostics", "verify", "filters")
+
+    def test_all_matches_module_exports(self):
+        """The package re-exports every public function and class, and nothing else."""
+        assert all(hasattr(repi, name) for name in repi.__all__)
+        modules = [importlib.import_module(f"repi.{m}") for m in self.MODULES]
+        listed = {name for mod in modules for name in mod.__all__}
+        assert repi.__all__[0] == "__version__"
+        assert set(repi.__all__[1:]) <= listed
+        for mod in modules:
+            for name in mod.__all__:
+                obj = getattr(mod, name)
+                if inspect.isfunction(obj) or inspect.isclass(obj):
+                    assert name in repi.__all__, f"{mod.__name__}.{name} not re-exported"
+                    assert getattr(repi, name) is obj

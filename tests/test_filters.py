@@ -6,10 +6,8 @@ import pytest
 
 from repi import (
     FilterSpec,
-    filter_bound_bc,
-    filter_bound_bv,
-    filter_bound_optimized,
-    filter_bound_sharpened,
+    bv_asymptotically_tight,
+    filter_bounds,
     gaussian_reference,
     sharpened_constant,
 )
@@ -42,31 +40,26 @@ class TestFilterSpec:
 class TestReferenceFilter:
     def test_frozen_bounds(self):
         """Frozen full-precision values for the three-tap reference filter."""
-        assert filter_bound_optimized(REFERENCE) == pytest.approx(
-            0.8194829501677983, abs=1e-12
-        )
-        assert filter_bound_sharpened(REFERENCE) == pytest.approx(
-            0.7866494329091136, abs=1e-12
-        )
-        assert filter_bound_bc(REFERENCE) == pytest.approx(0.7424533248940002, abs=1e-12)
-        assert filter_bound_bv(REFERENCE) == pytest.approx(math.log(2.0), abs=1e-15)
+        bounds = filter_bounds(REFERENCE)
+        assert list(bounds) == ["optimized", "sharpened", "bc", "bv"]
+        assert bounds["optimized"] == pytest.approx(0.8194829501677983, abs=1e-12)
+        assert bounds["sharpened"] == pytest.approx(0.7866494329091136, abs=1e-12)
+        assert bounds["bc"] == pytest.approx(0.7424533248940002, abs=1e-12)
+        assert bounds["bv"] == pytest.approx(math.log(2.0), abs=1e-15)
         assert gaussian_reference(REFERENCE) == pytest.approx(
             0.8958797346140275, abs=1e-12
         )
 
     def test_bound_ordering(self):
         """Each refinement tightens the bound; none passes the Gaussian truth."""
-        bv = filter_bound_bv(REFERENCE)
-        bc = filter_bound_bc(REFERENCE)
-        sharpened = filter_bound_sharpened(REFERENCE)
-        optimized = filter_bound_optimized(REFERENCE)
+        bounds = filter_bounds(REFERENCE)
         exact = gaussian_reference(REFERENCE)
-        assert bv < bc < sharpened < optimized < exact
+        assert bounds["bv"] < bounds["bc"] < bounds["sharpened"] < bounds["optimized"] < exact
 
     def test_sign_irrelevance(self):
         """Negating taps changes nothing."""
         flipped = FilterSpec((-2.0, 1.0, -1.0), 1, 2.0)
-        assert filter_bound_optimized(flipped) == filter_bound_optimized(REFERENCE)
+        assert filter_bounds(flipped)["optimized"] == filter_bounds(REFERENCE)["optimized"]
         assert gaussian_reference(flipped) == gaussian_reference(REFERENCE)
 
 
@@ -74,14 +67,14 @@ class TestSingleTap:
     def test_collapses_to_log_tap(self):
         """One tap is lossless: optimized and n-aware bounds hit log|h| exactly."""
         for dim in (1, 3):
-            spec = FilterSpec((3.0,), dim, 2.0)
-            assert filter_bound_optimized(spec) == pytest.approx(math.log(3.0), abs=1e-14)
-            assert filter_bound_sharpened(spec) == pytest.approx(math.log(3.0), abs=1e-14)
+            bounds = filter_bounds(FilterSpec((3.0,), dim, 2.0))
+            assert bounds["optimized"] == pytest.approx(math.log(3.0), abs=1e-14)
+            assert bounds["sharpened"] == pytest.approx(math.log(3.0), abs=1e-14)
 
     def test_n_free_bound_keeps_slack(self):
         """The n-free constant stays strictly below log|h| even for one tap."""
         spec = FilterSpec((3.0,), 1, 2.0)
-        assert filter_bound_bc(spec) < math.log(3.0)
+        assert filter_bounds(spec)["bc"] < math.log(3.0)
 
 
 class TestConsistency:
@@ -97,29 +90,55 @@ class TestConsistency:
                 math.log(sharpened_constant(alpha, len(taps)))
                 + math.log(sum(spec.powers()))
             )
-            assert filter_bound_sharpened(spec) == pytest.approx(expected, abs=1e-12)
+            assert filter_bounds(spec)["sharpened"] == pytest.approx(expected, abs=1e-12)
 
     def test_equal_taps_close_the_gap(self):
         """Equal taps are the worst case: optimized equals the n-aware bound."""
-        spec = FilterSpec((1.5, 1.5, 1.5), 1, 2.0)
-        assert filter_bound_optimized(spec) == pytest.approx(
-            filter_bound_sharpened(spec), abs=1e-9
-        )
+        bounds = filter_bounds(FilterSpec((1.5, 1.5, 1.5), 1, 2.0))
+        assert bounds["optimized"] == pytest.approx(bounds["sharpened"], abs=1e-9)
 
     def test_unequal_taps_strictly_improve(self):
         """Spread-out taps strictly separate optimized from the n-aware bound."""
-        assert filter_bound_optimized(REFERENCE) > filter_bound_sharpened(REFERENCE) + 1e-3
+        bounds = filter_bounds(REFERENCE)
+        assert bounds["optimized"] > bounds["sharpened"] + 1e-3
 
     def test_bounds_scale_linearly_in_dimension(self):
         """With taps fixed as |det|^(d) the bounds scale by d."""
         base = FilterSpec((2.0, 1.0, 1.0), 1, 2.0)
         cubed = FilterSpec((8.0, 1.0, 1.0), 3, 2.0)
-        assert filter_bound_optimized(cubed) == pytest.approx(
-            3.0 * filter_bound_optimized(base), rel=1e-12
+        assert filter_bounds(cubed)["optimized"] == pytest.approx(
+            3.0 * filter_bounds(base)["optimized"], rel=1e-12
         )
-        assert filter_bound_bc(cubed) == pytest.approx(
-            3.0 * filter_bound_bc(base), rel=1e-12
+        assert filter_bounds(cubed)["bc"] == pytest.approx(
+            3.0 * filter_bounds(base)["bc"], rel=1e-12
         )
+
+
+class TestFilterBounds:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, math.inf])
+    def test_tap_scaling_shifts_by_log(self, dim, alpha):
+        """Scaling every tap by s adds log s to every bound and to the reference."""
+        taps = (2.0, 1.0, 0.5, 1.5)
+        base = FilterSpec(taps, dim, alpha)
+        base_bounds = filter_bounds(base)
+        for s in (1e-3, 0.37, 2.5, 1e4):
+            scaled = FilterSpec(tuple(s * t for t in taps), dim, alpha)
+            for method, value in filter_bounds(scaled).items():
+                assert value == pytest.approx(base_bounds[method] + math.log(s), abs=1e-12)
+            if dim == 1:
+                assert gaussian_reference(scaled) == pytest.approx(
+                    gaussian_reference(base) + math.log(s), abs=1e-12
+                )
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_limit_order_meets_max_power_when_tight(self, dim):
+        """At alpha = inf a dominant tap makes the optimized bound the max-power one."""
+        for taps in ((3.0, 1.0, 1.0), (8.0, -2.0, 1.0, 0.5), (1.0, 0.2)):
+            spec = FilterSpec(taps, dim, math.inf)
+            assert bv_asymptotically_tight(spec.powers())
+            bounds = filter_bounds(spec)
+            assert bounds["optimized"] == pytest.approx(bounds["bv"], abs=1e-12)
 
 
 class TestGaussianReference:

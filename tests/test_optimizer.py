@@ -23,7 +23,6 @@ from repi import (
     two_summand_constant,
     two_summand_weight,
     weight_sum,
-    weight_sum_at_infinity,
     weight_sum_derivative,
     weight_sum_grid,
 )
@@ -129,8 +128,8 @@ class TestWeightSum:
     def test_infinity_endpoints(self):
         """At the limit order the sum is pinned at both simplex corners."""
         ratios = (0.7, 0.8)
-        assert weight_sum_at_infinity(0.0, ratios) == 0.0
-        assert weight_sum_at_infinity(1.0, ratios) == pytest.approx(1.0, abs=1e-15)
+        assert weight_sum(0.0, ratios, math.inf) == 0.0
+        assert weight_sum(1.0, ratios, math.inf) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestSolveLeadingWeight:
@@ -180,7 +179,7 @@ class TestSolveLeadingWeight:
         """Ratios summing above 1 give an interior root at the limit order."""
         root = solve_leading_weight((1.0, 1.0), math.inf)
         assert root == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert abs(weight_sum_at_infinity(root, (1.0, 1.0)) - 1.0) <= 1e-12
+        assert abs(weight_sum(root, (1.0, 1.0), math.inf) - 1.0) <= 1e-12
 
     def test_bracket_error_carries_state(self):
         """The no-convergence error exposes its bracket and residual."""

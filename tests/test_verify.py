@@ -278,6 +278,13 @@ class TestCertify:
         assert not cert.ok
         assert set(cert.violations) == {"bc", "sharpened", "optimized", "bv"}
 
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slack_rejected(self, slack):
+        """NaN or infinite slack would pass every check, so it is refused."""
+        u = uniform_density(0.0, 1.0)
+        with pytest.raises(ValueError, match="slack"):
+            certify((u, u), 2.0, slack=slack)
+
     def test_needs_two_summands(self):
         """A single density is not a sum."""
         with pytest.raises(ValueError):
