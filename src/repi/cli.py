@@ -16,6 +16,7 @@ violation, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -91,9 +92,10 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
     return alphas
 
 
-def _parse_floats(text: str, what: str) -> tuple[float, ...]:
+def _parse_list(text: str, what: str, kind: type) -> tuple:
+    """Comma list of ``kind`` values; blank entries are skipped."""
     try:
-        vals = tuple(float(p) for p in text.split(",") if p.strip())
+        vals = tuple(kind(p) for p in text.split(",") if p.strip())
     except ValueError:
         raise ValueError(f"cannot parse {what} {text!r}")
     if not vals:
@@ -101,14 +103,8 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
     return vals
 
 
-def _parse_ints(text: str, what: str) -> tuple[int, ...]:
-    try:
-        vals = tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise ValueError(f"cannot parse {what} {text!r}")
-    if not vals:
-        raise ValueError(f"empty {what}")
-    return vals
+_parse_floats = functools.partial(_parse_list, kind=float)
+_parse_ints = functools.partial(_parse_list, kind=int)
 
 
 def _fmt_alpha(alpha: float | None) -> str:

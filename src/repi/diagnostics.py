@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Order, as_order
+from .optimizer import MAX_ITERATIONS, _bisect
 
 __all__ = [
     "curvature",
@@ -163,8 +164,9 @@ def secular_max_eigenvalue(m: RankOneSymmetric) -> float:
         W(lam) = 1 + rho * sum_j w_j / (d_j - lam),
 
     monotone on its bracket: above the top diagonal entry for rho > 0,
-    between the top two for rho < 0. Bisection on the sign of W is immune
-    to the poles. Deflated diagonal entries compete in the final max.
+    between the top two for rho < 0. Bisection on the sign of W (the
+    solver's ``_bisect``, run until the bracket collapses) is immune to the
+    poles. Deflated diagonal entries compete in the final max.
     """
     norm2 = sum(v * v for v in m.z)
     if m.rho == 0.0 or norm2 == 0.0:
@@ -191,29 +193,18 @@ def secular_max_eigenvalue(m: RankOneSymmetric) -> float:
         lo = float(ds[-1])
         hi = lo + rho * norm2
         pad = max(hi - lo, 1e-14 * max(1.0, abs(lo)))
-        lo_in, hi_in = lo + 1e-15 * pad, hi + 1e-12 * pad
-        # W increases from -inf to 1 across (d_max, inf)
-        for _ in range(200):
-            mid = 0.5 * (lo_in + hi_in)
-            if secular(mid) < 0.0:
-                lo_in = mid
-            else:
-                hi_in = mid
-        root = 0.5 * (lo_in + hi_in)
+        # W increases from -inf to 1 across (d_max, inf); tol = inf accepts
+        # whatever bracket the step cap leaves instead of raising
+        root = _bisect(secular, lo + 1e-15 * pad, hi + 1e-12 * pad, math.inf, MAX_ITERATIONS)
     elif ds.size == 1:
         root = float(ds[0]) + rho * float(ws[0])
     else:
         lo, hi = float(ds[-2]), float(ds[-1])
         pad = max(hi - lo, 1e-300)
-        lo_in, hi_in = lo + 1e-15 * pad, hi - 1e-15 * pad
         # W decreases from +inf to -inf across (d_{r-1}, d_r)
-        for _ in range(200):
-            mid = 0.5 * (lo_in + hi_in)
-            if secular(mid) > 0.0:
-                lo_in = mid
-            else:
-                hi_in = mid
-        root = 0.5 * (lo_in + hi_in)
+        root = _bisect(
+            lambda lam: -secular(lam), lo + 1e-15 * pad, hi - 1e-15 * pad, math.inf, MAX_ITERATIONS
+        )
     return max([root] + deflated)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Order, as_order
+from .core import Order, _check_dim, as_order, entropy_from_power
 from .optimizer import bound_report
 
 __all__ = [
@@ -43,8 +43,7 @@ class FilterSpec:
             raise ValueError("need at least one tap")
         if any(not math.isfinite(t) or t == 0.0 for t in vals):
             raise ValueError(f"taps must be finite and nonzero, got {self.taps!r}")
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.dim!r}")
+        _check_dim(self.dim)
         object.__setattr__(self, "taps", vals)
         object.__setattr__(self, "order", as_order(self.order))
 
@@ -53,8 +52,17 @@ class FilterSpec:
         return len(self.taps)
 
     def powers(self) -> tuple[float, ...]:
-        """Summand entropy powers |det H_k|^(2/d) for unit input power."""
-        return tuple(t ** (2.0 / self.dim) for t in self.taps)
+        """Summand entropy powers |det H_k|^(2/d) for unit input power.
+
+        A tap whose power exceeds the float range raises ValueError; the
+        power grows with |t|, so that tap is the largest.
+        """
+        try:
+            return tuple(t ** (2.0 / self.dim) for t in self.taps)
+        except OverflowError:
+            raise ValueError(
+                f"tap {max(self.taps)!r} has entropy power |t|^(2/d) beyond the float range"
+            ) from None
 
 
 def filter_bounds(spec: FilterSpec) -> dict[str, float]:
@@ -66,7 +74,7 @@ def filter_bounds(spec: FilterSpec) -> dict[str, float]:
     """
     bounds = bound_report(spec.powers(), spec.order).lower_bounds()
     return {
-        method: 0.5 * spec.dim * math.log(bounds[method])
+        method: entropy_from_power(bounds[method], spec.dim)
         for method in ("optimized", "sharpened", "bc", "bv")
     }
 

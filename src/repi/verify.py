@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .bounds import sharpened_constant
-from .core import Order, as_order, power_from_entropy
+from .core import Order, _check_dim, as_order, power_from_entropy
 from .optimizer import bound_report
 
 __all__ = [
@@ -231,8 +231,7 @@ def gaussian_renyi_entropy(order: Order | float, dim: int, det_cov: float) -> fl
     recovering the Shannon value (1/2) log((2 pi e)^d det_cov).
     """
     order = as_order(order)
-    if not isinstance(dim, int) or dim < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dim!r}")
+    _check_dim(dim)
     if not det_cov > 0.0:
         raise ValueError(f"covariance determinant must be positive, got {det_cov!r}")
     return 0.5 * dim * order.log_alpha_slope() + 0.5 * (
@@ -243,24 +242,26 @@ def gaussian_renyi_entropy(order: Order | float, dim: int, det_cov: float) -> fl
 def renyi_entropy(density: GridDensity, order: Order | float) -> float:
     """Renyi entropy of a grid density, in nats.
 
-    Finite alpha integrates f^alpha by the trapezoid rule; alpha = inf uses
-    minus the log of the grid maximum.
+    alpha = inf is minus the log of the grid maximum m. Finite alpha
+    integrates (f/m)^alpha by the trapezoid rule and adds alpha log m back,
+
+        h = (alpha log m + log int (f/m)^alpha) / (1 - alpha),
+
+    so large orders never underflow f^alpha to 0: the integrand is 1 at
+    the maximum.
     """
     order = as_order(order)
-    v = density.values
+    peak = float(density.values.max())
     if order.is_infinite:
-        return -math.log(float(v.max()))
-    integral = float(np.trapezoid(v ** order.alpha, dx=density.spacing))
-    return math.log(integral) / (1.0 - order.alpha)
+        return -math.log(peak)
+    alpha = order.alpha
+    integral = float(np.trapezoid((density.values / peak) ** alpha, dx=density.spacing))
+    return (alpha * math.log(peak) + math.log(integral)) / (1.0 - alpha)
 
 
 def entropy_power(density: GridDensity, order: Order | float) -> float:
     """exp(2 h_alpha) of a grid density (grids are one-dimensional)."""
     return power_from_entropy(renyi_entropy(density, order), 1)
-
-
-def _direct_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)
 
 
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -270,24 +271,20 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0)  # clip transform roundoff
 
 
-def convolve(f: GridDensity, g: GridDensity, method: str = "auto") -> GridDensity:
+def convolve(f: GridDensity, g: GridDensity) -> GridDensity:
     """Density of X + Y for independent X ~ f, Y ~ g on matching grids.
 
     Inputs up to ``DIRECT_LIMIT`` samples go through direct summation,
-    larger ones through the zero-padded real transform; ``method`` can pin
-    either path. The output is renormalized to mass 1, absorbing the mass
-    lost to tail truncation of the inputs.
+    larger ones through the zero-padded real transform. The output is
+    renormalized to mass 1, absorbing the mass lost to tail truncation of
+    the inputs.
     """
     if abs(f.spacing - g.spacing) > 1e-12 * f.spacing:
         raise ValueError(f"grids must share spacing, got {f.spacing!r} and {g.spacing!r}")
-    if method == "auto":
-        method = "direct" if max(f.values.size, g.values.size) <= DIRECT_LIMIT else "fft"
-    if method == "direct":
-        raw = _direct_convolve(f.values, g.values)
-    elif method == "fft":
-        raw = _fft_convolve(f.values, g.values)
+    if max(f.values.size, g.values.size) <= DIRECT_LIMIT:
+        raw = np.convolve(f.values, g.values)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raw = _fft_convolve(f.values, g.values)
     raw = raw * f.spacing
     mass = float(np.trapezoid(raw, dx=f.spacing))
     if mass <= 0.0:
@@ -295,13 +292,13 @@ def convolve(f: GridDensity, g: GridDensity, method: str = "auto") -> GridDensit
     return GridDensity(f.origin + g.origin, f.spacing, raw / mass)
 
 
-def convolve_many(densities: Sequence[GridDensity], method: str = "auto") -> GridDensity:
+def convolve_many(densities: Sequence[GridDensity]) -> GridDensity:
     """Left fold of :func:`convolve` over two or more densities."""
     if len(densities) < 2:
         raise ValueError("need at least two densities")
     acc = densities[0]
     for d in densities[1:]:
-        acc = convolve(acc, d, method=method)
+        acc = convolve(acc, d)
     return acc
 
 
@@ -338,7 +335,6 @@ def certify(
     densities: Sequence[GridDensity],
     order: Order | float,
     slack: float = 1e-4,
-    method: str = "auto",
 ) -> Certification:
     """Convolve the densities and measure every bound on the result.
 
@@ -352,7 +348,7 @@ def certify(
     powers = tuple(entropy_power(d, order) for d in densities)
     total = sum(powers)
     report = bound_report(powers, order)
-    conv_power = entropy_power(convolve_many(densities, method=method), order)
+    conv_power = entropy_power(convolve_many(densities), order)
     ratio = conv_power / total
     constants = {
         "bc": report.bc,
@@ -388,8 +384,7 @@ def collision_bound(p_x: float, p_y: float, dim: int) -> float:
     """
     if not 0.0 < p_x <= 1.0 or not 0.0 < p_y <= 1.0:
         raise ValueError(f"collision probabilities must lie in (0, 1], got {p_x!r}, {p_y!r}")
-    if not isinstance(dim, int) or dim < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dim!r}")
+    _check_dim(dim)
     c = sharpened_constant(Order(2.0), 2)
     return (c * (p_x ** -2 + p_y ** -2)) ** (-dim / 2.0)
 

@@ -1,6 +1,7 @@
 """Tests for the command line front end."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,11 +9,19 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import repi
 from repi.cli import SweepSpec, main
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output_schema.json").read_text()
 )
+
+
+def module_env():
+    """Environment in which ``python -m repi.cli`` finds the package under test."""
+    src = str(Path(repi.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def run_lines(argv, capsys):
@@ -110,6 +119,14 @@ class TestFilterCommand:
         with pytest.raises(SystemExit) as err:
             main(["filter", "--taps", "2,0", "--dim", "1", "--alpha", "2"])
         assert err.value.code == 2
+
+    def test_overflowing_tap_exit(self, capsys):
+        """A tap whose power overflows is a one-line usage error, not a traceback."""
+        with pytest.raises(SystemExit) as err:
+            main(["filter", "--taps", "1e200,1e200", "--alpha", "2"])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert message.count("\n") == 1 and "tap 1e+200" in message
 
 
 class TestVerifyCommand:
@@ -234,6 +251,7 @@ class TestConsoleScript:
             [sys.executable, "-m", "repi.cli", "--help"],
             capture_output=True,
             text=True,
+            env=module_env(),
         )
         assert proc.returncode == 0
         assert "constants" in proc.stdout
@@ -244,6 +262,7 @@ class TestConsoleScript:
             [sys.executable, "-m", "repi.cli", "constants", "--alpha-grid", "2", "--n", "2"],
             capture_output=True,
             text=True,
+            env=module_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1] == "2.0,sharpened,0.84375,2"

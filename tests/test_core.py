@@ -217,6 +217,11 @@ class TestBoundReport:
 class TestPackageExports:
     MODULES = ("core", "bounds", "optimizer", "diagnostics", "verify", "filters")
 
+    def test_all_is_the_module_lists(self):
+        """repi.__all__ is __version__ then each module's __all__, in order."""
+        modules = [importlib.import_module(f"repi.{m}") for m in self.MODULES]
+        assert repi.__all__ == ["__version__", *(n for mod in modules for n in mod.__all__)]
+
     def test_all_matches_module_exports(self):
         """The package re-exports every public function and class, and nothing else."""
         assert all(hasattr(repi, name) for name in repi.__all__)

@@ -182,6 +182,17 @@ class TestSecularMaxEigenvalue:
             assert abs(secular_max_eigenvalue(m) - dense) <= 1e-8
             max_eigenvalue(m)  # raises on disagreement
 
+    def test_matches_library_eigensolver(self):
+        """Sizes 1 to 63, both signs of rho: within 1e-13 of LAPACK relative to ||A||."""
+        rng = np.random.default_rng(53)
+        for size in range(1, 64):
+            for sign in (1.0, -1.0):
+                m = random_rank_one(rng, size)
+                m = RankOneSymmetric(m.diagonal, sign * abs(m.rho), m.z)
+                eigs = np.linalg.eigvalsh(m.as_matrix())
+                scale = max(1.0, float(np.max(np.abs(eigs))))
+                assert abs(secular_max_eigenvalue(m) - float(eigs[-1])) <= 1e-13 * scale
+
 
 class TestInterlacing:
     def test_update_shifts_upward(self):

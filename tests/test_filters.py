@@ -36,6 +36,14 @@ class TestFilterSpec:
         with pytest.raises(ValueError):
             FilterSpec((1.0,), 0, 2.0)
 
+    def test_overflowing_power_rejected(self):
+        """|t|^(2/d) past the float range is a ValueError naming the tap."""
+        spec = FilterSpec((1e200, 1e200), 1, 2.0)
+        with pytest.raises(ValueError, match=r"tap 1e\+200"):
+            spec.powers()
+        with pytest.raises(ValueError, match=r"tap 1e\+200"):
+            filter_bounds(spec)
+
 
 class TestReferenceFilter:
     def test_frozen_bounds(self):

@@ -21,6 +21,7 @@ from repi import (
     renyi_entropy,
     uniform_density,
 )
+from repi import verify
 from repi.verify import DEFAULT_SPACING, MASS_TOL
 
 ORDERS = (1.1, 1.5, 2.0, 5.0, math.inf)
@@ -186,12 +187,13 @@ class TestEntropy:
 
 
 class TestConvolve:
-    def test_direct_and_fft_agree(self):
+    def test_direct_and_fft_agree(self, monkeypatch):
         """Both convolution routes produce the same density."""
         f = uniform_density(0.0, 1.0)
         g = uniform_density(-0.25, 0.25)
-        direct = convolve(f, g, method="direct")
-        fft = convolve(f, g, method="fft")
+        direct = convolve(f, g)
+        monkeypatch.setattr(verify, "DIRECT_LIMIT", 0)
+        fft = convolve(f, g)
         assert direct.values.size == fft.values.size
         assert float(np.max(np.abs(direct.values - fft.values))) <= 1e-10
         assert renyi_entropy(direct, 2.0) == pytest.approx(
@@ -231,12 +233,6 @@ class TestConvolve:
         with pytest.raises(ValueError):
             convolve(f, g)
 
-    def test_unknown_method_rejected(self):
-        """Only auto, direct and fft are valid methods."""
-        f = uniform_density(0.0, 1.0)
-        with pytest.raises(ValueError):
-            convolve(f, f, method="spline")
-
     def test_convolve_many_folds_left(self):
         """Three-way convolution equals two nested pairwise ones."""
         parts = [uniform_density(0.0, 1.0), uniform_density(0.0, 0.5), uniform_density(-1.0, 0.0)]
@@ -264,6 +260,22 @@ class TestCertify:
             cert = certify((g, g), alpha)
             assert cert.ratio == pytest.approx(1.0, abs=1e-6)
             assert cert.ok
+
+    @pytest.mark.parametrize("alpha", [2000.0, 1e6])
+    def test_two_gaussians_at_large_orders(self, alpha):
+        """Large finite orders keep the Gaussian ratio at 1 (f^alpha used to underflow)."""
+        g = gaussian_density(0.0, 1.0)
+        cert = certify((g, g), alpha)
+        assert cert.ratio == pytest.approx(1.0, abs=1e-4)
+        assert cert.ok
+
+    @pytest.mark.parametrize("alpha", [1e6, 1e300])
+    def test_two_uniforms_at_large_orders(self, alpha):
+        """At huge orders the uniform pair sits next to its alpha = inf ratio of 1/2."""
+        u = uniform_density(0.0, 1.0)
+        cert = certify((u, u), alpha)
+        assert cert.ratio == pytest.approx(0.5, abs=1e-3)
+        assert cert.ok
 
     def test_mixed_pair(self):
         """A uniform plus a Gaussian certifies cleanly at alpha = 2."""
