@@ -194,7 +194,7 @@ def cmd_verify(
         g = gaussian_density(0.0, 1.0)
         instances = [((g, g), alpha)]
     elif corpus == "default":
-        instances = [(inst.densities, inst.order.alpha) for inst in random_corpus(seed, count)]
+        instances = ((inst.densities, inst.order.alpha) for inst in random_corpus(seed, count))
     else:
         raise ValueError(f"unknown corpus {corpus!r}")
     rows: list[Row] = []

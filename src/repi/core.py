@@ -130,10 +130,12 @@ class PowerVector:
         return max(self.powers)
 
     def normalized(self) -> tuple[float, ...]:
-        """Powers divided by their sum; requires a nonzero total."""
+        """Powers divided by their sum; requires a nonzero, finite total."""
         t = self.total
         if t <= 0.0:
             raise ValueError("cannot normalize an all-zero power vector")
+        if math.isinf(t):
+            raise ValueError("entropy powers sum past the float range")
         return tuple(p / t for p in self.powers)
 
 

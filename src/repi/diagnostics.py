@@ -112,11 +112,11 @@ def reduced_hessian(
     return RankOneSymmetric(diag, curvature(tail, order), (1.0,) * len(head))
 
 
-def jacobi_eigenvalues(matrix: np.ndarray, sweep_tol: float = 1e-14) -> np.ndarray:
+def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """All eigenvalues of a small symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps annihilate each off-diagonal pair in turn until the off-diagonal
-    Frobenius mass falls below ``sweep_tol`` times the matrix norm. Cubic
+    Frobenius mass falls below 1e-14 times the matrix norm. Cubic
     work per sweep, fine for the tiny reduced Hessians this package builds.
     """
     a = np.array(matrix, dtype=float)
@@ -132,7 +132,7 @@ def jacobi_eigenvalues(matrix: np.ndarray, sweep_tol: float = 1e-14) -> np.ndarr
     norm = max(float(np.linalg.norm(a)), 1e-300)
     for _ in range(60):
         off = math.sqrt(max(float(np.sum(a * a)) - float(np.sum(np.diag(a) ** 2)), 0.0))
-        if off <= sweep_tol * norm:
+        if off <= 1e-14 * norm:
             break
         for p in range(m - 1):
             for q in range(p + 1, m):

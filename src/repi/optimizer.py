@@ -13,8 +13,10 @@ weight_sum is continuous and increasing from 0 with weight_sum(1) > 1 for
 finite alpha, so the root is unique in (0, 1]; bisection is exact enough
 and never diverges. At alpha = inf, weight_sum(1) = 1 as well: when
 sum(c_k) <= 1 the limit solution is the endpoint x = 1 (the max-power bound
-is asymptotically tight), otherwise the limit is the interior root, found
-under the maximum of weight_sum.
+is asymptotically tight), otherwise the limit is the interior root. Every
+psi carries the factor (1 - x) at a' = 1, so that root is the one sign
+change of the factored residual sum_k psi(x, c_k) / (1 - x) - 1, which runs
+from -1 at x = 0 to sum(c_k) - 1 > 0 as x -> 1.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "normalize_ratios",
     "companion_weight",
     "weight_sum",
-    "weight_sum_derivative",
     "weight_sum_grid",
     "solve_leading_weight",
     "optimal_weights",
@@ -108,6 +109,12 @@ def _ratio_tuple(ratios: RatioVector | Sequence[float]) -> tuple[float, ...]:
     return ratios.ratios if isinstance(ratios, RatioVector) else tuple(ratios)
 
 
+def _psi(x, c: float, ac: float, sqrt):
+    """Companion weight at leading weight(s) x; ``sqrt`` is math's or numpy's."""
+    disc = ac * ac * (1.0 - c) + c * (2.0 * x - ac) ** 2
+    return 2.0 * c * x * (ac - x) / (ac + sqrt(disc))
+
+
 def companion_weight(x: float, ratio: float, order: Order | float) -> float:
     """Weight forced on a summand with power ratio ``ratio`` by leading weight x.
 
@@ -119,13 +126,10 @@ def companion_weight(x: float, ratio: float, order: Order | float) -> float:
     ratios near 1.
     """
     order = as_order(order)
-    ac = order.alpha_conj
-    x = float(x)
     c = float(ratio)
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"ratio must lie in [0, 1], got {c!r}")
-    disc = ac * ac * (1.0 - c) + c * (2.0 * x - ac) ** 2
-    return 2.0 * c * x * (ac - x) / (ac + math.sqrt(disc))
+    return _psi(float(x), c, order.alpha_conj, math.sqrt)
 
 
 def weight_sum(x: float, ratios: RatioVector | Sequence[float], order: Order | float) -> float:
@@ -134,35 +138,15 @@ def weight_sum(x: float, ratios: RatioVector | Sequence[float], order: Order | f
     return float(x) + sum(companion_weight(x, c, order) for c in _ratio_tuple(ratios))
 
 
-def weight_sum_derivative(
-    x: float, ratios: RatioVector | Sequence[float], order: Order | float
-) -> float:
-    """d/dx of :func:`weight_sum`: 1 + sum_k c_k (a' - 2x) / sqrt(disc_k)."""
-    order = as_order(order)
-    ac = order.alpha_conj
-    x = float(x)
-    out = 1.0
-    for c in _ratio_tuple(ratios):
-        num = c * (ac - 2.0 * x)
-        root = math.sqrt(ac * ac * (1.0 - c) + c * (2.0 * x - ac) ** 2)
-        if root == 0.0:
-            # only at c == 1 and x == a'/2, where the numerator vanishes too
-            continue
-        out += num / root
-    return out
-
-
 def weight_sum_grid(
     xs: np.ndarray, ratios: RatioVector | Sequence[float], order: Order | float
 ) -> np.ndarray:
     """Vectorized :func:`weight_sum` over an array of leading weights."""
     order = as_order(order)
-    ac = order.alpha_conj
     xs = np.asarray(xs, dtype=float)
     out = xs.copy()
     for c in _ratio_tuple(ratios):
-        disc = ac * ac * (1.0 - c) + c * (2.0 * xs - ac) ** 2
-        out += 2.0 * c * xs * (ac - xs) / (ac + np.sqrt(disc))
+        out += _psi(xs, c, order.alpha_conj, np.sqrt)
     return out
 
 
@@ -192,46 +176,30 @@ def _bisect(f, lo: float, hi: float, tol: float, max_iter: int) -> float:
     raise RootBracketError(lo, hi, fm)
 
 
-def solve_leading_weight(
-    ratios: RatioVector | Sequence[float],
-    order: Order | float,
-    tol: float = ROOT_TOL,
-    max_iter: int = MAX_ITERATIONS,
-) -> float:
+def solve_leading_weight(ratios: RatioVector | Sequence[float], order: Order | float) -> float:
     """Solve weight_sum(x) = 1 for the weight of the leading summand.
 
     For finite alpha the root is unique in (0, 1] and bracketed by [0, 1]
     from the start, so plain bisection converges unconditionally to float
-    resolution (tol backstops a stalled bracket). At alpha = inf the
-    endpoint x = 1 is always a root; it is the correct limit iff
-    sum(ratios) <= 1. Otherwise
-    the limit of the finite-alpha solutions is the interior root, which we
-    bracket by locating the maximum of weight_sum via its derivative (the
-    derivative is decreasing past 1/2).
+    resolution. At alpha = inf the endpoint x = 1 is always a root; it is
+    the correct limit iff sum(ratios) <= 1. Otherwise the limit of the
+    finite-alpha solutions is the interior root, where the factored residual
+    sum_k psi(x, c_k) / (1 - x) - 1 changes sign once on (0, 1). Bisection
+    never evaluates an endpoint, so the division by 1 - x is safe.
     """
     order = as_order(order)
     cs = _ratio_tuple(ratios)
     if all(c == 0.0 for c in cs):
         return 1.0
-
-    def resid(x: float) -> float:
-        return weight_sum(x, cs, order) - 1.0
-
     if not order.is_infinite:
-        return _bisect(resid, 0.0, 1.0, tol, max_iter)
-
-    if sum(cs) <= 1.0 + 1e-12:
+        def resid(x: float) -> float:
+            return weight_sum(x, cs, order) - 1.0
+    elif sum(cs) <= 1.0 + 1e-12:
         return 1.0
-    # At a' = 1 every derivative term has numerator c (1 - 2x), which is 0
-    # at x = 1/2, so the derivative is exactly 1 there and 1 - sum(cs) < 0
-    # at x = 1: [1/2, 1] always brackets the peak.
-    peak = _bisect(
-        lambda x: -weight_sum_derivative(x, cs, order), 0.5, 1.0, tol, max_iter
-    )
-    if resid(peak) <= 0.0:
-        # the interior hump barely clears 1; the endpoint root is as good
-        return 1.0
-    return _bisect(resid, 0.0, peak, tol, max_iter)
+    else:
+        def resid(x: float) -> float:
+            return sum(companion_weight(x, c, order) for c in cs) / (1.0 - x) - 1.0
+    return _bisect(resid, 0.0, 1.0, ROOT_TOL, MAX_ITERATIONS)
 
 
 def optimal_weights(
@@ -261,10 +229,7 @@ def optimal_weights(
 
 def optimized_constant(powers: PowerVector | Sequence[float], order: Order | float) -> float:
     """The best constant for this power vector: exp of the maximized objective."""
-    order = as_order(order)
-    pv = as_power_vector(powers)
-    weights = optimal_weights(pv, order)
-    return math.exp(log_constant(weights, pv.normalized(), order))
+    return bound_report(powers, order).optimized
 
 
 def two_summand_weight(beta: float, order: Order | float) -> float:

@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import repi
-from repi.cli import SweepSpec, main
+from repi.cli import SweepSpec, cmd_verify, main
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output_schema.json").read_text()
@@ -93,6 +94,13 @@ class TestCompareCommand:
             main(["compare", "--powers", "0,0", "--alpha-grid", "2"])
         assert err.value.code == 2
 
+    def test_overflowing_total_exit(self, capsys):
+        """Powers that sum past the float range are a usage error that says so."""
+        with pytest.raises(SystemExit) as err:
+            main(["compare", "--powers", "1e308,1e308", "--alpha-grid", "2"])
+        assert err.value.code == 2
+        assert "sum past the float range" in capsys.readouterr().err
+
 
 class TestFilterCommand:
     def test_reference_rows(self, capsys):
@@ -149,6 +157,19 @@ class TestVerifyCommand:
         code, lines = run_lines(["verify", "--count", "3", "--seed", "2"], capsys)
         assert code == 0
         assert lines[-1] == ",violations,0.0,"
+
+    def test_corpus_memory_flat_in_count(self):
+        """Instances are certified one at a time: 12 peak at most 1.25x the memory of 3."""
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                cmd_verify("default", 2.0, 5, count, 1e-4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(12) <= 1.25 * peak(3)
 
     def test_violation_exit_code(self, capsys):
         """An impossible tolerance turns into exit code 1."""

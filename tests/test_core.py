@@ -132,6 +132,13 @@ class TestPowerVector:
         with pytest.raises(ValueError):
             PowerVector((0.0, 0.0)).normalized()
 
+    def test_overflowing_total_cannot_normalize(self):
+        """Finite powers whose sum overflows are refused by name, not normalized to zeros."""
+        pv = PowerVector((1e308, 1e308))
+        assert pv.largest == 1e308
+        with pytest.raises(ValueError, match="sum past the float range"):
+            pv.normalized()
+
     @pytest.mark.parametrize("bad", [(), (-1.0,), (math.nan,), (math.inf,)])
     def test_validation(self, bad):
         """Empty, negative and non-finite vectors are rejected."""

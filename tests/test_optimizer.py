@@ -23,7 +23,6 @@ from repi import (
     two_summand_constant,
     two_summand_weight,
     weight_sum,
-    weight_sum_derivative,
     weight_sum_grid,
 )
 
@@ -114,17 +113,6 @@ class TestWeightSum:
             for x, val in zip(xs, grid):
                 assert val == pytest.approx(weight_sum(float(x), ratios, alpha), abs=1e-13)
 
-    def test_derivative_matches_difference_quotient(self):
-        """The closed-form derivative tracks a central difference."""
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            ratios = tuple(float(r) for r in rng.uniform(0, 1, size=2))
-            alpha = float(rng.uniform(1.1, 20.0))
-            x = float(rng.uniform(0.1, 0.9))
-            h = 1e-6
-            numeric = (weight_sum(x + h, ratios, alpha) - weight_sum(x - h, ratios, alpha)) / (2 * h)
-            assert weight_sum_derivative(x, ratios, alpha) == pytest.approx(numeric, abs=1e-5)
-
     def test_infinity_endpoints(self):
         """At the limit order the sum is pinned at both simplex corners."""
         ratios = (0.7, 0.8)
@@ -180,6 +168,19 @@ class TestSolveLeadingWeight:
         root = solve_leading_weight((1.0, 1.0), math.inf)
         assert root == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert abs(weight_sum(root, (1.0, 1.0), math.inf) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "c", [0.5000001, 0.500001, 0.50001, 0.5001, 0.501, 0.51, 0.6, 0.75, 0.9, 1.0]
+    )
+    def test_infinity_root_matches_closed_form(self, c):
+        """Two equal ratios c > 1/2 at the limit order: x + 2 psi = 1 gives x = 1/(4c - 1).
+
+        Near the threshold c = 1/2 the root crowds the endpoint x = 1, where
+        weight_sum - 1 vanishes too; the solver still lands within 4 ulp.
+        """
+        expected = 1.0 / (4.0 * c - 1.0)
+        root = solve_leading_weight((c, c), math.inf)
+        assert abs(root - expected) <= 4 * math.ulp(expected)
 
     def test_bracket_error_carries_state(self):
         """The no-convergence error exposes its bracket and residual."""

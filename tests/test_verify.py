@@ -269,6 +269,12 @@ class TestCertify:
         assert cert.ratio == pytest.approx(1.0, abs=1e-4)
         assert cert.ok
 
+    @pytest.mark.parametrize("alpha", [1.0 + 1e-12, 1.0 + 1e-9])
+    def test_two_gaussians_near_order_one(self, alpha):
+        """Orders just above 1 keep the Gaussian ratio at 1 (a 1e-16 mass error used to be divided by alpha - 1)."""
+        g = gaussian_density(0.0, 1.0)
+        assert certify((g, g), alpha).ratio == pytest.approx(1.0, abs=1e-9)
+
     @pytest.mark.parametrize("alpha", [1e6, 1e300])
     def test_two_uniforms_at_large_orders(self, alpha):
         """At huge orders the uniform pair sits next to its alpha = inf ratio of 1/2."""
@@ -327,8 +333,8 @@ class TestCollisionBound:
 class TestRandomCorpus:
     def test_deterministic(self):
         """Identical seeds reproduce the corpus exactly."""
-        a = random_corpus(seed=9, count=6, spacing=2.0 ** -9)
-        b = random_corpus(seed=9, count=6, spacing=2.0 ** -9)
+        a = list(random_corpus(seed=9, count=6, spacing=2.0 ** -9))
+        b = list(random_corpus(seed=9, count=6, spacing=2.0 ** -9))
         assert [i.label for i in a] == [i.label for i in b]
         assert [i.order.alpha for i in a] == [i.order.alpha for i in b]
         for left, right in zip(a, b):
