@@ -57,17 +57,14 @@ TRUNCATION_LEVEL = 1e-16
 #: integral-of-one tolerance enforced on construction
 MASS_TOL = 1e-6
 
-#: inputs up to this size are convolved by direct summation, larger ones by
-#: the transform path
-DIRECT_LIMIT = 2 ** 14
-
 
 @dataclass(frozen=True, eq=False)
 class GridDensity:
     """A probability density sampled on a uniform grid.
 
     ``values[i]`` is the density at ``origin + i * spacing``. Values are
-    nonnegative and the trapezoid integral is 1 within ``MASS_TOL``.
+    nonnegative, origin and spacing are finite, and the trapezoid integral
+    is 1 within ``MASS_TOL``.
     """
 
     origin: float
@@ -81,13 +78,14 @@ class GridDensity:
             raise ValueError("values must be a 1-d array with at least 2 samples")
         if not np.all(np.isfinite(v)) or float(v.min()) < 0.0:
             raise ValueError("density values must be finite and nonnegative")
-        spacing = float(self.spacing)
-        if not spacing > 0.0:
-            raise ValueError(f"spacing must be positive, got {spacing!r}")
+        spacing = _check_spacing(self.spacing)
+        origin = float(self.origin)
+        if not math.isfinite(origin):
+            raise ValueError(f"origin must be finite, got {origin!r}")
         mass = float(np.trapezoid(v, dx=spacing))
-        if abs(mass - 1.0) > MASS_TOL:
+        if not abs(mass - 1.0) <= MASS_TOL:
             raise ValueError(f"density must integrate to 1, got {mass!r}")
-        object.__setattr__(self, "origin", float(self.origin))
+        object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "values", v)
 
@@ -102,10 +100,10 @@ class GridDensity:
         return GridDensity(self.origin + float(offset), self.spacing, self.values)
 
     def scaled(self, factor: float) -> "GridDensity":
-        """The density of factor * X for factor > 0."""
+        """The density of factor * X for finite factor > 0."""
         factor = float(factor)
-        if not factor > 0.0:
-            raise ValueError(f"scale factor must be positive, got {factor!r}")
+        if not 0.0 < factor < math.inf:
+            raise ValueError(f"scale factor must be positive and finite, got {factor!r}")
         return GridDensity(self.origin * factor, self.spacing * factor, self.values / factor)
 
     def to_csv(self, path: str) -> None:
@@ -136,6 +134,24 @@ class GridDensity:
         return GridDensity(xs[0], spacing, np.asarray(vals))
 
 
+def _check_spacing(spacing: float) -> float:
+    spacing = float(spacing)
+    if not 0.0 < spacing < math.inf:
+        raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
+    return spacing
+
+
+def _grid_cells(lo: float, hi: float, spacing: float) -> float:
+    """(hi - lo) / spacing for a finite window and a positive finite spacing."""
+    spacing = _check_spacing(spacing)
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"need finite hi > lo, got [{lo!r}, {hi!r}]")
+    cells = (hi - lo) / spacing
+    if not math.isfinite(cells):
+        raise ValueError(f"[{lo!r}, {hi!r}] spans too many grid cells of {spacing!r}")
+    return cells
+
+
 def from_function(
     fn: Callable[[np.ndarray], np.ndarray],
     lo: float,
@@ -143,9 +159,7 @@ def from_function(
     spacing: float = DEFAULT_SPACING,
 ) -> GridDensity:
     """Sample an analytic density on [lo, hi] and renormalize to mass 1."""
-    if not hi > lo:
-        raise ValueError(f"need hi > lo, got [{lo!r}, {hi!r}]")
-    n = int(math.ceil((hi - lo) / spacing))
+    n = int(math.ceil(_grid_cells(lo, hi, spacing)))
     xs = lo + spacing * np.arange(n + 1)
     v = np.maximum(np.asarray(fn(xs), dtype=float), 0.0)
     mass = float(np.trapezoid(v, dx=spacing))
@@ -173,9 +187,7 @@ def uniform_density(lo: float, hi: float, spacing: float = DEFAULT_SPACING) -> G
     The width snaps to the nearest positive multiple of ``spacing`` so the
     grid stays convolvable with every other density at the same spacing.
     """
-    if not hi > lo:
-        raise ValueError(f"need hi > lo, got [{lo!r}, {hi!r}]")
-    n = max(int(round((hi - lo) / spacing)), 1)
+    n = max(int(round(_grid_cells(lo, hi, spacing))), 1)
     return GridDensity(lo, spacing, np.full(n + 1, 1.0 / (n * spacing)))
 
 
@@ -270,42 +282,59 @@ def entropy_power(density: GridDensity, order: Order | float) -> float:
     return power_from_entropy(renyi_entropy(density, order), 1)
 
 
-def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = a.size + b.size - 1
-    size = 1 << (n - 1).bit_length()
-    out = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
-    return np.maximum(out, 0.0)  # clip transform roundoff
+def _transform_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: a length numpy's FFT handles quickly."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def convolve(f: GridDensity, g: GridDensity) -> GridDensity:
     """Density of X + Y for independent X ~ f, Y ~ g on matching grids.
 
-    Inputs up to ``DIRECT_LIMIT`` samples go through direct summation,
-    larger ones through the zero-padded real transform. The output is
-    renormalized to mass 1, absorbing the mass lost to tail truncation of
-    the inputs.
+    The two-summand case of :func:`convolve_many`.
     """
-    if abs(f.spacing - g.spacing) > 1e-12 * f.spacing:
-        raise ValueError(f"grids must share spacing, got {f.spacing!r} and {g.spacing!r}")
-    if max(f.values.size, g.values.size) <= DIRECT_LIMIT:
-        raw = np.convolve(f.values, g.values)
-    else:
-        raw = _fft_convolve(f.values, g.values)
-    raw = raw * f.spacing
-    mass = float(np.trapezoid(raw, dx=f.spacing))
-    if mass <= 0.0:
-        raise ValueError("convolution lost all mass")
-    return GridDensity(f.origin + g.origin, f.spacing, raw / mass)
+    return convolve_many((f, g))
 
 
 def convolve_many(densities: Sequence[GridDensity]) -> GridDensity:
-    """Left fold of :func:`convolve` over two or more densities."""
+    """Density of the sum of two or more independent summands on one grid.
+
+    Each summand is transformed once by the real FFT, zero-padded to the
+    smallest 5-smooth length that holds the full linear convolution; the
+    spectra are multiplied and inverted once. Transform roundoff is clipped
+    at 0 and the output is renormalized to mass 1, absorbing the mass lost
+    to tail truncation of the inputs.
+    """
     if len(densities) < 2:
         raise ValueError("need at least two densities")
-    acc = densities[0]
+    spacing = densities[0].spacing
     for d in densities[1:]:
-        acc = convolve(acc, d)
-    return acc
+        if abs(d.spacing - spacing) > 1e-12 * spacing:
+            raise ValueError(f"grids must share spacing, got {spacing!r} and {d.spacing!r}")
+    n = sum(d.values.size for d in densities) - (len(densities) - 1)
+    size = _transform_length(n)
+    spectrum = np.fft.rfft(densities[0].values, size)
+    for d in densities[1:]:
+        # each product carries one factor of the spacing, so the spectrum
+        # keeps the scale of a density whatever the number of summands
+        spectrum *= np.fft.rfft(d.values * spacing, size)
+    raw = np.fft.irfft(spectrum, size)[:n]
+    np.maximum(raw, 0.0, out=raw)  # clip transform roundoff
+    mass = float(np.trapezoid(raw, dx=spacing))
+    if mass <= 0.0:
+        raise ValueError("convolution lost all mass")
+    raw /= mass
+    return GridDensity(sum(d.origin for d in densities), spacing, raw)
 
 
 @dataclass(frozen=True)
@@ -418,11 +447,12 @@ def random_corpus(
     Each instance draws 2 to 4 summands among Gaussians, uniforms, shifted
     exponentials and two-component Gaussian mixtures, plus an order from
     ``CORPUS_ORDERS``. Identical seeds yield identical instances. ``count``
-    is checked on the call; instances are drawn lazily, one at a time.
+    and ``spacing`` are checked on the call; instances are drawn lazily,
+    one at a time.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count!r}")
-    return _corpus_draws(np.random.default_rng(seed), count, spacing)
+    return _corpus_draws(np.random.default_rng(seed), count, _check_spacing(spacing))
 
 
 def _corpus_draws(rng: np.random.Generator, count: int, spacing: float) -> Iterator[CorpusInstance]:

@@ -1,5 +1,6 @@
 """Tests for grid densities, convolution and numerical certification."""
 
+import bisect
 import math
 
 import numpy as np
@@ -25,6 +26,16 @@ from repi import verify
 from repi.verify import DEFAULT_SPACING, MASS_TOL
 
 ORDERS = (1.1, 1.5, 2.0, 5.0, math.inf)
+
+
+def _direct_reference(parts):
+    """Convolution by direct summation, renormalized to trapezoid mass 1."""
+    spacing = parts[0].spacing
+    raw = parts[0].values
+    for d in parts[1:]:
+        raw = np.convolve(raw, d.values) * spacing
+    raw = raw / np.trapezoid(raw, dx=spacing)
+    return GridDensity(sum(d.origin for d in parts), spacing, raw)
 
 
 class TestGridDensity:
@@ -67,6 +78,21 @@ class TestGridDensity:
         """Nonpositive scale factors are rejected."""
         with pytest.raises(ValueError):
             uniform_density(0.0, 1.0).scaled(-1.0)
+
+    def test_infinite_spacing_rejected(self):
+        """Zero samples on an infinite pitch have NaN mass, which is not 1."""
+        with pytest.raises(ValueError, match="spacing"):
+            GridDensity(0.0, math.inf, np.zeros(3))
+
+    def test_infinite_scale_rejected(self):
+        """Scaling by inf used to give an all-zero density at origin NaN."""
+        with pytest.raises(ValueError, match="scale factor"):
+            uniform_density(0.0, 1.0).scaled(math.inf)
+
+    def test_infinite_translation_rejected(self):
+        """Translating by inf used to give a density at origin inf."""
+        with pytest.raises(ValueError, match="origin"):
+            uniform_density(0.0, 1.0).translated(math.inf)
 
     def test_csv_round_trip(self, tmp_path):
         """to_csv and from_csv reproduce the density bit for bit."""
@@ -135,6 +161,32 @@ class TestConstructors:
             gaussian_mixture_density((0.5, 0.4), (0.0, 1.0), (1.0, 1.0))
 
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda s: uniform_density(0.0, 1.0, s),
+            lambda s: from_function(lambda x: np.ones_like(x), 0.0, 1.0, s),
+            lambda s: random_corpus(1, 1, s),
+        ],
+        ids=["uniform", "from_function", "random_corpus"],
+    )
+    @pytest.mark.parametrize("spacing", [0.0, -1e-3, math.nan, math.inf])
+    def test_bad_spacing_rejected(self, build, spacing):
+        """Zero, negative, NaN and infinite pitches are a clear ValueError."""
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            build(spacing)
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308)]
+    )
+    def test_non_finite_window_rejected(self, lo, hi):
+        """Windows with an infinite end, or too wide to count, are a clear ValueError."""
+        with pytest.raises(ValueError, match="finite|grid cells"):
+            uniform_density(lo, hi)
+        with pytest.raises(ValueError, match="finite|grid cells"):
+            from_function(lambda x: np.ones_like(x), lo, hi)
+
+
 class TestEntropy:
     def test_unit_uniform_has_zero_entropy(self):
         """Uniform on [0, 1] has entropy 0 at every order, exactly on the grid."""
@@ -187,18 +239,23 @@ class TestEntropy:
 
 
 class TestConvolve:
-    def test_direct_and_fft_agree(self, monkeypatch):
-        """Both convolution routes produce the same density."""
+    def test_matches_direct_summation(self):
+        """The spectral product matches direct summation renormalized to mass 1."""
         f = uniform_density(0.0, 1.0)
         g = uniform_density(-0.25, 0.25)
-        direct = convolve(f, g)
-        monkeypatch.setattr(verify, "DIRECT_LIMIT", 0)
         fft = convolve(f, g)
+        direct = _direct_reference([f, g])
         assert direct.values.size == fft.values.size
         assert float(np.max(np.abs(direct.values - fft.values))) <= 1e-10
         assert renyi_entropy(direct, 2.0) == pytest.approx(
             renyi_entropy(fft, 2.0), abs=1e-12
         )
+
+    def test_two_sample_pair(self):
+        """Two flat two-sample grids convolve to the triangle [1/3, 2/3, 1/3] / spacing."""
+        pair = GridDensity(0.0, 2.0 ** -12, np.array([2.0 ** 12, 2.0 ** 12]))
+        conv = convolve(pair, pair)
+        assert conv.values == pytest.approx(np.array([1.0, 2.0, 1.0]) / 3.0 * 2.0 ** 12, rel=1e-15)
 
     def test_gaussian_sum_is_gaussian(self):
         """Two standard Gaussians convolve to the variance-2 Gaussian pointwise."""
@@ -233,14 +290,36 @@ class TestConvolve:
         with pytest.raises(ValueError):
             convolve(f, g)
 
-    def test_convolve_many_folds_left(self):
-        """Three-way convolution equals two nested pairwise ones."""
+    def test_third_summand_spacing_mismatch_rejected(self):
+        """Every summand, not only the second, must share the first one's pitch."""
+        f = uniform_density(0.0, 1.0, spacing=2.0 ** -10)
+        g = uniform_density(0.0, 1.0, spacing=2.0 ** -9)
+        with pytest.raises(ValueError, match="share spacing"):
+            convolve_many((f, f, g))
+
+    def test_convolve_many_matches_direct_and_nested(self):
+        """Three-way convolution matches direct summation and nested pairs."""
         parts = [uniform_density(0.0, 1.0), uniform_density(0.0, 0.5), uniform_density(-1.0, 0.0)]
-        folded = convolve_many(parts)
+        product = convolve_many(parts)
+        direct = _direct_reference(parts)
         nested = convolve(convolve(parts[0], parts[1]), parts[2])
-        assert np.array_equal(folded.values, nested.values)
+        assert product.origin == direct.origin == nested.origin
+        assert float(np.max(np.abs(product.values - direct.values))) <= 1e-14
+        assert float(np.max(np.abs(product.values - nested.values))) <= 1e-14
         with pytest.raises(ValueError):
             convolve_many(parts[:1])
+
+    def test_transform_length_is_smallest_5_smooth(self):
+        """The transform length is the least 2^a 3^b 5^c at or above n."""
+        smooth = sorted(
+            2 ** a * 3 ** b * 5 ** c
+            for a in range(16)
+            for b in range(10)
+            for c in range(7)
+            if 2 ** a * 3 ** b * 5 ** c <= 40000
+        )
+        for n in range(1, 20001):
+            assert verify._transform_length(n) == smooth[bisect.bisect_left(smooth, n)]
 
 
 class TestCertify:
