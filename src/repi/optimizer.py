@@ -2,13 +2,14 @@
 
 The best constant certified by :func:`repi.bounds.log_constant` is found by
 maximizing over the simplex. The stationarity conditions collapse to a one
-dimensional root problem: with the largest power last and power ratios
-c_k = N_k / N_n in [0, 1], every other weight is a fixed algebraic function
-of the leading weight x,
+dimensional root problem: the first largest power leads, and with power
+ratios c_k = N_k / N_lead in [0, 1] every other weight is a fixed algebraic
+function of the leading weight x,
 
     psi(x, c) = (a' - sqrt(a'^2 - 4 c x (a' - x))) / 2,
 
 and the leading weight solves weight_sum(x) = x + sum_k psi(x, c_k) = 1.
+A zero power has ratio 0 and psi(x, 0) = 0, so it gets weight exactly 0.
 weight_sum is continuous and increasing from 0 with weight_sum(1) > 1 for
 finite alpha, so the root is unique in (0, 1]; bisection is exact enough
 and never diverges. At alpha = inf, weight_sum(1) = 1 as well: when
@@ -22,7 +23,6 @@ from -1 at x = 0 to sum(c_k) - 1 > 0 as x -> 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,11 +40,8 @@ from .core import (
 __all__ = [
     "DegeneratePowersError",
     "RootBracketError",
-    "RatioVector",
-    "normalize_ratios",
     "companion_weight",
     "weight_sum",
-    "weight_sum_grid",
     "solve_leading_weight",
     "optimal_weights",
     "optimized_constant",
@@ -74,39 +71,26 @@ class RootBracketError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class RatioVector:
-    """Powers of the non-leading summands relative to the leading one.
-
-    ``permutation[i]`` is the original index of solver slot ``i``; the
-    leading (largest power) summand occupies the last slot, so ``ratios``
-    has one entry fewer than ``permutation`` and every entry is in [0, 1].
-    """
-
-    ratios: tuple[float, ...]
-    permutation: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.permutation) != len(self.ratios) + 1:
-            raise ValueError("permutation must have one more entry than ratios")
-        for c in self.ratios:
-            if not 0.0 <= c <= 1.0:
-                raise ValueError(f"ratios must lie in [0, 1], got {c!r}")
+def _check_ratios(ratios: Sequence[float]) -> tuple[float, ...]:
+    cs = tuple(float(c) for c in ratios)
+    for c in cs:
+        if not 0.0 <= c <= 1.0:
+            raise ValueError(f"power ratios must lie in [0, 1], got {c!r}")
+    return cs
 
 
-def normalize_ratios(powers: PowerVector | Sequence[float]) -> RatioVector:
-    """Sort the largest power last and divide the rest by it."""
-    pv = as_power_vector(powers)
-    if pv.total == 0.0:
+def _leading_ratios(pv: PowerVector) -> tuple[int, list[float]]:
+    """Index of the first largest power, and every other power divided by it."""
+    top = pv.largest
+    if top == 0.0:
         raise DegeneratePowersError("all entropy powers are zero")
-    lead = max(range(len(pv)), key=lambda i: pv[i])
-    rest = [i for i in range(len(pv)) if i != lead]
-    ratios = tuple(pv[i] / pv[lead] for i in rest)
-    return RatioVector(ratios, tuple(rest) + (lead,))
+    lead = pv.powers.index(top)
+    return lead, [p / top for i, p in enumerate(pv) if i != lead]
 
 
-def _ratio_tuple(ratios: RatioVector | Sequence[float]) -> tuple[float, ...]:
-    return ratios.ratios if isinstance(ratios, RatioVector) else tuple(ratios)
+def _max_power_tight(ratios: Sequence[float]) -> bool:
+    """At alpha = inf the endpoint x = 1 is the limit iff the ratios sum to at most 1."""
+    return sum(ratios) <= 1.0 + 1e-12
 
 
 def _psi(x, c: float, ac: float, sqrt):
@@ -125,29 +109,21 @@ def companion_weight(x: float, ratio: float, order: Order | float) -> float:
     which avoids the cancellation of the textbook quadratic formula for
     ratios near 1.
     """
+    (c,) = _check_ratios((ratio,))
+    return _psi(float(x), c, as_order(order).alpha_conj, math.sqrt)
+
+
+def weight_sum(x, ratios: Sequence[float], order: Order | float):
+    """x plus the companion weight of every ratio; the simplex constraint pins this to 1.
+
+    ``x`` is one leading weight or an array of them, and the result has its
+    shape.
+    """
     order = as_order(order)
-    c = float(ratio)
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"ratio must lie in [0, 1], got {c!r}")
-    return _psi(float(x), c, order.alpha_conj, math.sqrt)
-
-
-def weight_sum(x: float, ratios: RatioVector | Sequence[float], order: Order | float) -> float:
-    """x plus all companion weights; the simplex constraint pins this to 1."""
-    order = as_order(order)
-    return float(x) + sum(companion_weight(x, c, order) for c in _ratio_tuple(ratios))
-
-
-def weight_sum_grid(
-    xs: np.ndarray, ratios: RatioVector | Sequence[float], order: Order | float
-) -> np.ndarray:
-    """Vectorized :func:`weight_sum` over an array of leading weights."""
-    order = as_order(order)
-    xs = np.asarray(xs, dtype=float)
-    out = xs.copy()
-    for c in _ratio_tuple(ratios):
-        out += _psi(xs, c, order.alpha_conj, np.sqrt)
-    return out
+    cs = _check_ratios(ratios)
+    xs = np.asarray(x, dtype=float)
+    out = xs + sum(_psi(xs, c, order.alpha_conj, np.sqrt) for c in cs)
+    return out[()]
 
 
 def _bisect(f, lo: float, hi: float, tol: float, max_iter: int) -> float:
@@ -176,7 +152,7 @@ def _bisect(f, lo: float, hi: float, tol: float, max_iter: int) -> float:
     raise RootBracketError(lo, hi, fm)
 
 
-def solve_leading_weight(ratios: RatioVector | Sequence[float], order: Order | float) -> float:
+def solve_leading_weight(ratios: Sequence[float], order: Order | float) -> float:
     """Solve weight_sum(x) = 1 for the weight of the leading summand.
 
     For finite alpha the root is unique in (0, 1] and bracketed by [0, 1]
@@ -188,17 +164,18 @@ def solve_leading_weight(ratios: RatioVector | Sequence[float], order: Order | f
     never evaluates an endpoint, so the division by 1 - x is safe.
     """
     order = as_order(order)
-    cs = _ratio_tuple(ratios)
+    cs = _check_ratios(ratios)
+    ac = order.alpha_conj
     if all(c == 0.0 for c in cs):
         return 1.0
     if not order.is_infinite:
         def resid(x: float) -> float:
-            return weight_sum(x, cs, order) - 1.0
-    elif sum(cs) <= 1.0 + 1e-12:
+            return x + sum(_psi(x, c, ac, math.sqrt) for c in cs) - 1.0
+    elif _max_power_tight(cs):
         return 1.0
     else:
         def resid(x: float) -> float:
-            return sum(companion_weight(x, c, order) for c in cs) / (1.0 - x) - 1.0
+            return sum(_psi(x, c, ac, math.sqrt) for c in cs) / (1.0 - x) - 1.0
     return _bisect(resid, 0.0, 1.0, ROOT_TOL, MAX_ITERATIONS)
 
 
@@ -207,24 +184,15 @@ def optimal_weights(
 ) -> SimplexWeights:
     """The simplex weights maximizing :func:`repi.bounds.log_constant`.
 
-    Zero powers are removed before solving and reinstated with weight 0;
-    they can never carry positive weight at an optimum.
+    The first largest power leads; every other summand gets the companion
+    weight of its power ratio, which is exactly 0 for a zero power.
     """
     order = as_order(order)
-    pv = as_power_vector(powers)
-    if pv.total == 0.0:
-        raise DegeneratePowersError("all entropy powers are zero")
-    positive = [i for i in range(len(pv)) if pv[i] > 0.0]
-    out = [0.0] * len(pv)
-    if len(positive) == 1:
-        out[positive[0]] = 1.0
-        return SimplexWeights(tuple(out))
-    rv = normalize_ratios([pv[i] for i in positive])
-    lead = solve_leading_weight(rv, order)
-    out[positive[rv.permutation[-1]]] = lead
-    for slot, c in zip(rv.permutation, rv.ratios):
-        out[positive[slot]] = companion_weight(lead, c, order)
-    return SimplexWeights(tuple(out))
+    lead, ratios = _leading_ratios(as_power_vector(powers))
+    x = solve_leading_weight(ratios, order)
+    weights = [_psi(x, c, order.alpha_conj, math.sqrt) for c in ratios]
+    weights.insert(lead, x)
+    return SimplexWeights(tuple(weights))
 
 
 def optimized_constant(powers: PowerVector | Sequence[float], order: Order | float) -> float:
@@ -238,16 +206,14 @@ def two_summand_weight(beta: float, order: Order | float) -> float:
     ``beta`` is the power ratio N_1 / N_2 <= 1. Evaluated in the
     rationalized form 2 beta (a' - 1) / (a'(beta+1) - 2 beta + sqrt(disc))
     with disc = (a'(beta+1))^2 - 8 a' beta + 4 beta, which is stable for
-    beta near 0 and near 1 alike. The beta = 1 limit is 1/2; we switch to
-    it within 1e-8 where the alpha = inf quotient degenerates to 0/0.
+    beta near 0 and near 1 alike. Only at beta = 1 with alpha = inf is the
+    quotient 0/0; beta = 1 returns its limit 1/2 at every order.
     """
     order = as_order(order)
-    beta = float(beta)
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"power ratio must lie in [0, 1], got {beta!r}")
+    (beta,) = _check_ratios((beta,))
     if beta == 0.0:
         return 0.0
-    if abs(1.0 - beta) < 1e-8:
+    if beta == 1.0:
         return 0.5
     ac = order.alpha_conj
     a_ = ac * (beta + 1.0)
@@ -264,9 +230,7 @@ def two_summand_constant(beta: float, order: Order | float) -> float:
     ``sharpened_constant(order, 2)``.
     """
     order = as_order(order)
-    beta = float(beta)
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"power ratio must lie in [0, 1], got {beta!r}")
+    (beta,) = _check_ratios((beta,))
     if beta == 0.0:
         return 1.0
     t = two_summand_weight(beta, order)
@@ -288,10 +252,14 @@ def bv_asymptotically_tight(infinity_powers: PowerVector | Sequence[float]) -> b
     """Whether the optimized bound collapses to the max-power bound at alpha = inf.
 
     True iff the non-leading powers at alpha = inf sum to at most the
-    leading one. For two summands this always holds.
+    leading one, with the weight solver's slack, so it holds exactly when
+    the optimized weights take the endpoint. For two summands this always
+    holds, and for all-zero powers too.
     """
     pv = as_power_vector(infinity_powers)
-    return pv.total - pv.largest <= pv.largest
+    if pv.largest == 0.0:
+        return True
+    return _max_power_tight(_leading_ratios(pv)[1])
 
 
 def bound_report(powers: PowerVector | Sequence[float], order: Order | float) -> BoundReport:

@@ -38,7 +38,7 @@ from repi import (
     two_summand_constant,
     uniform_density,
     weight_kernel,
-    weight_sum_grid,
+    weight_sum,
 )
 from repi.core import as_order
 
@@ -201,7 +201,7 @@ class TestSeededPropertySweeps:
             n = int(rng.integers(2, 7))
             ratios = rng.uniform(0.0, 1.0, n - 1)
             order = Order(float(finite[rng.integers(len(finite))]))
-            vals = weight_sum_grid(xs, ratios, order) - 1.0
+            vals = weight_sum(xs, ratios, order) - 1.0
             crossings = int(np.count_nonzero(np.diff(np.signbit(vals))))
             assert crossings == 1
 

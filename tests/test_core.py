@@ -1,14 +1,17 @@
 """Tests for the shared domain types and conversions."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repi
+import repi.cli
 from repi import (
     BoundReport,
     Order,
@@ -242,3 +245,24 @@ class TestPackageExports:
                 if inspect.isfunction(obj) or inspect.isclass(obj):
                     assert name in repi.__all__, f"{mod.__name__}.{name} not re-exported"
                     assert getattr(repi, name) is obj
+
+    @pytest.mark.parametrize("script", ["workloads.py", "test_bench.py"])
+    def test_benchmark_names_resolve(self, script):
+        """Every name the benchmark imports from repi, and every cli helper it calls, exists."""
+        tree = ast.parse((Path(__file__).resolve().parent.parent / "bench" / script).read_text())
+        imported = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "repi"
+            for alias in node.names
+        ]
+        helpers = [
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "cli"
+        ]
+        assert imported
+        assert [name for name in imported if not hasattr(repi, name)] == []
+        assert [name for name in helpers if not hasattr(repi.cli, name)] == []

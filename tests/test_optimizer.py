@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repi import (
     DegeneratePowersError,
-    RatioVector,
     RootBracketError,
     as_order,
     bc_constant,
@@ -15,7 +15,6 @@ from repi import (
     bv_asymptotically_tight,
     companion_weight,
     log_constant,
-    normalize_ratios,
     optimal_weights,
     optimized_constant,
     sharpened_constant,
@@ -23,7 +22,6 @@ from repi import (
     two_summand_constant,
     two_summand_weight,
     weight_sum,
-    weight_sum_grid,
 )
 
 ORDER_GRID = (1.1, 1.5, 2.0, 5.0, 100.0, math.inf)
@@ -38,36 +36,17 @@ def random_instances(count, rng, n_max=6):
         yield powers, order
 
 
+def leading_ratios(powers):
+    """Every power but the first largest, divided by the largest."""
+    rest = list(powers)
+    top = rest.pop(rest.index(max(rest)))
+    return [p / top for p in rest]
+
+
 def kernel_gradient(t, power, order, total):
     """Per-summand gradient of the objective at weight t for a positive power."""
     ac = as_order(order).alpha_conj
     return -math.log1p(-t / ac) - math.log(t) - 2.0 + math.log(power / total)
-
-
-class TestNormalizeRatios:
-    def test_largest_moves_last(self):
-        """The leading summand is the largest power; others keep their order."""
-        rv = normalize_ratios((1.0, 1.0, 4.0))
-        assert rv.permutation == (0, 1, 2)
-        assert rv.ratios == (0.25, 0.25)
-
-    def test_ties_pick_first(self):
-        """Equal maxima resolve to the first index, deterministically."""
-        rv = normalize_ratios((2.0, 2.0))
-        assert rv.permutation == (1, 0)
-        assert rv.ratios == (1.0,)
-
-    def test_all_zero_rejected(self):
-        """An all-zero vector has no leading summand."""
-        with pytest.raises(DegeneratePowersError):
-            normalize_ratios((0.0, 0.0))
-
-    def test_ratio_vector_validation(self):
-        """Ratios above 1 and mismatched permutations are rejected."""
-        with pytest.raises(ValueError):
-            RatioVector((1.5,), (0, 1))
-        with pytest.raises(ValueError):
-            RatioVector((0.5,), (0,))
 
 
 class TestCompanionWeight:
@@ -103,15 +82,24 @@ class TestCompanionWeight:
 
 class TestWeightSum:
     def test_grid_matches_scalar(self):
-        """The vectorized evaluation agrees with the scalar one pointwise."""
+        """An array of leading weights gives x + sum of companion weights pointwise."""
         rng = np.random.default_rng(11)
         xs = np.linspace(0.01, 0.99, 37)
         for _ in range(20):
             ratios = tuple(float(r) for r in rng.uniform(0, 1, size=3))
             alpha = float(rng.uniform(1.05, 30.0))
-            grid = weight_sum_grid(xs, ratios, alpha)
+            grid = weight_sum(xs, ratios, alpha)
+            assert grid.shape == xs.shape
             for x, val in zip(xs, grid):
-                assert val == pytest.approx(weight_sum(float(x), ratios, alpha), abs=1e-13)
+                expected = x + sum(companion_weight(float(x), c, alpha) for c in ratios)
+                assert val == pytest.approx(expected, abs=1e-13)
+
+    def test_ratio_domain(self):
+        """A ratio above 1 is rejected for an array of leading weights too."""
+        with pytest.raises(ValueError):
+            weight_sum(np.array([0.3, 0.6]), (1.5,), 2.0)
+        with pytest.raises(ValueError):
+            weight_sum(0.3, (0.5, -0.1), 2.0)
 
     def test_infinity_endpoints(self):
         """At the limit order the sum is pinned at both simplex corners."""
@@ -140,11 +128,11 @@ class TestSolveLeadingWeight:
         rng = np.random.default_rng(2)
         worst = 0.0
         for powers, order in random_instances(500, rng):
-            rv = normalize_ratios(powers)
-            root = solve_leading_weight(rv, order)
+            ratios = leading_ratios(powers)
+            root = solve_leading_weight(ratios, order)
             if math.isinf(order) and root == 1.0:
                 continue  # endpoint root, exact by construction
-            worst = max(worst, abs(weight_sum(root, rv, order) - 1.0))
+            worst = max(worst, abs(weight_sum(root, ratios, order) - 1.0))
         assert worst <= 1e-12
 
     def test_root_is_unique(self):
@@ -154,8 +142,7 @@ class TestSolveLeadingWeight:
         for powers, order in random_instances(500, rng):
             if math.isinf(order):
                 order = 2.0
-            rv = normalize_ratios(powers)
-            signs = np.sign(weight_sum_grid(xs, rv, order) - 1.0)
+            signs = np.sign(weight_sum(xs, leading_ratios(powers), order) - 1.0)
             crossings = int(np.count_nonzero(np.diff(signs[signs != 0.0])))
             assert crossings == 1
 
@@ -181,6 +168,13 @@ class TestSolveLeadingWeight:
         expected = 1.0 / (4.0 * c - 1.0)
         root = solve_leading_weight((c, c), math.inf)
         assert abs(root - expected) <= 4 * math.ulp(expected)
+
+    def test_ratio_domain(self):
+        """Ratios outside [0, 1] are rejected before solving."""
+        with pytest.raises(ValueError):
+            solve_leading_weight((1.5,), 2.0)
+        with pytest.raises(ValueError):
+            solve_leading_weight((0.5, math.nan), math.inf)
 
     def test_bracket_error_carries_state(self):
         """The no-convergence error exposes its bracket and residual."""
@@ -209,6 +203,39 @@ class TestOptimalWeights:
         """Degenerate instances raise instead of guessing."""
         with pytest.raises(DegeneratePowersError):
             optimal_weights((0.0, 0.0), 2.0)
+
+    def test_largest_leads(self):
+        """The largest power takes the root; the others keep their order."""
+        w = optimal_weights((1.0, 1.0, 4.0), 2.0)
+        lead = solve_leading_weight((0.25, 0.25), 2.0)
+        companion = companion_weight(lead, 0.25, 2.0)
+        assert tuple(w) == (companion, companion, lead)
+
+    def test_ties_pick_first(self):
+        """Equal maxima: the first one leads and takes the alpha = inf endpoint."""
+        assert tuple(optimal_weights((2.0, 2.0), math.inf)) == (1.0, 0.0)
+
+    @given(
+        st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6),
+        st.lists(st.integers(0, 6), max_size=3),
+        st.integers(-20, 20),
+        st.sampled_from(ORDER_GRID),
+    )
+    def test_zeros_and_scaling_leave_weights(self, powers, slots, k, order):
+        """Inserting zero powers or scaling by 2^k moves no weight by a bit.
+
+        The zeros get exactly 0.0, and the optimized constant is unchanged.
+        """
+        padded = list(powers)
+        for slot in slots:
+            padded.insert(min(slot, len(padded)), 0.0)
+        scaled = [math.ldexp(p, k) for p in padded]
+        base = bound_report(powers, order)
+        for variant in (padded, scaled):
+            report = bound_report(variant, order)
+            assert report.optimized == base.optimized
+            assert [t for t, p in zip(report.weights, variant) if p > 0.0] == list(base.weights)
+            assert all(t == 0.0 for t, p in zip(report.weights, variant) if p == 0.0)
 
     def test_stationarity_on_random_instances(self):
         """Interior KKT: per-summand gradients agree to 1e-9 on 500 instances."""
@@ -309,6 +336,13 @@ class TestTwoSummandClosedForm:
             sharpened_constant(2.0, 2), rel=1e-12
         )
 
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 5.0])
+    @pytest.mark.parametrize("beta", [1.0 - 5e-9, 1.0 - 1e-9])
+    def test_near_equal_ratio(self, beta, alpha):
+        """Just below beta = 1 the closed form is used, not the 1/2 limit."""
+        solved = optimal_weights((beta, 1.0), alpha)[0]
+        assert abs(two_summand_weight(beta, alpha) - solved) <= 1e-15
+
     def test_matches_solver_on_grid(self):
         """Closed form equals the generic solver over a 30 x 6 grid."""
         betas = np.linspace(0.001, 1.0, 30)
@@ -363,6 +397,24 @@ class TestInfinityDichotomy:
     def test_two_summands_always_tight(self):
         """With two summands the smaller ratio never exceeds 1."""
         assert bv_asymptotically_tight((3.0, 5.0))
+        assert bv_asymptotically_tight((1.0, 1.0))
+
+    def test_huge_powers_judged_by_ratio(self):
+        """Powers whose total overflows are judged by their ratios."""
+        assert bv_asymptotically_tight((1e308, 1e308))
+
+    def test_agrees_with_endpoint_solution(self):
+        """The rule carries the solver's slack: within it the weights take the endpoint."""
+        near = (1.0, 0.5, 0.5 * (1.0 + 4e-13))
+        assert bv_asymptotically_tight(near)
+        assert tuple(optimal_weights(near, math.inf)) == (1.0, 0.0, 0.0)
+        past = (1.0, 0.5, 0.5 * (1.0 + 2e-11))
+        assert not bv_asymptotically_tight(past)
+        assert optimal_weights(past, math.inf)[0] < 1.0
+
+    def test_all_zero_powers(self):
+        """All-zero powers count as tight, as the max-power rule reads them."""
+        assert bv_asymptotically_tight((0.0, 0.0))
 
 
 class TestBoundReport:
