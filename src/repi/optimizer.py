@@ -113,17 +113,17 @@ def companion_weight(x: float, ratio: float, order: Order | float) -> float:
     return _psi(float(x), c, as_order(order).alpha_conj, math.sqrt)
 
 
-def weight_sum(x, ratios: Sequence[float], order: Order | float):
+def weight_sum(x, ratios: Sequence[float], order: Order | float) -> float | np.ndarray:
     """x plus the companion weight of every ratio; the simplex constraint pins this to 1.
 
-    ``x`` is one leading weight or an array of them, and the result has its
-    shape.
+    ``x`` is one leading weight, giving a float, or an array of them, giving
+    an array of its shape.
     """
     order = as_order(order)
     cs = _check_ratios(ratios)
     xs = np.asarray(x, dtype=float)
     out = xs + sum(_psi(xs, c, order.alpha_conj, np.sqrt) for c in cs)
-    return out[()]
+    return float(out) if out.ndim == 0 else out
 
 
 def _bisect(f, lo: float, hi: float, tol: float, max_iter: int) -> float:
@@ -203,11 +203,12 @@ def optimized_constant(powers: PowerVector | Sequence[float], order: Order | flo
 def two_summand_weight(beta: float, order: Order | float) -> float:
     """Closed-form optimal weight of the smaller of two summands.
 
-    ``beta`` is the power ratio N_1 / N_2 <= 1. Evaluated in the
-    rationalized form 2 beta (a' - 1) / (a'(beta+1) - 2 beta + sqrt(disc))
-    with disc = (a'(beta+1))^2 - 8 a' beta + 4 beta, which is stable for
-    beta near 0 and near 1 alike. Only at beta = 1 with alpha = inf is the
-    quotient 0/0; beta = 1 returns its limit 1/2 at every order.
+    ``beta`` is the power ratio N_1 / N_2 <= 1. With g = a'(1 - beta) and
+    e = 2 beta (a' - 1), evaluated in the rationalized form
+    e / (g + e + sqrt(g^2 + 2 e (a' - 1))). Every term is non-negative, so
+    nothing cancels for beta near 0 or 1, nor for a' near 1. Only at
+    beta = 1 with alpha = inf is the quotient 0/0; beta = 1 returns its
+    limit 1/2 at every order.
     """
     order = as_order(order)
     (beta,) = _check_ratios((beta,))
@@ -216,9 +217,9 @@ def two_summand_weight(beta: float, order: Order | float) -> float:
     if beta == 1.0:
         return 0.5
     ac = order.alpha_conj
-    a_ = ac * (beta + 1.0)
-    disc = a_ * a_ - 8.0 * ac * beta + 4.0 * beta
-    return 2.0 * beta * (ac - 1.0) / (a_ - 2.0 * beta + math.sqrt(disc))
+    gap, excess = ac * (1.0 - beta), 2.0 * beta * (ac - 1.0)
+    disc = gap * gap + 2.0 * excess * (ac - 1.0)
+    return excess / (gap + excess + math.sqrt(disc))
 
 
 def two_summand_constant(beta: float, order: Order | float) -> float:

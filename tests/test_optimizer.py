@@ -1,5 +1,6 @@
 """Tests for the instance-optimal weight solver."""
 
+import decimal
 import math
 
 import numpy as np
@@ -25,6 +26,8 @@ from repi import (
 )
 
 ORDER_GRID = (1.1, 1.5, 2.0, 5.0, 100.0, math.inf)
+#: Power ratios just below 1, down to three ulps.
+NEAR_ONE = (1.0 - 5e-9, 1.0 - 1e-9, 1.0 - 3 * 2.0**-53)
 
 
 def random_instances(count, rng, n_max=6):
@@ -212,8 +215,16 @@ class TestOptimalWeights:
         assert tuple(w) == (companion, companion, lead)
 
     def test_ties_pick_first(self):
-        """Equal maxima: the first one leads and takes the alpha = inf endpoint."""
-        assert tuple(optimal_weights((2.0, 2.0), math.inf)) == (1.0, 0.0)
+        """Equal maxima: the first one takes the root, the later one its companion.
+
+        At alpha = 1.5 the two differ in the last bit, so the weights show
+        which of the tied powers leads.
+        """
+        lead = solve_leading_weight((0.5, 1.0), 1.5)
+        tied = companion_weight(lead, 1.0, 1.5)
+        assert lead != tied
+        w = optimal_weights((2.0, 1.0, 2.0), 1.5)
+        assert tuple(w) == (lead, companion_weight(lead, 0.5, 1.5), tied)
 
     @given(
         st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6),
@@ -337,11 +348,32 @@ class TestTwoSummandClosedForm:
         )
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 5.0])
-    @pytest.mark.parametrize("beta", [1.0 - 5e-9, 1.0 - 1e-9])
+    @pytest.mark.parametrize("beta", NEAR_ONE)
     def test_near_equal_ratio(self, beta, alpha):
         """Just below beta = 1 the closed form is used, not the 1/2 limit."""
         solved = optimal_weights((beta, 1.0), alpha)[0]
         assert abs(two_summand_weight(beta, alpha) - solved) <= 1e-15
+
+    @pytest.mark.parametrize("alpha", [1e6, 1e12, math.inf])
+    @pytest.mark.parametrize("beta", NEAR_ONE)
+    def test_near_equal_ratio_huge_order(self, beta, alpha):
+        """With a' near 1 as well, the closed form neither cancels nor fails.
+
+        Checked against the textbook root evaluated in 120 digits from the
+        same a'; at alpha = inf the weight is exactly 0, as the solver's.
+        """
+        ac = as_order(alpha).alpha_conj
+        with decimal.localcontext(prec=120):
+            a, b = decimal.Decimal(ac), decimal.Decimal(beta)
+            p = a * (b + 1) - 2 * b
+            exact = (p - (p * p - 4 * b * (1 - b) * (a - 1)).sqrt()) / (2 * (1 - b))
+        t = two_summand_weight(beta, alpha)
+        assert abs(t - float(exact)) <= 1e-15 * float(exact)
+        if math.isinf(alpha):
+            assert t == optimal_weights((beta, 1.0), alpha)[0] == 0.0
+        assert two_summand_constant(beta, alpha) == pytest.approx(
+            optimized_constant((beta, 1.0), alpha), rel=1e-12
+        )
 
     def test_matches_solver_on_grid(self):
         """Closed form equals the generic solver over a 30 x 6 grid."""
