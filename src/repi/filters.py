@@ -51,30 +51,21 @@ class FilterSpec:
     def length(self) -> int:
         return len(self.taps)
 
-    def powers(self) -> tuple[float, ...]:
-        """Summand entropy powers |det H_k|^(2/d) for unit input power.
-
-        A tap whose power exceeds the float range raises ValueError; the
-        power grows with |t|, so that tap is the largest.
-        """
-        try:
-            return tuple(t ** (2.0 / self.dim) for t in self.taps)
-        except OverflowError:
-            raise ValueError(
-                f"tap {max(self.taps)!r} has entropy power |t|^(2/d) beyond the float range"
-            ) from None
-
 
 def filter_bounds(spec: FilterSpec) -> dict[str, float]:
     """All four output entropy bounds, in nats, keyed by method.
 
     Each is (d/2) log of the matching :meth:`BoundReport.lower_bounds`
     entry for the summand powers, so a single tap gives log|det H| (to
-    rounding) for every method except the n-free one.
+    rounding) for every method except the n-free one. The report is built
+    on the powers (|t_k| / t_max)^(2/d), which cannot overflow, and each
+    bound adds back log t_max.
     """
-    bounds = bound_report(spec.powers(), spec.order).lower_bounds()
+    top = max(spec.taps)
+    powers = tuple((t / top) ** (2.0 / spec.dim) for t in spec.taps)
+    bounds = bound_report(powers, spec.order).lower_bounds()
     return {
-        method: entropy_from_power(bounds[method], spec.dim)
+        method: entropy_from_power(bounds[method], spec.dim) + math.log(top)
         for method in ("optimized", "sharpened", "bc", "bv")
     }
 
@@ -82,12 +73,14 @@ def filter_bounds(spec: FilterSpec) -> dict[str, float]:
 def gaussian_reference(spec: FilterSpec, gram_det: float | None = None) -> float:
     """Exact output entropy power exponent for Gaussian input, in nats.
 
-    For d = 1 this is (1/2) log sum_k h_k^2. For d > 1 the module holds
-    only determinant magnitudes, so the determinant of sum_k H_k H_k^T must
-    be supplied by the caller.
+    For d = 1 this is (1/2) log sum_k h_k^2, formed from h_k / h_max so no
+    square overflows. For d > 1 the module holds only determinant
+    magnitudes, so the determinant of sum_k H_k H_k^T must be supplied by
+    the caller.
     """
     if spec.dim == 1:
-        return 0.5 * math.log(sum(t * t for t in spec.taps))
+        top = max(spec.taps)
+        return math.log(top) + 0.5 * math.log(sum((t / top) ** 2 for t in spec.taps))
     if gram_det is None:
         raise ValueError("d > 1 needs det(sum_k H_k H_k^T) passed as gram_det")
     if not gram_det > 0.0:

@@ -13,11 +13,14 @@ A zero power has ratio 0 and psi(x, 0) = 0, so it gets weight exactly 0.
 weight_sum is continuous and increasing from 0 with weight_sum(1) > 1 for
 finite alpha, so the root is unique in (0, 1]; bisection is exact enough
 and never diverges. At alpha = inf, weight_sum(1) = 1 as well: when
-sum(c_k) <= 1 the limit solution is the endpoint x = 1 (the max-power bound
-is asymptotically tight), otherwise the limit is the interior root. Every
-psi carries the factor (1 - x) at a' = 1, so that root is the one sign
-change of the factored residual sum_k psi(x, c_k) / (1 - x) - 1, which runs
-from -1 at x = 0 to sum(c_k) - 1 > 0 as x -> 1.
+sum(c_k) <= 1 and every c_k < 1 the limit solution is the endpoint x = 1
+(the max-power bound is asymptotically tight), otherwise the limit is the
+interior root. Every psi carries the factor (1 - x) at a' = 1, so that root
+is the one sign change of the factored residual
+sum_k psi(x, c_k) / (1 - x) - 1, which runs from -1 at x = 0 to
+sum(c_k) - 1 >= 0 as x -> 1. A second largest power (c_k = 1) makes it
+vanish on all of [1/2, 1), and bisection stops at its first midpoint 1/2,
+the finite-order weight of two equal powers.
 """
 
 from __future__ import annotations
@@ -158,10 +161,11 @@ def solve_leading_weight(ratios: Sequence[float], order: Order | float) -> float
     For finite alpha the root is unique in (0, 1] and bracketed by [0, 1]
     from the start, so plain bisection converges unconditionally to float
     resolution. At alpha = inf the endpoint x = 1 is always a root; it is
-    the correct limit iff sum(ratios) <= 1. Otherwise the limit of the
-    finite-alpha solutions is the interior root, where the factored residual
-    sum_k psi(x, c_k) / (1 - x) - 1 changes sign once on (0, 1). Bisection
-    never evaluates an endpoint, so the division by 1 - x is safe.
+    the correct limit iff sum(ratios) <= 1 and no ratio is 1. Otherwise the
+    limit of the finite-alpha solutions is the interior root, where the
+    factored residual sum_k psi(x, c_k) / (1 - x) - 1 first reaches 0 on
+    (0, 1). Bisection never evaluates an endpoint, so the division by 1 - x
+    is safe.
     """
     order = as_order(order)
     cs = _check_ratios(ratios)
@@ -171,7 +175,7 @@ def solve_leading_weight(ratios: Sequence[float], order: Order | float) -> float
     if not order.is_infinite:
         def resid(x: float) -> float:
             return x + sum(_psi(x, c, ac, math.sqrt) for c in cs) - 1.0
-    elif _max_power_tight(cs):
+    elif _max_power_tight(cs) and max(cs) < 1.0:
         return 1.0
     else:
         def resid(x: float) -> float:
@@ -253,9 +257,11 @@ def bv_asymptotically_tight(infinity_powers: PowerVector | Sequence[float]) -> b
     """Whether the optimized bound collapses to the max-power bound at alpha = inf.
 
     True iff the non-leading powers at alpha = inf sum to at most the
-    leading one, with the weight solver's slack, so it holds exactly when
-    the optimized weights take the endpoint. For two summands this always
-    holds, and for all-zero powers too.
+    leading one, with the weight solver's slack. The optimized weights then
+    take the endpoint, all weight on the leading power, unless another power
+    ties it; a tie shares the weight as at every finite order, and the
+    constant is the same. For two summands this always holds, and for
+    all-zero powers too.
     """
     pv = as_power_vector(infinity_powers)
     if pv.largest == 0.0:

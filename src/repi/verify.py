@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .bounds import sharpened_constant
-from .core import Order, _check_dim, as_order, power_from_entropy
+from .core import BoundReport, Order, _check_dim, as_order, power_from_entropy
 from .optimizer import bound_report
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "gaussian_renyi_entropy",
     "renyi_entropy",
     "entropy_power",
-    "convolve",
     "convolve_many",
     "Certification",
     "certify",
@@ -56,6 +55,9 @@ TRUNCATION_LEVEL = 1e-16
 
 #: integral-of-one tolerance enforced on construction
 MASS_TOL = 1e-6
+
+#: most samples a constructor puts on one grid (128 MiB of float64)
+MAX_GRID_SAMPLES = 2 ** 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,12 +144,12 @@ def _check_spacing(spacing: float) -> float:
 
 
 def _grid_cells(lo: float, hi: float, spacing: float) -> float:
-    """(hi - lo) / spacing for a finite window and a positive finite spacing."""
+    """(hi - lo) / spacing for a finite window of at most MAX_GRID_SAMPLES samples."""
     spacing = _check_spacing(spacing)
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"need finite hi > lo, got [{lo!r}, {hi!r}]")
     cells = (hi - lo) / spacing
-    if not math.isfinite(cells):
+    if not cells <= MAX_GRID_SAMPLES - 1:
         raise ValueError(f"[{lo!r}, {hi!r}] spans too many grid cells of {spacing!r}")
     return cells
 
@@ -170,15 +172,7 @@ def from_function(
 
 def gaussian_density(mean: float, std: float, spacing: float = DEFAULT_SPACING) -> GridDensity:
     """Gaussian sampled out to where the tail drops below TRUNCATION_LEVEL."""
-    if not std > 0.0:
-        raise ValueError(f"std must be positive, got {std!r}")
-    peak = 1.0 / (std * math.sqrt(2.0 * math.pi))
-    half = std * math.sqrt(2.0 * max(math.log(peak / TRUNCATION_LEVEL), 1.0))
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        return np.exp(-0.5 * ((x - mean) / std) ** 2) * peak
-
-    return from_function(fn, mean - half, mean + half, spacing)
+    return gaussian_mixture_density((1.0,), (mean,), (std,), spacing)
 
 
 def uniform_density(lo: float, hi: float, spacing: float = DEFAULT_SPACING) -> GridDensity:
@@ -211,15 +205,19 @@ def gaussian_mixture_density(
     stds: Sequence[float],
     spacing: float = DEFAULT_SPACING,
 ) -> GridDensity:
-    """Convex mixture of Gaussians on a shared grid."""
+    """Convex mixture of Gaussians, each cut where its tail falls below TRUNCATION_LEVEL."""
     if not len(weights) == len(means) == len(stds) or len(weights) == 0:
         raise ValueError("weights, means, stds must have equal positive length")
-    if any(w <= 0.0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
-        raise ValueError("mixture weights must be positive and sum to 1")
-    if any(s <= 0.0 for s in stds):
-        raise ValueError("stds must be positive")
+    for w, m, s in zip(weights, means, stds):
+        if not w > 0.0:
+            raise ValueError(f"mixture weights must be positive, got {w!r}")
+        if not (0.0 < s < math.inf and math.isfinite(m)):
+            raise ValueError(f"need finite mean and finite std > 0, got {m!r}, {s!r}")
+    if not abs(sum(weights) - 1.0) <= 1e-9:
+        raise ValueError(f"mixture weights must sum to 1, got {sum(weights)!r}")
+    log_peak_cut = -math.log(TRUNCATION_LEVEL * math.sqrt(2.0 * math.pi))
     halves = [
-        s * math.sqrt(2.0 * max(math.log(w / (s * math.sqrt(2 * math.pi)) / TRUNCATION_LEVEL), 1.0))
+        s * math.sqrt(2.0 * max(log_peak_cut + math.log(w) - math.log(s), 1.0))
         for w, s in zip(weights, stds)
     ]
     lo = min(m - h for m, h in zip(means, halves))
@@ -227,8 +225,9 @@ def gaussian_mixture_density(
 
     def fn(x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
-        for w, m, s in zip(weights, means, stds):
-            out += w * np.exp(-0.5 * ((x - m) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
+        with np.errstate(over="ignore"):  # a std far below the spacing: exp(-inf) = 0 is right
+            for w, m, s in zip(weights, means, stds):
+                out += w * np.exp(-0.5 * ((x - m) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
         return out
 
     return from_function(fn, lo, hi, spacing)
@@ -272,7 +271,8 @@ def renyi_entropy(density: GridDensity, order: Order | float) -> float:
     w[0] = w[-1] = 0.5 * density.spacing
     wr = w * r
     mass = float(wr.sum())
-    with np.errstate(divide="ignore"):  # a zero sample gives expm1(-inf) = -1, weight 0
+    # log 0 = -inf, and (alpha - 1) log r overflows to -inf at huge alpha: expm1 is -1 for both
+    with np.errstate(divide="ignore", over="ignore"):
         excess = float(np.dot(wr, np.expm1((order.alpha - 1.0) * np.log(r)))) / mass
     return math.log(mass) - math.log1p(excess) / (order.alpha - 1.0)
 
@@ -296,14 +296,6 @@ def _transform_length(n: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
-
-
-def convolve(f: GridDensity, g: GridDensity) -> GridDensity:
-    """Density of X + Y for independent X ~ f, Y ~ g on matching grids.
-
-    The two-summand case of :func:`convolve_many`.
-    """
-    return convolve_many((f, g))
 
 
 def convolve_many(densities: Sequence[GridDensity]) -> GridDensity:
@@ -339,31 +331,37 @@ def convolve_many(densities: Sequence[GridDensity]) -> GridDensity:
 
 @dataclass(frozen=True)
 class Certification:
-    """Measured entropy powers of an instance against every lower bound.
+    """Measured entropy power of a sum against the bounds in its ``report``.
 
-    ``ratio`` is N_alpha(sum) / sum_k N_alpha(X_k). Constants are checked
-    as ratio >= constant - slack; the max-power bound as
-    conv_power >= bv - slack. ``violations`` lists the failed checks.
+    ``ratio`` is N_alpha(sum) / sum_k N_alpha(X_k). Constants are checked as
+    ratio >= constant - slack, the max-power bound as conv_power >= bv - slack.
     """
 
-    order: Order
-    powers: tuple[float, ...]
-    total_power: float
+    report: BoundReport
     conv_power: float
-    ratio: float
-    constants: dict[str, float]
-    bv: float
     slack: float
-    violations: tuple[str, ...]
+
+    @property
+    def ratio(self) -> float:
+        return self.conv_power / self.report.powers.total
+
+    def _checks(self) -> dict[str, tuple[float, float]]:
+        """Each check as (measured, bound): the ratio per constant, conv_power for bv."""
+        r, ratio = self.report, self.ratio
+        checks = {name: (ratio, getattr(r, name)) for name in ("bc", "sharpened", "optimized")}
+        return {**checks, "bv": (self.conv_power, r.bv)}
+
+    @property
+    def violations(self) -> tuple[str, ...]:
+        """Names of the checks that fail by more than the slack."""
+        return tuple(name for name, (x, b) in self._checks().items() if x < b - self.slack)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
     def margins(self) -> dict[str, float]:
-        out = {name: self.ratio - c for name, c in self.constants.items()}
-        out["bv"] = self.conv_power - self.bv
-        return out
+        return {name: x - b for name, (x, b) in self._checks().items()}
 
 
 def certify(
@@ -380,30 +378,8 @@ def certify(
         raise ValueError("need at least two summands to certify")
     if not math.isfinite(slack):
         raise ValueError(f"slack must be finite, got {slack!r}")
-    powers = tuple(entropy_power(d, order) for d in densities)
-    total = sum(powers)
-    report = bound_report(powers, order)
-    conv_power = entropy_power(convolve_many(densities), order)
-    ratio = conv_power / total
-    constants = {
-        "bc": report.bc,
-        "sharpened": report.sharpened,
-        "optimized": report.optimized,
-    }
-    violations = tuple(
-        name for name, c in constants.items() if ratio < c - slack
-    ) + (("bv",) if conv_power < report.bv - slack else ())
-    return Certification(
-        order=order,
-        powers=powers,
-        total_power=total,
-        conv_power=conv_power,
-        ratio=ratio,
-        constants=constants,
-        bv=report.bv,
-        slack=slack,
-        violations=violations,
-    )
+    report = bound_report([entropy_power(d, order) for d in densities], order)
+    return Certification(report, entropy_power(convolve_many(densities), order), slack)
 
 
 def collision_bound(p_x: float, p_y: float, dim: int) -> float:
@@ -412,7 +388,7 @@ def collision_bound(p_x: float, p_y: float, dim: int) -> float:
     ``p_x`` and ``p_y`` are the per-coordinate collision probabilities of
     two i.i.d. copies of X and of Y. The bound is
 
-        ((c (p_x^-2 + p_y^-2)))^(-d/2),  c = sharpened_constant(2, 2) = 27/32,
+        (c (p_x^-2 + p_y^-2))^(-d/2),  c = sharpened_constant(2, 2) = 27/32,
 
     which improves on the n-free constant 2/e; independent Gaussians attain
     coefficient 1, so 27/32 measures how far the bound is from optimal.
@@ -421,7 +397,9 @@ def collision_bound(p_x: float, p_y: float, dim: int) -> float:
         raise ValueError(f"collision probabilities must lie in (0, 1], got {p_x!r}, {p_y!r}")
     _check_dim(dim)
     c = sharpened_constant(Order(2.0), 2)
-    return (c * (p_x ** -2 + p_y ** -2)) ** (-dim / 2.0)
+    # factored through the smaller probability, so p^-2 cannot overflow
+    lo, hi = sorted((p_x, p_y))
+    return lo ** dim * (c * (1.0 + (lo / hi) ** 2)) ** (-dim / 2.0)
 
 
 @dataclass(frozen=True)

@@ -130,13 +130,15 @@ class TestFilterCommand:
             main(["filter", "--taps", "2,0", "--dim", "1", "--alpha", "2"])
         assert err.value.code == 2
 
-    def test_overflowing_tap_exit(self, capsys):
-        """A tap whose power overflows is a one-line usage error, not a traceback."""
-        with pytest.raises(SystemExit) as err:
-            main(["filter", "--taps", "1e200,1e200", "--alpha", "2"])
-        assert err.value.code == 2
-        message = capsys.readouterr().err
-        assert message.count("\n") == 1 and "tap 1e+200" in message
+    def test_huge_taps_print_finite_rows(self, capsys):
+        """Taps whose power |t|^2 overflows print the finite bounds, about 460.8 nats."""
+        code, lines = run_lines(["filter", "--taps", "1e200,1e200", "--alpha", "2"], capsys)
+        assert code == 0
+        values = {line.split(",")[1]: float(line.split(",")[2]) for line in lines[1:]}
+        assert list(values) == ["optimized", "sharpened", "bc", "bv", "gaussian"]
+        assert values["optimized"] == pytest.approx(460.77864267069145, rel=1e-15)
+        assert values["bv"] == pytest.approx(200.0 * math.log(10.0), rel=1e-15)
+        assert all(value < values["gaussian"] < 461.0 for value in list(values.values())[:-1])
 
 
 class TestVerifyCommand:

@@ -23,9 +23,11 @@ class TestFilterSpec:
         assert spec.length == 3
 
     def test_powers_scale_with_dimension(self):
-        """Summand powers are |det H|^(2/d); d = 1 squares exactly."""
-        assert FilterSpec((8.0,), 3, 2.0).powers()[0] == pytest.approx(4.0, rel=1e-14)
-        assert FilterSpec((3.0,), 1, 2.0).powers() == (9.0,)
+        """Summand powers are |det H|^(2/d): two equal taps t give (d/2) log(2 c_2 t^(2/d))."""
+        for dim in (1, 3):
+            bound = filter_bounds(FilterSpec((8.0, 8.0), dim, 2.0))["sharpened"]
+            expected = 0.5 * dim * math.log(2.0 * sharpened_constant(2.0, 2)) + math.log(8.0)
+            assert bound == pytest.approx(expected, rel=1e-14)
 
     def test_validation(self):
         """Zero taps, empty taps and bad dimensions are rejected."""
@@ -36,13 +38,17 @@ class TestFilterSpec:
         with pytest.raises(ValueError):
             FilterSpec((1.0,), 0, 2.0)
 
-    def test_overflowing_power_rejected(self):
-        """|t|^(2/d) past the float range is a ValueError naming the tap."""
-        spec = FilterSpec((1e200, 1e200), 1, 2.0)
-        with pytest.raises(ValueError, match=r"tap 1e\+200"):
-            spec.powers()
-        with pytest.raises(ValueError, match=r"tap 1e\+200"):
-            filter_bounds(spec)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_huge_taps_give_finite_bounds(self, dim):
+        """Taps whose power |t|^(2/d) would overflow give the unit-tap bounds plus log t."""
+        huge = filter_bounds(FilterSpec((1e200, 1e200), dim, 2.0))
+        unit = filter_bounds(FilterSpec((1.0, 1.0), dim, 2.0))
+        for method, value in huge.items():
+            assert value == pytest.approx(unit[method] + 200.0 * math.log(10.0), rel=1e-15)
+        if dim == 1:
+            assert huge["optimized"] == pytest.approx(460.77864267069145, rel=1e-15)
+            gauss = gaussian_reference(FilterSpec((1e200, 1e200), 1, 2.0))
+            assert gauss == pytest.approx(0.5 * math.log(2.0) + 200.0 * math.log(10.0), rel=1e-15)
 
 
 class TestReferenceFilter:
@@ -96,7 +102,7 @@ class TestConsistency:
             spec = FilterSpec(taps, dim, alpha)
             expected = 0.5 * dim * (
                 math.log(sharpened_constant(alpha, len(taps)))
-                + math.log(sum(spec.powers()))
+                + math.log(sum(t ** (2.0 / dim) for t in taps))
             )
             assert filter_bounds(spec)["sharpened"] == pytest.approx(expected, abs=1e-12)
 
@@ -144,7 +150,7 @@ class TestFilterBounds:
         """At alpha = inf a dominant tap makes the optimized bound the max-power one."""
         for taps in ((3.0, 1.0, 1.0), (8.0, -2.0, 1.0, 0.5), (1.0, 0.2)):
             spec = FilterSpec(taps, dim, math.inf)
-            assert bv_asymptotically_tight(spec.powers())
+            assert bv_asymptotically_tight([abs(t) ** (2.0 / dim) for t in taps])
             bounds = filter_bounds(spec)
             assert bounds["optimized"] == pytest.approx(bounds["bv"], abs=1e-12)
 

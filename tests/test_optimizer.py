@@ -448,6 +448,16 @@ class TestInfinityDichotomy:
         """All-zero powers count as tight, as the max-power rule reads them."""
         assert bv_asymptotically_tight((0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "powers, expected", [((2.0, 2.0), (0.5, 0.5)), ((2.0, 0.0, 2.0), (0.5, 0.0, 0.5))]
+    )
+    def test_tied_largest_powers_share_weight(self, powers, expected):
+        """A tie for the largest power is tight, yet the weights stay the finite-order ones."""
+        assert bv_asymptotically_tight(powers)
+        for alpha in (2.0, 1e6, 1e12, math.inf):
+            assert tuple(optimal_weights(powers, alpha)) == expected
+        assert optimized_constant(powers, math.inf) == 0.5
+
 
 class TestBoundReport:
     def test_chain_on_random_instances(self):

@@ -2,15 +2,16 @@
 
 import bisect
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from repi import (
     GridDensity,
+    bound_report,
     certify,
     collision_bound,
-    convolve,
     convolve_many,
     entropy_power,
     exponential_density,
@@ -23,7 +24,7 @@ from repi import (
     uniform_density,
 )
 from repi import verify
-from repi.verify import DEFAULT_SPACING, MASS_TOL
+from repi.verify import DEFAULT_SPACING, MASS_TOL, MAX_GRID_SAMPLES, Certification
 
 ORDERS = (1.1, 1.5, 2.0, 5.0, math.inf)
 
@@ -160,6 +161,50 @@ class TestConstructors:
         with pytest.raises(ValueError):
             gaussian_mixture_density((0.5, 0.4), (0.0, 1.0), (1.0, 1.0))
 
+    def test_gaussian_is_a_one_component_mixture(self):
+        """A Gaussian is sampled exactly as the one-component mixture."""
+        g = gaussian_density(0.3, 0.8)
+        mix = gaussian_mixture_density((1.0,), (0.3,), (0.8,))
+        assert g.origin == mix.origin
+        assert np.array_equal(g.values, mix.values)
+
+    @pytest.mark.parametrize(
+        "weights, means, stds, match",
+        [
+            ((1.0,), (0.0,), (math.inf,), "std"),
+            ((1.0,), (0.0,), (math.nan,), "std"),
+            ((1.0,), (math.nan,), (1.0,), "mean"),
+            ((1.0,), (math.inf,), (1.0,), "mean"),
+            ((math.nan, 1.0), (0.0, 1.0), (1.0, 1.0), "weights must be positive"),
+            ((0.5, 0.4), (0.0, 1.0), (1.0, 1.0), "sum to 1"),
+        ],
+    )
+    def test_mixture_parameters_named(self, weights, means, stds, match):
+        """Each bad parameter gets an error naming it (these used to read "math domain error" or "[nan, nan]")."""
+        with pytest.raises(ValueError, match=match):
+            gaussian_mixture_density(weights, means, stds)
+        if len(weights) == 1:
+            with pytest.raises(ValueError, match=match):
+                gaussian_density(means[0], stds[0])
+
+    def test_tiny_std_is_a_one_cell_spike(self):
+        """A std far below the spacing gives the same one-cell spike as 1e-6, without overflow."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = gaussian_density(0.0, 1e-300)
+        assert np.array_equal(tiny.values, gaussian_density(0.0, 1e-6).values)
+        assert tiny.integral() == 1.0
+
+    def test_grid_sample_limit(self):
+        """A window one cell past MAX_GRID_SAMPLES samples is refused before allocating."""
+        edge = (MAX_GRID_SAMPLES - 1) * DEFAULT_SPACING
+        assert verify._grid_cells(0.0, edge, DEFAULT_SPACING) == MAX_GRID_SAMPLES - 1
+        past = MAX_GRID_SAMPLES * DEFAULT_SPACING
+        with pytest.raises(ValueError, match="too many grid cells"):
+            uniform_density(0.0, past)
+        with pytest.raises(ValueError, match="too many grid cells"):
+            from_function(lambda x: np.ones_like(x), 0.0, past)
+
 
     @pytest.mark.parametrize(
         "build",
@@ -232,6 +277,14 @@ class TestEntropy:
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-9
 
+    def test_huge_order_does_not_overflow(self):
+        """At alpha = 1e308, (alpha - 1) log r overflows to -inf silently, and h is h_inf."""
+        d = gaussian_density(0.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = renyi_entropy(d, 1e308)
+        assert h == pytest.approx(renyi_entropy(d, math.inf), abs=1e-12)
+
     def test_entropy_power_relation(self):
         """entropy_power is exp(2 h) on the one-dimensional grid."""
         d = uniform_density(0.0, 2.0)
@@ -243,7 +296,7 @@ class TestConvolve:
         """The spectral product matches direct summation renormalized to mass 1."""
         f = uniform_density(0.0, 1.0)
         g = uniform_density(-0.25, 0.25)
-        fft = convolve(f, g)
+        fft = convolve_many((f, g))
         direct = _direct_reference([f, g])
         assert direct.values.size == fft.values.size
         assert float(np.max(np.abs(direct.values - fft.values))) <= 1e-10
@@ -254,13 +307,13 @@ class TestConvolve:
     def test_two_sample_pair(self):
         """Two flat two-sample grids convolve to the triangle [1/3, 2/3, 1/3] / spacing."""
         pair = GridDensity(0.0, 2.0 ** -12, np.array([2.0 ** 12, 2.0 ** 12]))
-        conv = convolve(pair, pair)
+        conv = convolve_many((pair, pair))
         assert conv.values == pytest.approx(np.array([1.0, 2.0, 1.0]) / 3.0 * 2.0 ** 12, rel=1e-15)
 
     def test_gaussian_sum_is_gaussian(self):
         """Two standard Gaussians convolve to the variance-2 Gaussian pointwise."""
         g = gaussian_density(0.0, 1.0)
-        conv = convolve(g, g)
+        conv = convolve_many((g, g))
         xs = conv.xs()
         exact = np.exp(-0.25 * xs ** 2) / math.sqrt(4.0 * math.pi)
         assert float(np.max(np.abs(conv.values - exact))) <= 1e-5
@@ -269,7 +322,7 @@ class TestConvolve:
         """The output grid starts at the sum of the input origins."""
         f = uniform_density(1.0, 2.0)
         g = uniform_density(-0.5, 0.5)
-        conv = convolve(f, g)
+        conv = convolve_many((f, g))
         assert conv.origin == pytest.approx(0.5, abs=1e-12)
         assert conv.values.size == f.values.size + g.values.size - 1
         assert conv.integral() == pytest.approx(1.0, abs=1e-12)
@@ -278,7 +331,7 @@ class TestConvolve:
         """Convolving with a one-cell spike changes the entropy only slightly."""
         f = gaussian_density(0.0, 1.0)
         spike = uniform_density(0.0, DEFAULT_SPACING)
-        conv = convolve(f, spike)
+        conv = convolve_many((f, spike))
         assert entropy_power(conv, 2.0) == pytest.approx(
             entropy_power(f, 2.0), rel=1e-3
         )
@@ -288,7 +341,7 @@ class TestConvolve:
         f = uniform_density(0.0, 1.0, spacing=2.0 ** -10)
         g = uniform_density(0.0, 1.0, spacing=2.0 ** -9)
         with pytest.raises(ValueError):
-            convolve(f, g)
+            convolve_many((f, g))
 
     def test_third_summand_spacing_mismatch_rejected(self):
         """Every summand, not only the second, must share the first one's pitch."""
@@ -302,7 +355,7 @@ class TestConvolve:
         parts = [uniform_density(0.0, 1.0), uniform_density(0.0, 0.5), uniform_density(-1.0, 0.0)]
         product = convolve_many(parts)
         direct = _direct_reference(parts)
-        nested = convolve(convolve(parts[0], parts[1]), parts[2])
+        nested = convolve_many((convolve_many(parts[:2]), parts[2]))
         assert product.origin == direct.origin == nested.origin
         assert float(np.max(np.abs(product.values - direct.values))) <= 1e-14
         assert float(np.max(np.abs(product.values - nested.values))) <= 1e-14
@@ -330,7 +383,31 @@ class TestCertify:
         assert cert.ratio == pytest.approx(0.5002441108226794, abs=1e-12)
         assert cert.ok
         assert min(cert.margins().values()) > 0.0
-        assert set(cert.constants) == {"bc", "sharpened", "optimized"}
+        assert set(cert.margins()) == {"bc", "sharpened", "optimized", "bv"}
+
+    def test_holds_the_bound_report(self):
+        """The certificate carries the report of the summand powers, and reads every check from it."""
+        u, g = uniform_density(0.0, 1.0), gaussian_density(0.5, 0.7)
+        cert = certify((u, g), 2.0)
+        report = bound_report((entropy_power(u, 2.0), entropy_power(g, 2.0)), 2.0)
+        assert cert.report == report
+        assert cert.ratio == cert.conv_power / report.powers.total
+        assert cert.margins() == {
+            "bc": cert.ratio - report.bc,
+            "sharpened": cert.ratio - report.sharpened,
+            "optimized": cert.ratio - report.optimized,
+            "bv": cert.conv_power - report.bv,
+        }
+
+    def test_verdicts_compare_against_bound_minus_slack(self):
+        """A check fails exactly when the measured value is below bound - slack."""
+        report = bound_report((1.0, 1.0), 2.0)
+        total = report.powers.total
+        on_edge = Certification(report, (report.optimized - 0.25) * total, 0.25)
+        assert on_edge.ratio == report.optimized - 0.25
+        assert on_edge.ok
+        below = Certification(report, math.nextafter(report.bv - 0.5, 0.0), 0.5)
+        assert below.violations[-1] == "bv" and not below.ok
 
     def test_two_gaussians_attain_one(self):
         """Gaussians are additive: the measured ratio is 1 to high accuracy."""
@@ -366,7 +443,7 @@ class TestCertify:
         """A uniform plus a Gaussian certifies cleanly at alpha = 2."""
         cert = certify((uniform_density(0.0, 1.0), gaussian_density(0.5, 0.7)), 2.0)
         assert cert.ok
-        assert cert.ratio >= cert.constants["optimized"]
+        assert cert.ratio >= cert.report.optimized
 
     def test_negative_slack_flags_violations(self):
         """An impossible tolerance reports every check as violated."""
@@ -398,6 +475,12 @@ class TestCollisionBound:
         """More coordinates mean more chances to differ."""
         vals = [collision_bound(0.9, 0.8, d) for d in (1, 2, 3, 8)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    def test_tiny_probability_stays_finite(self):
+        """p^-2 past the float range no longer overflows: the bound factors through min(p)."""
+        expected = 1.0886621079036347e-200
+        assert collision_bound(1e-200, 0.5, 1) == pytest.approx(expected, rel=1e-15)
+        assert collision_bound(0.5, 1e-200, 1) == collision_bound(1e-200, 0.5, 1)
 
     def test_validation(self):
         """Probabilities outside (0, 1] and bad dimensions are rejected."""
