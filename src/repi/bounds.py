@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from .core import Order, SimplexWeights, as_order, as_power_vector, as_simplex_weights
 
 __all__ = [
@@ -72,6 +74,14 @@ def young_constant(t: float) -> float:
     return math.exp(math.log(t) / t - math.log(tc) / tc)
 
 
+def _kernel(t: np.ndarray, ac) -> np.ndarray:
+    """g(t) elementwise, with 0 log 0 = 0 at t = 0 and at t = a'."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left = np.where(t == ac, 0.0, (ac - t) * np.log1p(-t / ac))
+        right = np.where(t == 0.0, 0.0, -t * np.log(t))
+    return left + right
+
+
 def weight_kernel(x: float, order: Order | float) -> float:
     """The per-summand term g(x) = (a' - x) log(1 - x/a') - x log x.
 
@@ -83,10 +93,7 @@ def weight_kernel(x: float, order: Order | float) -> float:
     x = float(x)
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"weight must lie in [0, 1], got {x!r}")
-    ac = order.alpha_conj
-    left = 0.0 if x == ac else (ac - x) * math.log1p(-x / ac)
-    right = 0.0 if x == 0.0 else -x * math.log(x)
-    return left + right
+    return float(_kernel(np.float64(x), order.alpha_conj))
 
 
 def log_constant(
@@ -113,15 +120,25 @@ def log_constant(
         )
     if abs(powers.total - 1.0) > 1e-10:
         raise ValueError(f"powers must be normalized to sum 1, got sum {powers.total!r}")
-    out = order.log_alpha_slope()
-    for t, p in zip(weights, powers):
-        t = min(max(t, 0.0), 1.0)  # SimplexWeights allows -1e-12 noise
-        out += weight_kernel(t, order)
-        if t > 0.0:
-            if p == 0.0:
-                return -math.inf
-            out += t * math.log(p)
-    return out
+    return _log_constants(np.array([weights.weights]), powers.powers, (order,))[0]
+
+
+def _log_constants(
+    weights: np.ndarray, normalized_powers: Sequence[float], orders: Sequence[Order]
+) -> list[float]:
+    """:func:`log_constant` of each row of ``weights``, row i at ``orders[i]``, unchecked.
+
+    Each row's terms are summed exactly (``math.fsum``), so a row's value
+    depends neither on the other rows nor on where its zero weights sit.
+    """
+    t = np.clip(weights, 0.0, 1.0)  # SimplexWeights allows -1e-12 noise
+    ac = np.array([o.alpha_conj for o in orders])[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # t log N is -inf for a weighted zero power and nan for an unweighted one
+        terms = np.where(t > 0.0, _kernel(t, ac) + t * np.log(normalized_powers), 0.0)
+    return [
+        math.fsum([o.log_alpha_slope(), *row]) for o, row in zip(orders, terms.tolist())
+    ]
 
 
 def binary_kl(x: float, y: float) -> float:

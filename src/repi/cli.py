@@ -28,7 +28,7 @@ import numpy as np
 from .bounds import bc_constant, sharpened_constant
 from .core import as_power_vector
 from .filters import FilterSpec, filter_bounds, gaussian_reference
-from .optimizer import bound_report
+from .optimizer import bound_reports
 from .verify import certify, gaussian_density, random_corpus, uniform_density
 
 __all__ = ["SweepSpec", "main", "entry"]
@@ -162,8 +162,8 @@ def cmd_compare(spec: SweepSpec) -> list[Row]:
     n = len(pv)
     return [
         (alpha, method, value, n)
-        for alpha in spec.alphas
-        for method, value in bound_report(pv, alpha).lower_bounds().items()
+        for alpha, report in zip(spec.alphas, bound_reports(pv, spec.alphas))
+        for method, value in report.lower_bounds().items()
     ]
 
 

@@ -11,26 +11,32 @@ function of the leading weight x,
 and the leading weight solves weight_sum(x) = x + sum_k psi(x, c_k) = 1.
 A zero power has ratio 0 and psi(x, 0) = 0, so it gets weight exactly 0.
 weight_sum is continuous and increasing from 0 with weight_sum(1) > 1 for
-finite alpha, so the root is unique in (0, 1]; bisection is exact enough
-and never diverges. At alpha = inf, weight_sum(1) = 1 as well: when
-sum(c_k) <= 1 and every c_k < 1 the limit solution is the endpoint x = 1
-(the max-power bound is asymptotically tight), otherwise the limit is the
-interior root. Every psi carries the factor (1 - x) at a' = 1, so that root
-is the one sign change of the factored residual
-sum_k psi(x, c_k) / (1 - x) - 1, which runs from -1 at x = 0 to
-sum(c_k) - 1 >= 0 as x -> 1. A second largest power (c_k = 1) makes it
-vanish on all of [1/2, 1), and bisection stops at its first midpoint 1/2,
-the finite-order weight of two equal powers.
+finite alpha, so the root is unique in (0, 1]. At alpha = inf,
+weight_sum(1) = 1 as well: when sum(c_k) <= 1 and every c_k < 1 the limit
+solution is the endpoint x = 1 (the max-power bound is asymptotically
+tight), otherwise the limit is the interior root. Every psi carries the
+factor (1 - x) at a' = 1, so that root is the one sign change of the
+factored residual sum_k psi(x, c_k) / (1 - x) - 1, which runs from -1 at
+x = 0 to sum(c_k) - 1 >= 0 as x -> 1. A second largest power (c_k = 1)
+makes it vanish on all of [1/2, 1), and the solver stops at its first
+point 1/2, the finite-order weight of two equal powers.
+
+The root is found by bracketed Newton on [0, 1] from the midpoint 1/2,
+falling back to bisection whenever a Newton step would leave the bracket.
+When Newton stops moving, the row walks one ulp at a time until the
+bracket ends are adjacent floats, and the root is their midpoint, so it
+is exact to one ulp. One call solves a whole grid of orders as the rows
+of an (orders x ratios) array; :func:`bound_reports` is its batched front.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bounds import bc_constant, binary_kl, log_constant, sharpened_constant
+from .bounds import _log_constants, bc_constant, binary_kl, sharpened_constant
 from .core import (
     BoundReport,
     Order,
@@ -52,10 +58,10 @@ __all__ = [
     "two_summand_constant",
     "bv_asymptotically_tight",
     "bound_report",
+    "bound_reports",
 ]
 
-#: |weight_sum(x) - 1| accepted as converged.
-ROOT_TOL = 1e-12
+#: residual evaluations allowed per root
 MAX_ITERATIONS = 200
 
 
@@ -96,10 +102,15 @@ def _max_power_tight(ratios: Sequence[float]) -> bool:
     return sum(ratios) <= 1.0 + 1e-12
 
 
-def _psi(x, c: float, ac: float, sqrt):
-    """Companion weight at leading weight(s) x; ``sqrt`` is math's or numpy's."""
-    disc = ac * ac * (1.0 - c) + c * (2.0 * x - ac) ** 2
-    return 2.0 * c * x * (ac - x) / (ac + sqrt(disc))
+def _psi(x, c, ac, slope: bool = False):
+    """Companion weight at leading weight(s) x, elementwise over arrays.
+
+    With ``slope`` also returns its x-derivative c (a' - 2x) / (a' - 2 psi),
+    whose denominator is the square root below, free of cancellation.
+    """
+    root = np.sqrt(ac * ac * (1.0 - c) + c * (2.0 * x - ac) ** 2)
+    psi = 2.0 * c * x * (ac - x) / (ac + root)
+    return (psi, c * (ac - 2.0 * x) / root) if slope else psi
 
 
 def companion_weight(x: float, ratio: float, order: Order | float) -> float:
@@ -113,7 +124,7 @@ def companion_weight(x: float, ratio: float, order: Order | float) -> float:
     ratios near 1.
     """
     (c,) = _check_ratios((ratio,))
-    return _psi(float(x), c, as_order(order).alpha_conj, math.sqrt)
+    return float(_psi(float(x), c, as_order(order).alpha_conj))
 
 
 def weight_sum(x, ratios: Sequence[float], order: Order | float) -> float | np.ndarray:
@@ -125,7 +136,7 @@ def weight_sum(x, ratios: Sequence[float], order: Order | float) -> float | np.n
     order = as_order(order)
     cs = _check_ratios(ratios)
     xs = np.asarray(x, dtype=float)
-    out = xs + sum(_psi(xs, c, order.alpha_conj, np.sqrt) for c in cs)
+    out = xs + sum(_psi(xs, c, order.alpha_conj) for c in cs)
     return float(out) if out.ndim == 0 else out
 
 
@@ -155,32 +166,100 @@ def _bisect(f, lo: float, hi: float, tol: float, max_iter: int) -> float:
     raise RootBracketError(lo, hi, fm)
 
 
+def _bracketed_newton(cs: np.ndarray, ac: np.ndarray, infinite: np.ndarray) -> np.ndarray:
+    """Root of each row's residual, every row run to adjacent floats.
+
+    Row i solves x + sum_k psi(x, c_k) = 1 at conjugate ac[i], or at
+    alpha = inf (``infinite[i]``) the factored residual
+    sum_k psi(x, c_k) / (1 - x) - 1. Each row is safeguarded Newton
+    (rtsafe, Numerical Recipes 9.4) inside the bracket [0, 1], starting at
+    the midpoint 1/2: every evaluation moves one end of the bracket to x by
+    the residual's sign, and a Newton step that leaves the bracket or has a
+    non-finite derivative becomes a bisection step. Once a Newton step
+    rounds to no move, the row walks one ulp at a time towards the sign
+    change. A row ends when its bracket ends are adjacent floats, or equal
+    at an exact zero, and returns their midpoint, as :func:`_bisect` does.
+    Rows share nothing but the loop, so a row's root does not depend on
+    the others.
+    """
+    roots = np.empty(ac.size)
+    rows = np.arange(ac.size)
+    lo, hi = np.zeros(ac.size), np.ones(ac.size)
+    x = np.full(ac.size, 0.5)
+    walking = np.zeros(ac.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(MAX_ITERATIONS):
+            psi, slope = _psi(x[:, None], cs, ac[:, None], slope=True)
+            total, dtotal = psi.sum(axis=1), slope.sum(axis=1)
+            gap = 1.0 - x
+            f = np.where(infinite, total / gap - 1.0, x + total - 1.0)
+            df = np.where(infinite, (dtotal + total / gap) / gap, 1.0 + dtotal)
+            lo = np.where(f <= 0.0, x, lo)
+            hi = np.where(f >= 0.0, x, hi)
+            mid = 0.5 * (lo + hi)
+            done = (mid <= lo) | (mid >= hi)
+            if done.any():
+                roots[rows[done]] = mid[done]
+                if done.all():
+                    return roots
+                keep = ~done
+                rows, x, f, df, lo, hi, mid, walking, ac, infinite = (
+                    a[keep] for a in (rows, x, f, df, lo, hi, mid, walking, ac, infinite)
+                )
+            newton = x - f / df
+            finite = np.isfinite(df)
+            walking |= finite & (newton == x)
+            inside = finite & (lo < newton) & (newton < hi)
+            x = np.where(
+                walking, np.nextafter(x, np.where(f < 0.0, hi, lo)), np.where(inside, newton, mid)
+            )
+    raise RootBracketError(float(lo[0]), float(hi[0]), float(f[0]))
+
+
+def _leading_weights(ratios: Sequence[float], orders: Sequence[Order]) -> np.ndarray:
+    """Leading weight at every order for one list of power ratios.
+
+    Zero ratios have psi = 0 and drop out. At alpha = inf the endpoint
+    x = 1 is the limit when the ratios sum to at most 1 and none is 1;
+    those orders get 1 without iterating, and every other order is one
+    row of :func:`_bracketed_newton`.
+    """
+    roots = np.ones(len(orders))
+    cs = np.asarray(ratios, dtype=float)
+    cs = cs[cs > 0.0]
+    if cs.size == 0:
+        return roots
+    infinite = np.array([o.is_infinite for o in orders], dtype=bool)
+    solve = ~(infinite & (_max_power_tight(ratios) and cs.max() < 1.0))
+    if solve.any():
+        ac = np.array([o.alpha_conj for o in orders])
+        roots[solve] = _bracketed_newton(cs, ac[solve], infinite[solve])
+    return roots
+
+
 def solve_leading_weight(ratios: Sequence[float], order: Order | float) -> float:
     """Solve weight_sum(x) = 1 for the weight of the leading summand.
 
     For finite alpha the root is unique in (0, 1] and bracketed by [0, 1]
-    from the start, so plain bisection converges unconditionally to float
-    resolution. At alpha = inf the endpoint x = 1 is always a root; it is
-    the correct limit iff sum(ratios) <= 1 and no ratio is 1. Otherwise the
-    limit of the finite-alpha solutions is the interior root, where the
-    factored residual sum_k psi(x, c_k) / (1 - x) - 1 first reaches 0 on
-    (0, 1). Bisection never evaluates an endpoint, so the division by 1 - x
-    is safe.
+    from the start. Bracketed Newton (:func:`_bracketed_newton`) runs the
+    bracket down to adjacent floats and returns its midpoint, so the root
+    is exact to one ulp. At alpha = inf the endpoint x = 1 is always a
+    root; it is the correct limit iff sum(ratios) <= 1 and no ratio is 1.
+    Otherwise the limit of the finite-alpha solutions is the interior root,
+    where the factored residual sum_k psi(x, c_k) / (1 - x) - 1 changes
+    sign on (0, 1). Newton never evaluates an endpoint, so the division by
+    1 - x is safe.
     """
-    order = as_order(order)
-    cs = _check_ratios(ratios)
-    ac = order.alpha_conj
-    if all(c == 0.0 for c in cs):
-        return 1.0
-    if not order.is_infinite:
-        def resid(x: float) -> float:
-            return x + sum(_psi(x, c, ac, math.sqrt) for c in cs) - 1.0
-    elif _max_power_tight(cs) and max(cs) < 1.0:
-        return 1.0
-    else:
-        def resid(x: float) -> float:
-            return sum(_psi(x, c, ac, math.sqrt) for c in cs) / (1.0 - x) - 1.0
-    return _bisect(resid, 0.0, 1.0, ROOT_TOL, MAX_ITERATIONS)
+    return float(_leading_weights(_check_ratios(ratios), (as_order(order),))[0])
+
+
+def _weight_rows(pv: PowerVector, orders: Sequence[Order]) -> np.ndarray:
+    """Optimal weights, one row per order: the root at the lead, psi elsewhere."""
+    lead, ratios = _leading_ratios(pv)
+    x = _leading_weights(ratios, orders)[:, None]
+    ac = np.array([o.alpha_conj for o in orders])[:, None]
+    psi = _psi(x, np.array(ratios), ac)
+    return np.hstack((psi[:, :lead], x, psi[:, lead:]))
 
 
 def optimal_weights(
@@ -191,12 +270,8 @@ def optimal_weights(
     The first largest power leads; every other summand gets the companion
     weight of its power ratio, which is exactly 0 for a zero power.
     """
-    order = as_order(order)
-    lead, ratios = _leading_ratios(as_power_vector(powers))
-    x = solve_leading_weight(ratios, order)
-    weights = [_psi(x, c, order.alpha_conj, math.sqrt) for c in ratios]
-    weights.insert(lead, x)
-    return SimplexWeights(tuple(weights))
+    rows = _weight_rows(as_power_vector(powers), (as_order(order),))
+    return SimplexWeights(tuple(rows[0].tolist()))
 
 
 def optimized_constant(powers: PowerVector | Sequence[float], order: Order | float) -> float:
@@ -269,17 +344,31 @@ def bv_asymptotically_tight(infinity_powers: PowerVector | Sequence[float]) -> b
     return _max_power_tight(_leading_ratios(pv)[1])
 
 
+def bound_reports(
+    powers: PowerVector | Sequence[float], orders: Iterable[Order | float]
+) -> list[BoundReport]:
+    """:func:`bound_report` at every order, with one weight solve for all of them.
+
+    Each report equals the one-order ``bound_report`` in every float.
+    """
+    orders = [as_order(o) for o in orders]
+    pv = as_power_vector(powers)
+    rows = _weight_rows(pv, orders)
+    log_optimized = _log_constants(rows, pv.normalized(), orders)
+    return [
+        BoundReport(
+            order=order,
+            powers=pv,
+            bc=bc_constant(order),
+            sharpened=sharpened_constant(order, len(pv)),
+            optimized=math.exp(value),
+            bv=pv.largest,
+            weights=SimplexWeights(tuple(row)),
+        )
+        for order, value, row in zip(orders, log_optimized, rows.tolist())
+    ]
+
+
 def bound_report(powers: PowerVector | Sequence[float], order: Order | float) -> BoundReport:
     """Assemble every constant and lower bound for one instance."""
-    order = as_order(order)
-    pv = as_power_vector(powers)
-    weights = optimal_weights(pv, order)
-    return BoundReport(
-        order=order,
-        powers=pv,
-        bc=bc_constant(order),
-        sharpened=sharpened_constant(order, len(pv)),
-        optimized=math.exp(log_constant(weights, pv.normalized(), order)),
-        bv=pv.largest,
-        weights=weights,
-    )
+    return bound_reports(powers, (order,))[0]

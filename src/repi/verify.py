@@ -188,10 +188,17 @@ def uniform_density(lo: float, hi: float, spacing: float = DEFAULT_SPACING) -> G
 def exponential_density(
     rate: float, shift: float = 0.0, spacing: float = DEFAULT_SPACING
 ) -> GridDensity:
-    """Exponential with the given rate, support starting at ``shift``."""
-    if not rate > 0.0:
-        raise ValueError(f"rate must be positive, got {rate!r}")
-    hi = shift + max(math.log(rate / TRUNCATION_LEVEL), 1.0) / rate
+    """Exponential with the given rate, support starting at ``shift``.
+
+    The window ends where the density falls to TRUNCATION_LEVEL, at least
+    one mean past ``shift``; it is formed from logarithms, so a huge rate
+    gives a one-cell spike instead of an overflow.
+    """
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate!r}")
+    if not math.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift!r}")
+    hi = shift + max(math.log(rate) - math.log(TRUNCATION_LEVEL), 1.0) / rate
 
     def fn(x: np.ndarray) -> np.ndarray:
         return rate * np.exp(-rate * (x - shift))

@@ -22,6 +22,7 @@ from repi import (
     RankOneSymmetric,
     bc_constant,
     binary_kl,
+    bound_report,
     certify,
     concavity_slacks,
     filter_bounds,
@@ -40,6 +41,7 @@ from repi import (
     weight_kernel,
     weight_sum,
 )
+from repi.cli import SweepSpec, cmd_compare
 from repi.core import as_order
 
 ORDER_GRID = (1.1, 1.5, 2.0, 5.0, 100.0, math.inf)
@@ -148,6 +150,22 @@ class TestBoundFamiliesAcrossOrders:
                 optimized_constant((10.0, 20.0, 90.0), a)
 
         assert best_of(work, repeats=2) < 1.0
+
+
+class TestSolverBudgets:
+    """The weight solver's cost grows with n; these budgets leave room over the measured times."""
+
+    @pytest.mark.parametrize("alpha", [2.0, math.inf])
+    def test_thousand_summand_report(self, alpha):
+        """bound_report at n = 1000 takes at most 10 ms (about 1.5 ms measured)."""
+        powers = tuple(float(p) for p in np.exp(np.random.default_rng(41).uniform(-3.0, 3.0, 1000)))
+        assert best_of(lambda: bound_report(powers, alpha)) <= 10e-3
+
+    def test_compare_over_two_hundred_orders(self):
+        """compare over 1.01:10000:200 at n = 10 takes at most 15 ms (about 4 ms measured)."""
+        powers = tuple(float(p) for p in np.exp(np.random.default_rng(43).uniform(-3.0, 3.0, 10)))
+        spec = SweepSpec(alphas=tuple(float(a) for a in np.geomspace(1.01, 1e4, 200)), powers=powers)
+        assert best_of(lambda: cmd_compare(spec)) <= 15e-3
 
 
 class TestLimitingRegimes:

@@ -175,6 +175,38 @@ class TestLogConstant:
         """An unweighted zero power drops out; full weight elsewhere gives 0."""
         assert log_constant((0.0, 1.0), (0.0, 1.0), 2.0) == pytest.approx(0.0, abs=1e-15)
 
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+        st.lists(st.floats(0.0, 1e3), min_size=12, max_size=12),
+        st.sampled_from((1.01, 1.5, 2.0, 10.0, 1e4, math.inf)),
+    )
+    def test_matches_loop_reference(self, raw_weights, raw_powers, alpha):
+        """The array evaluation agrees with a term-by-term loop to 1e-13.
+
+        The array form sums its terms exactly and evaluates log and log1p
+        in numpy, so it may differ from the loop in the last bits only.
+        """
+        if sum(raw_weights) == 0.0 or sum(raw_powers[: len(raw_weights)]) == 0.0:
+            return
+        weights = [w / sum(raw_weights) for w in raw_weights]
+        powers = raw_powers[: len(weights)]
+        powers = [p / sum(powers) for p in powers]
+        if abs(sum(weights) - 1.0) > 1e-10 or abs(sum(powers) - 1.0) > 1e-10:
+            return
+        order = Order(alpha)
+        ac = order.alpha_conj
+        expected = order.log_alpha_slope()
+        for t, p in zip(weights, powers):
+            t = min(max(t, 0.0), 1.0)
+            if t > 0.0:
+                expected += (0.0 if t == ac else (ac - t) * math.log1p(-t / ac)) - t * math.log(t)
+                expected += -math.inf if p == 0.0 else t * math.log(p)
+        value = log_constant(weights, powers, order)
+        if math.isinf(expected):
+            assert value == expected
+        else:
+            assert value == pytest.approx(expected, abs=1e-13)
+
     def test_length_mismatch(self):
         """Weights and powers must pair up."""
         with pytest.raises(ValueError):

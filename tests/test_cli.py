@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import repi
-from repi.cli import SweepSpec, cmd_verify, main
+from repi.cli import SweepSpec, _parse_alpha_grid, cmd_compare, cmd_verify, main
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output_schema.json").read_text()
@@ -89,6 +89,23 @@ class TestCompareCommand:
         assert values["optimized"] > 90.0
         assert values["sharpened"] < 90.0  # the n-aware bound has crossed below bv
         assert values["bc"] < values["sharpened"] < values["optimized"]
+
+    @pytest.mark.parametrize(
+        "powers",
+        [(10.0, 20.0, 90.0), (1.0, 1.0, 1.0, 2.0), (3.0, 0.0, 3.0, 1.0), (0.5, 7.0, 0.0, 2.5, 7.0, 1e-3)],
+    )
+    def test_rows_match_one_order_reports(self, powers):
+        """The one batched solve gives every row of the per-order ``bound_report``."""
+        alphas = _parse_alpha_grid("1.01:10000:200") + (math.inf,)
+        rows = cmd_compare(SweepSpec(alphas=alphas, powers=powers))
+        expected = [
+            (alpha, method, value, len(powers))
+            for alpha in alphas
+            for method, value in repi.bound_report(powers, alpha).lower_bounds().items()
+        ]
+        assert [(a, m, v.hex(), n) for a, m, v, n in rows] == [
+            (a, m, v.hex(), n) for a, m, v, n in expected
+        ]
 
     def test_degenerate_powers_exit(self, capsys):
         """All-zero powers are a usage error."""

@@ -13,6 +13,7 @@ from repi import (
     as_order,
     bc_constant,
     bound_report,
+    bound_reports,
     bv_asymptotically_tight,
     companion_weight,
     log_constant,
@@ -24,6 +25,7 @@ from repi import (
     two_summand_weight,
     weight_sum,
 )
+from repi import optimizer
 
 ORDER_GRID = (1.1, 1.5, 2.0, 5.0, 100.0, math.inf)
 #: Power ratios just below 1, down to three ulps.
@@ -37,6 +39,29 @@ def random_instances(count, rng, n_max=6):
         powers = tuple(float(p) for p in np.exp(rng.uniform(-3, 3, size=n)))
         order = ORDER_GRID[int(rng.integers(0, len(ORDER_GRID)))]
         yield powers, order
+
+
+def mixed_power_vectors(count, rng):
+    """Seeded power vectors, n in 1..12, cycling through plain, tied,
+    dominant-lead and zero-padded shapes."""
+    for i in range(count):
+        n = int(rng.integers(1, 13))
+        powers = np.exp(rng.uniform(-3.0, 3.0, n))
+        top = int(np.argmax(powers))
+        others = [k for k in range(n) if k != top]
+        if others and i % 4 == 1:
+            powers[rng.choice(others)] = powers[top]
+        elif others and i % 4 == 2:
+            powers[top] = (1.0 + rng.uniform(0.05, 1.0)) * (powers.sum() - powers[top])
+        elif others and i % 4 == 3:
+            powers[rng.choice(others, size=int(rng.integers(1, len(others) + 1)), replace=False)] = 0.0
+        yield tuple(float(p) for p in powers)
+
+
+def report_hexes(report):
+    """Every float of a report, exactly."""
+    values = (report.order.alpha, report.bc, report.sharpened, report.optimized, report.bv)
+    return [v.hex() for v in values + tuple(report.weights)]
 
 
 def leading_ratios(powers):
@@ -179,6 +204,19 @@ class TestSolveLeadingWeight:
         with pytest.raises(ValueError):
             solve_leading_weight((0.5, math.nan), math.inf)
 
+    def test_iteration_cap_raises_with_bracket(self, monkeypatch):
+        """Capped at two residual evaluations, the solver raises with a bracket around the root."""
+        ratios = (1.0 / 3.0, 2.0 / 3.0)
+        root = solve_leading_weight(ratios, 2.0)
+        monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 2)
+        with pytest.raises(RootBracketError) as err:
+            solve_leading_weight(ratios, 2.0)
+        lo, hi = err.value.bracket
+        assert 0.0 <= lo < root < hi <= 1.0
+        assert 0.0 < abs(err.value.residual) < 1.0
+        with pytest.raises(RootBracketError):
+            bound_reports((1.0, 2.0, 3.0), (1.5, 2.0, math.inf))
+
     def test_bracket_error_carries_state(self):
         """The no-convergence error exposes its bracket and residual."""
         err = RootBracketError(0.1, 0.9, 0.5)
@@ -275,6 +313,51 @@ class TestOptimalWeights:
                 trial = rng.dirichlet(np.ones(len(powers)))
                 value = log_constant(tuple(trial), pv_norm, order)
                 assert value <= best + 1e-9
+
+
+class TestBatchedReports:
+    ORDERS = tuple(float(a) for a in np.geomspace(1.0001, 1e6, 12)) + (1e12, math.inf)
+
+    def test_batch_equals_one_order_reports(self):
+        """bound_reports(pv, orders)[i] is bound_report(pv, orders[i]) in every float.
+
+        Over 60 seeded vectors with zeros, ties and dominant leads, each on
+        a shuffled order grid that includes inf.
+        """
+        rng = np.random.default_rng(29)
+        for powers in mixed_power_vectors(60, rng):
+            orders = tuple(rng.permutation(self.ORDERS))
+            batch = bound_reports(powers, orders)
+            assert len(batch) == len(orders)
+            for order, report in zip(orders, batch):
+                assert report_hexes(report) == report_hexes(bound_report(powers, order))
+                assert report.weights == optimal_weights(powers, order)
+
+    def test_empty_grid(self):
+        """No orders, no reports."""
+        assert bound_reports((1.0, 2.0), ()) == []
+
+    def test_frank_wolfe_gap_on_random_reports(self):
+        """No simplex vertex improves the objective's linearization by more than 1e-12.
+
+        The Frank-Wolfe gap max_k d_k - sum_k t_k d_k, with d_k the
+        objective's partial derivatives at the reported weights, bounds how
+        far the reported log-constant sits below the maximum. It uses no
+        solver code. 300 seeded finite-order reports, n from 2 to 1000.
+        """
+        rng = np.random.default_rng(37)
+        finite = (1.01, 1.1, 1.5, 2.0, 5.0, 100.0, 1e4)
+        worst = 0.0
+        for _ in range(300):
+            n = int(round(2.0 * 500.0 ** rng.uniform()))
+            powers = tuple(float(p) for p in np.exp(rng.uniform(-3.0, 3.0, n)))
+            order = finite[int(rng.integers(len(finite)))]
+            weights = bound_report(powers, order).weights
+            total = math.fsum(powers)
+            grads = [kernel_gradient(t, p, order, total) for t, p in zip(weights, powers)]
+            gap = max(grads) - math.fsum(t * g for t, g in zip(weights, grads))
+            worst = max(worst, gap)
+        assert worst <= 1e-12
 
 
 class TestOptimizedConstant:

@@ -195,6 +195,30 @@ class TestConstructors:
         assert np.array_equal(tiny.values, gaussian_density(0.0, 1e-6).values)
         assert tiny.integral() == 1.0
 
+    @pytest.mark.parametrize(
+        "rate, shift, match",
+        [
+            (math.inf, 0.0, "rate"),
+            (math.nan, 0.0, "rate"),
+            (1.0, math.inf, "shift"),
+            (1.0, -math.inf, "shift"),
+            (1.0, math.nan, "shift"),
+        ],
+    )
+    def test_exponential_parameters_named(self, rate, shift, match):
+        """A non-finite rate or shift gets an error naming it, not "[0.0, nan]" or "[inf, inf]"."""
+        with pytest.raises(ValueError, match=match):
+            exponential_density(rate, shift)
+
+    def test_huge_rate_is_a_one_cell_spike(self):
+        """Rate 1e300 gives the one-cell spike of a tiny-std Gaussian, without overflow."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spike = exponential_density(1e300)
+        assert spike.origin == 0.0
+        assert np.array_equal(spike.values, gaussian_density(0.0, 1e-300).values)
+        assert spike.integral() == 1.0
+
     def test_grid_sample_limit(self):
         """A window one cell past MAX_GRID_SAMPLES samples is refused before allocating."""
         edge = (MAX_GRID_SAMPLES - 1) * DEFAULT_SPACING
