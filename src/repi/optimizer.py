@@ -175,12 +175,15 @@ def _bracketed_newton(cs: np.ndarray, ac: np.ndarray, infinite: np.ndarray) -> n
     (rtsafe, Numerical Recipes 9.4) inside the bracket [0, 1], starting at
     the midpoint 1/2: every evaluation moves one end of the bracket to x by
     the residual's sign, and a Newton step that leaves the bracket or has a
-    non-finite derivative becomes a bisection step. Once a Newton step
-    rounds to no move, the row walks one ulp at a time towards the sign
-    change. A row ends when its bracket ends are adjacent floats, or equal
-    at an exact zero, and returns their midpoint, as :func:`_bisect` does.
-    Rows share nothing but the loop, so a row's root does not depend on
-    the others.
+    non-finite derivative becomes a bisection step. rtsafe's test that the
+    step halves is left out: after one-ulp steps near the root it forces
+    bisection of a bracket whose far end is still where Newton started.
+    Once a Newton step rounds to no move, the row walks one ulp at a time
+    towards the sign change. A row ends when its bracket ends are adjacent
+    floats, or equal at an exact zero, and returns their midpoint, as
+    :func:`_bisect` does; a row still open after MAX_ITERATIONS
+    evaluations raises :class:`RootBracketError`. Rows share nothing but
+    the loop, so a row's root does not depend on the others.
     """
     roots = np.empty(ac.size)
     rows = np.arange(ac.size)
