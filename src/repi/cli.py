@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import IO, Sequence
 
 import numpy as np
 
 from .bounds import bc_constant, sharpened_constant
-from .core import as_power_vector
+from .core import Order, as_power_vector
 from .filters import FilterSpec, filter_bounds, gaussian_reference
 from .optimizer import bound_reports
 from .verify import certify, gaussian_density, random_corpus, uniform_density
@@ -37,6 +37,10 @@ COLUMNS = ("alpha", "method", "value", "n")
 
 #: row = (alpha or None, method, value, n or None)
 Row = tuple
+
+#: most orders a start:stop:count grid may hold; compare's solver arrays
+#: are orders x powers, and at 1000 powers compare then peaks near 225 MiB
+MAX_GRID_ORDERS = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,8 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
         count = int(parts[2])
         if math.isinf(start) or math.isinf(stop) or count < 2:
             raise ValueError(f"geometric grids need finite ends and count >= 2, got {text!r}")
+        if count > MAX_GRID_ORDERS:
+            raise ValueError(f"geometric grids hold at most {MAX_GRID_ORDERS} orders, got {count}")
         return tuple(float(a) for a in np.geomspace(start, stop, count))
     alphas = tuple(_parse_alpha(p) for p in text.split(",") if p.strip())
     if not alphas:
@@ -113,10 +119,19 @@ def _fmt_alpha(alpha: float | None) -> str:
     return "inf" if math.isinf(alpha) else repr(float(alpha))
 
 
-def _json_alpha(alpha: float | None):
-    if alpha is None:
-        return None
-    return "inf" if math.isinf(alpha) else float(alpha)
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    """A float as ``json.dump`` spells it: its repr, or NaN, Infinity, -Infinity."""
+    text = repr(float(value))
+    return _JSON_NONFINITE.get(text, text)
+
+
+#: the columns member and one row object, at the depth and with the
+#: separators of json.dump(indent=2)
+_JSON_COLUMNS = '  "columns": [\n' + ",\n".join(f'    "{c}"' for c in COLUMNS) + "\n  ],\n"
+_JSON_ROW = "    {\n" + ",\n".join(f'      "{c}": %s' for c in COLUMNS) + "\n    }"
 
 
 def write_csv(rows: Sequence[Row], out: IO[str]) -> None:
@@ -129,30 +144,33 @@ def write_csv(rows: Sequence[Row], out: IO[str]) -> None:
 
 
 def write_json(rows: Sequence[Row], out: IO[str], command: str) -> None:
-    doc = {
-        "command": command,
-        "columns": list(COLUMNS),
-        "rows": [
-            {
-                "alpha": _json_alpha(alpha),
-                "method": method,
-                "value": float(value),
-                "n": None if n is None else int(n),
-            }
-            for alpha, method, value, n in rows
-        ],
-    }
-    json.dump(doc, out, indent=2)
-    out.write("\n")
+    """The document {command, columns, rows} as ``json.dump(doc, out, indent=2)``
+    writes it, byte for byte, then a newline, in one write.
+
+    alpha = inf is the string "inf"; a missing alpha or n is null.
+    """
+    body = ",\n".join(
+        _JSON_ROW
+        % (
+            "null" if alpha is None else '"inf"' if math.isinf(alpha) else _json_float(alpha),
+            _json_str(method),
+            _json_float(value),
+            "null" if n is None else repr(int(n)),
+        )
+        for alpha, method, value, n in rows
+    )
+    rows_text = f"[\n{body}\n  ]" if body else "[]"
+    out.write(f'{{\n  "command": {_json_str(command)},\n{_JSON_COLUMNS}  "rows": {rows_text}\n}}\n')
 
 
 def cmd_constants(spec: SweepSpec) -> list[Row]:
     """The n-aware constant per requested n, and the n-free limit column."""
     rows: list[Row] = []
     for alpha in spec.alphas:
+        order = Order(alpha)
         for n in spec.ns:
-            rows.append((alpha, "sharpened", sharpened_constant(alpha, n), n))
-        rows.append((alpha, "bc", bc_constant(alpha), None))
+            rows.append((alpha, "sharpened", sharpened_constant(order, n), n))
+        rows.append((alpha, "bc", bc_constant(order), None))
     return rows
 
 
@@ -209,7 +227,9 @@ def cmd_verify(
     return rows, violations
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="repi",
         description="Lower bounds on Renyi entropy powers of sums of independent random vectors.",

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+import numpy as np
+
 __all__ = [
     "Order",
     "PowerVector",
@@ -45,10 +47,14 @@ class Order:
 
     alpha: float
     alpha_conj: float = field(init=False, repr=False)
+    _log_alpha_slope: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "alpha_conj", holder_conjugate(self.alpha))
+        alpha = float(self.alpha)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha_conj", holder_conjugate(alpha))
+        slope = 0.0 if math.isinf(alpha) else math.log(alpha) / (alpha - 1.0)
+        object.__setattr__(self, "_log_alpha_slope", slope)
 
     @property
     def is_infinite(self) -> bool:
@@ -56,9 +62,7 @@ class Order:
 
     def log_alpha_slope(self) -> float:
         """log(alpha) / (alpha - 1), the recurring prefactor; 0 at alpha = inf."""
-        if self.is_infinite:
-            return 0.0
-        return math.log(self.alpha) / (self.alpha - 1.0)
+        return self._log_alpha_slope
 
 
 def as_order(order: Order | float) -> Order:
@@ -98,10 +102,12 @@ class PowerVector:
 
     Entries are finite and nonnegative. A zero entry is legal and marks a
     summand whose density is unbounded in the relevant norm; the optimizer
-    assigns it zero weight.
+    assigns it zero weight. ``total``, their sum, is formed once here; it
+    is inf when the sum overflows.
     """
 
     powers: tuple[float, ...]
+    total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         vals = tuple(float(p) for p in self.powers)
@@ -111,6 +117,7 @@ class PowerVector:
             if not math.isfinite(p) or p < 0.0:
                 raise ValueError(f"entropy powers must be finite and >= 0, got {p!r}")
         object.__setattr__(self, "powers", vals)
+        object.__setattr__(self, "total", sum(vals))
 
     def __len__(self) -> int:
         return len(self.powers)
@@ -120,10 +127,6 @@ class PowerVector:
 
     def __getitem__(self, i: int) -> float:
         return self.powers[i]
-
-    @property
-    def total(self) -> float:
-        return sum(self.powers)
 
     @property
     def largest(self) -> float:
@@ -175,6 +178,34 @@ class SimplexWeights:
 
     def __getitem__(self, i: int) -> float:
         return self.weights[i]
+
+
+def _simplex_rows(weights: np.ndarray) -> list[SimplexWeights]:
+    """One :class:`SimplexWeights` per row of a 2-d array, checked as a whole.
+
+    The constructor's checks in one numpy pass, with its messages: every
+    entry finite and >= WEIGHT_FLOOR, every row sum within WEIGHT_SUM_TOL of
+    1. ``np.cumsum`` adds a row left to right as ``sum`` does (before
+    Python 3.12, whose ``sum`` compensates and differs by rounding only),
+    so a row passes here exactly when the constructor would pass it, and
+    the rows are built without checking each again.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 2 or w.shape[1] < 1:
+        raise ValueError("need at least one weight")
+    bad = ~np.isfinite(w) | (w < WEIGHT_FLOOR)
+    if bad.any():
+        raise ValueError(f"weights must be >= 0, got {float(w[bad][0])!r}")
+    sums = np.cumsum(w, axis=1)[:, -1]
+    off = np.abs(sums - 1.0) > WEIGHT_SUM_TOL
+    if off.any():
+        raise ValueError(f"weights must sum to 1, got {float(sums[off][0])!r}")
+    rows = []
+    for row in w.tolist():
+        checked = object.__new__(SimplexWeights)
+        object.__setattr__(checked, "weights", tuple(row))
+        rows.append(checked)
+    return rows
 
 
 def as_simplex_weights(weights: SimplexWeights | Sequence[float]) -> SimplexWeights:

@@ -42,6 +42,7 @@ from .core import (
     Order,
     PowerVector,
     SimplexWeights,
+    _simplex_rows,
     as_order,
     as_power_vector,
 )
@@ -358,17 +359,18 @@ def bound_reports(
     pv = as_power_vector(powers)
     rows = _weight_rows(pv, orders)
     log_optimized = _log_constants(rows, pv.normalized(), orders)
+    n, bv = len(pv), pv.largest
     return [
         BoundReport(
             order=order,
             powers=pv,
             bc=bc_constant(order),
-            sharpened=sharpened_constant(order, len(pv)),
+            sharpened=sharpened_constant(order, n),
             optimized=math.exp(value),
-            bv=pv.largest,
-            weights=SimplexWeights(tuple(row)),
+            bv=bv,
+            weights=weights,
         )
-        for order, value, row in zip(orders, log_optimized, rows.tolist())
+        for order, value, weights in zip(orders, log_optimized, _simplex_rows(rows))
     ]
 
 

@@ -192,13 +192,17 @@ def exponential_density(
 
     The window ends where the density falls to TRUNCATION_LEVEL, at least
     one mean past ``shift``; it is formed from logarithms, so a huge rate
-    gives a one-cell spike instead of an overflow.
+    gives a one-cell spike instead of an overflow. It is at least half a
+    spacing wide, so that spike needs no room above one ulp of ``shift``.
     """
     if not 0.0 < rate < math.inf:
         raise ValueError(f"rate must be positive and finite, got {rate!r}")
     if not math.isfinite(shift):
         raise ValueError(f"shift must be finite, got {shift!r}")
-    hi = shift + max(math.log(rate) - math.log(TRUNCATION_LEVEL), 1.0) / rate
+    tail = max(math.log(rate) - math.log(TRUNCATION_LEVEL), 1.0) / rate
+    # a tail below one ulp of shift would collapse the window to a point;
+    # from_function rounds half a spacing up to one grid cell
+    hi = max(shift + tail, shift + 0.5 * spacing)
 
     def fn(x: np.ndarray) -> np.ndarray:
         return rate * np.exp(-rate * (x - shift))
@@ -212,7 +216,11 @@ def gaussian_mixture_density(
     stds: Sequence[float],
     spacing: float = DEFAULT_SPACING,
 ) -> GridDensity:
-    """Convex mixture of Gaussians, each cut where its tail falls below TRUNCATION_LEVEL."""
+    """Convex mixture of Gaussians, each cut where its tail falls below TRUNCATION_LEVEL.
+
+    The window is at least half a spacing wide, so a std far below one ulp
+    of its mean gives the same one-cell spike as at mean 0.
+    """
     if not len(weights) == len(means) == len(stds) or len(weights) == 0:
         raise ValueError("weights, means, stds must have equal positive length")
     for w, m, s in zip(weights, means, stds):
@@ -228,7 +236,7 @@ def gaussian_mixture_density(
         for w, s in zip(weights, stds)
     ]
     lo = min(m - h for m, h in zip(means, halves))
-    hi = max(m + h for m, h in zip(means, halves))
+    hi = max(max(m + h for m, h in zip(means, halves)), lo + 0.5 * spacing)
 
     def fn(x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)

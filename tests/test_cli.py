@@ -1,5 +1,6 @@
 """Tests for the command line front end."""
 
+import io
 import json
 import math
 import os
@@ -11,9 +12,21 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, strategies as st
 
 import repi
-from repi.cli import SweepSpec, _parse_alpha_grid, cmd_compare, cmd_verify, main
+from repi import cli
+from repi.cli import (
+    COLUMNS,
+    MAX_GRID_ORDERS,
+    SweepSpec,
+    _parse_alpha_grid,
+    build_parser,
+    cmd_compare,
+    cmd_verify,
+    main,
+    write_json,
+)
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output_schema.json").read_text()
@@ -25,6 +38,36 @@ def module_env():
     src = str(Path(repi.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def reference_json(rows, command):
+    """The JSON document as ``json.dump(doc, indent=2)`` spells it, plus the final newline."""
+    doc = {
+        "command": command,
+        "columns": list(COLUMNS),
+        "rows": [
+            {
+                "alpha": None if a is None else "inf" if math.isinf(a) else a,
+                "method": method,
+                "value": value,
+                "n": n,
+            }
+            for a, method, value, n in rows
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+EDGE_FLOATS = st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e308, -1e308])
+JSON_ROWS = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False), st.just(math.inf)),
+        st.one_of(st.text(alphabet='"\\/ab\u00e9\u20ac\U0001f600\n\t\x00\x7f'), st.text()),
+        st.one_of(EDGE_FLOATS, st.floats()),
+        st.one_of(st.none(), st.integers()),
+    ),
+    max_size=6,
+)
 
 
 def run_lines(argv, capsys):
@@ -67,6 +110,20 @@ class TestConstantsCommand:
         assert alphas == sorted(alphas)
         assert alphas[0] == pytest.approx(1.01)
         assert alphas[-1] == pytest.approx(10000.0)
+
+    def test_geometric_grid_count_cap(self, monkeypatch):
+        """A count past MAX_GRID_ORDERS is a usage error raised before any grid is allocated."""
+        assert len(_parse_alpha_grid(f"1.01:2:{MAX_GRID_ORDERS}")) == MAX_GRID_ORDERS
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(cli.np, "geomspace", no_grid)
+        with pytest.raises(ValueError, match=f"at most {MAX_GRID_ORDERS} orders, got {MAX_GRID_ORDERS + 1}$"):
+            _parse_alpha_grid(f"1.01:2:{MAX_GRID_ORDERS + 1}")
+        with pytest.raises(SystemExit) as err:
+            main(["constants", "--alpha-grid", "1.01:2:1000000000000"])
+        assert err.value.code == 2
 
     def test_row_layout(self, capsys):
         """Each order gets one row per n plus one bc row with blank n."""
@@ -284,6 +341,14 @@ class TestOutputFormats:
         jsonschema.validate(instance=doc, schema=SCHEMA)
         assert doc["command"] == argv[0]
 
+    @given(rows=JSON_ROWS, command=st.sampled_from(["constants", "compare", "filter", "verify"]))
+    @example(rows=[], command="compare")
+    def test_json_bytes_are_json_dump(self, rows, command):
+        """The JSON writer prints json.dump(doc, indent=2) and a newline, byte for byte."""
+        out = io.StringIO()
+        write_json(rows, out, command)
+        assert out.getvalue() == reference_json(rows, command)
+
     def test_json_spells_infinity(self, capsys):
         """alpha = inf serializes as the string "inf", blanks as null."""
         main(["constants", "--alpha-grid", "inf", "--n", "2", "--format", "json"])
@@ -291,6 +356,19 @@ class TestOutputFormats:
         assert doc["rows"][0]["alpha"] == "inf"
         assert doc["rows"][1]["method"] == "bc"
         assert doc["rows"][1]["n"] is None
+
+
+class TestParserReuse:
+    def test_defaults_survive_earlier_calls(self, capsys):
+        """One parser serves every call in a process, and no call's options become the next one's defaults."""
+        assert build_parser() is build_parser()
+        assert main(["compare", "--powers", "1,2", "--alpha-grid", "2", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "compare"
+        assert main(["constants", "--alpha-grid", "3", "--n", "5,7", "--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 3
+        code, lines = run_lines(["constants", "--alpha-grid", "2"], capsys)
+        assert code == 0
+        assert lines == ["alpha,method,value,n", "2.0,sharpened,0.84375,2", "2.0,bc,0.7357588823428847,"]
 
 
 class TestConsoleScript:

@@ -5,8 +5,10 @@ import dataclasses
 import importlib
 import inspect
 import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +27,7 @@ from repi import (
     holder_conjugate,
     power_from_entropy,
 )
+from repi.core import _simplex_rows
 
 finite_orders = st.floats(min_value=1.0 + 1e-9, max_value=1e6, exclude_min=True)
 
@@ -176,6 +179,29 @@ class TestSimplexWeights:
         """Genuinely negative weights are rejected."""
         with pytest.raises(ValueError):
             SimplexWeights((-0.1, 1.1))
+
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12),
+        st.sampled_from([0.0, 1e-11, -1e-11, 9.9e-11, 1e-10, -1e-10, 1.01e-10, 1e-3]),
+        st.sampled_from([None, -5e-13, -2e-12, math.nan, math.inf]),
+    )
+    def test_array_check_matches_constructor(self, raw, shift, first):
+        """Rows checked as one array pass and fail exactly as the constructor, with its message."""
+        total = sum(raw)
+        row = [r / total for r in raw] if total > 0.0 else raw
+        row[-1] += shift
+        if first is not None:
+            row[0] = first
+        unit = [1.0] + [0.0] * (len(row) - 1)
+        try:
+            expected = SimplexWeights(tuple(row))
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                _simplex_rows(np.array([row, unit]))
+        else:
+            got, second = _simplex_rows(np.array([row, unit]))
+            assert got == expected
+            assert second.weights == tuple(unit)
 
 
 class TestBoundReport:

@@ -156,6 +156,8 @@ class TestConstructors:
             gaussian_density(0.0, 0.0)
         with pytest.raises(ValueError):
             uniform_density(1.0, 0.0)
+        with pytest.raises(ValueError, match="hi > lo"):
+            uniform_density(0.5, 0.5)
         with pytest.raises(ValueError):
             exponential_density(-0.5)
         with pytest.raises(ValueError):
@@ -194,6 +196,22 @@ class TestConstructors:
             tiny = gaussian_density(0.0, 1e-300)
         assert np.array_equal(tiny.values, gaussian_density(0.0, 1e-6).values)
         assert tiny.integral() == 1.0
+
+    @pytest.mark.parametrize(
+        "build, centre",
+        [
+            (lambda: gaussian_density(0.5, 1e-300), 0.5),
+            (lambda: exponential_density(1e300, 0.5), 0.5),
+            (lambda: gaussian_density(1e6, 1e-12), 1e6),
+        ],
+        ids=["gaussian-tiny-std", "exponential-huge-rate", "gaussian-far-mean"],
+    )
+    def test_spike_below_one_ulp_of_its_centre(self, build, centre):
+        """A window narrower than one ulp of its centre gets one grid cell (it used to collapse to [c, c])."""
+        spike = build()
+        assert spike.values.size == 2
+        assert abs(spike.origin - centre) <= DEFAULT_SPACING
+        assert spike.integral() == 1.0
 
     @pytest.mark.parametrize(
         "rate, shift, match",
