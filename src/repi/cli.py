@@ -38,9 +38,12 @@ COLUMNS = ("alpha", "method", "value", "n")
 #: row = (alpha or None, method, value, n or None)
 Row = tuple
 
-#: most orders a start:stop:count grid may hold; compare's solver arrays
-#: are orders x powers, and at 1000 powers compare then peaks near 225 MiB
+#: most orders a start:stop:count grid may hold
 MAX_GRID_ORDERS = 2 ** 12
+
+#: most cells, orders x max(summand counts, powers), a table may hold;
+#: compare peaks near 7 float64 arrays of that size, 224 MiB at the cap
+MAX_TABLE_CELLS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,8 @@ class SweepSpec:
     """Parsed sweep parameters shared by the table-producing commands.
 
     The order grid must be non-empty, strictly increasing and entirely
-    above 1; summand counts must be positive.
+    above 1; summand counts must be positive; the table must hold at most
+    MAX_TABLE_CELLS cells.
     """
 
     alphas: tuple[float, ...]
@@ -65,6 +69,12 @@ class SweepSpec:
             raise ValueError("order grid must be strictly increasing")
         if any(n < 1 for n in self.ns):
             raise ValueError("summand counts must be positive")
+        cells = len(self.alphas) * max(len(self.ns), len(self.powers))
+        if cells > MAX_TABLE_CELLS:
+            raise ValueError(
+                f"tables hold at most {MAX_TABLE_CELLS} cells"
+                f" (orders x powers or counts), got {cells}"
+            )
 
 
 def _parse_alpha(text: str) -> float:

@@ -9,9 +9,10 @@ with q the second derivative of the per-summand kernel. Structure of that
 form has fully understood spectra: the eigenvalues interlace the diagonal
 and shift by nonnegative multiples of rho summing to rho * ||z||^2. This
 module checks concavity numerically through two independent eigenvalue
-routes (a dense Jacobi sweep and a secular-equation root finder) and
-exposes the reciprocal-curvature quantities whose positivity underlies the
-concavity proof for conjugates below 2.
+routes (a dense Jacobi sweep, and the secular equation solved by the
+weight solver's bracketed Newton) and exposes the reciprocal-curvature
+quantities whose positivity underlies the concavity proof for conjugates
+below 2.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Order, as_order
-from .optimizer import MAX_ITERATIONS, _bisect
+from .optimizer import _bracketed_newton
 
 __all__ = [
     "curvature",
@@ -159,14 +160,18 @@ def secular_max_eigenvalue(m: RankOneSymmetric) -> float:
     Nonzero coordinates of z with equal diagonal entries merge (rotating
     inside the eigenspace concentrates them on one coordinate and leaves
     the rest as untouched eigenvalues), and zero coordinates deflate
-    outright. On the merged data the largest eigenvalue is a root of
+    outright. One merged entry d with weight w gives d + rho w. Otherwise
+    the largest eigenvalue is the root of
 
         W(lam) = 1 + rho * sum_j w_j / (d_j - lam),
 
-    monotone on its bracket: above the top diagonal entry for rho > 0,
-    between the top two for rho < 0. Bisection on the sign of W (the
-    solver's ``_bisect``, run until the bracket collapses) is immune to the
-    poles. Deflated diagonal entries compete in the final max.
+    with W' = rho * sum_j w_j / (d_j - lam)^2, in a bracket where W is
+    monotone: above the top diagonal entry and at most rho ||z||^2 past it
+    for rho > 0, between the top two for rho < 0. The solver's bracketed
+    Newton (:func:`repi.optimizer._bracketed_newton`) runs on W, or on -W
+    for rho < 0, from the bracket's midpoint to adjacent floats; it never
+    evaluates the bracket ends, so they are the poles themselves.
+    Deflated diagonal entries compete in the final max.
     """
     norm2 = sum(v * v for v in m.z)
     if m.rho == 0.0 or norm2 == 0.0:
@@ -184,28 +189,20 @@ def secular_max_eigenvalue(m: RankOneSymmetric) -> float:
     ds = np.array(sorted(merged))
     ws = np.array([merged[v] for v in sorted(merged)])
     rho = m.rho
+    if ds.size == 1:
+        return max([float(ds[0] + rho * ws[0])] + deflated)
+    # sign * W rises through its root: from -inf to 1 across (d_max, inf)
+    # for rho > 0, from -inf to inf across (d_{r-1}, d_r) for rho < 0
+    sign, scale = math.copysign(1.0, rho), abs(rho)
+    lo, hi = (ds[-1], ds[-1] + rho * norm2) if rho > 0.0 else (ds[-2], ds[-1])
 
-    def secular(lam: float) -> float:
-        with np.errstate(divide="ignore"):
-            return 1.0 + rho * float(np.sum(ws / (ds - lam)))
+    def residual(lam):
+        gaps = ds - lam[:, None]
+        terms = ws / gaps
+        return sign + scale * terms.sum(axis=1), scale * (terms / gaps).sum(axis=1)
 
-    if rho > 0.0:
-        lo = float(ds[-1])
-        hi = lo + rho * norm2
-        pad = max(hi - lo, 1e-14 * max(1.0, abs(lo)))
-        # W increases from -inf to 1 across (d_max, inf); tol = inf accepts
-        # whatever bracket the step cap leaves instead of raising
-        root = _bisect(secular, lo + 1e-15 * pad, hi + 1e-12 * pad, math.inf, MAX_ITERATIONS)
-    elif ds.size == 1:
-        root = float(ds[0]) + rho * float(ws[0])
-    else:
-        lo, hi = float(ds[-2]), float(ds[-1])
-        pad = max(hi - lo, 1e-300)
-        # W decreases from +inf to -inf across (d_{r-1}, d_r)
-        root = _bisect(
-            lambda lam: -secular(lam), lo + 1e-15 * pad, hi - 1e-15 * pad, math.inf, MAX_ITERATIONS
-        )
-    return max([root] + deflated)
+    root = _bracketed_newton(residual, np.array([lo]), np.array([hi]))
+    return max([float(root[0])] + deflated)
 
 
 def max_eigenvalue(m: RankOneSymmetric) -> float:

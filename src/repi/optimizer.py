@@ -62,8 +62,9 @@ __all__ = [
     "bound_reports",
 ]
 
-#: residual evaluations allowed per root
-MAX_ITERATIONS = 200
+#: residual evaluations allowed per root: room for plain bisection of any
+#: finite bracket down to adjacent floats (2^1025 / 2^-1074 takes 2099 halvings)
+MAX_ITERATIONS = 2200
 
 
 class DegeneratePowersError(ValueError):
@@ -141,83 +142,56 @@ def weight_sum(x, ratios: Sequence[float], order: Order | float) -> float | np.n
     return float(out) if out.ndim == 0 else out
 
 
-def _bisect(f, lo: float, hi: float, tol: float, max_iter: int) -> float:
-    """Sign-based bisection of f with f(lo) < 0 < f(hi).
+def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
+    """Root of an increasing residual in each row's bracket, run to adjacent floats.
 
-    Runs the bracket down to adjacent floats so the returned root is exact
-    to one ulp; tol only backstops brackets that stall before collapsing.
-    A residual at the 1e-12 level would leave the recovered weights off
-    the simplex by as much, a first-order error in the constant.
-    """
-    mid = 0.5 * (lo + hi)
-    fm = math.inf
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    if abs(fm) <= tol or hi - lo < 1e-14:
-        return mid
-    raise RootBracketError(lo, hi, fm)
-
-
-def _bracketed_newton(cs: np.ndarray, ac: np.ndarray, infinite: np.ndarray) -> np.ndarray:
-    """Root of each row's residual, every row run to adjacent floats.
-
-    Row i solves x + sum_k psi(x, c_k) = 1 at conjugate ac[i], or at
-    alpha = inf (``infinite[i]``) the factored residual
-    sum_k psi(x, c_k) / (1 - x) - 1. Each row is safeguarded Newton
-    (rtsafe, Numerical Recipes 9.4) inside the bracket [0, 1], starting at
-    the midpoint 1/2: every evaluation moves one end of the bracket to x by
-    the residual's sign, and a Newton step that leaves the bracket or has a
-    non-finite derivative becomes a bisection step. rtsafe's test that the
-    step halves is left out: after one-ulp steps near the root it forces
-    bisection of a bracket whose far end is still where Newton started.
-    Once a Newton step rounds to no move, the row walks one ulp at a time
-    towards the sign change. A row ends when its bracket ends are adjacent
-    floats, or equal at an exact zero, and returns their midpoint, as
-    :func:`_bisect` does; a row still open after MAX_ITERATIONS
+    ``residual(x, *params)`` returns the residual and its derivative at
+    the points x, one per row; ``params`` are per-row arrays that stay
+    with their rows as rows close. Each row is safeguarded Newton (rtsafe,
+    Numerical Recipes 9.4) inside [lo, hi], starting at the midpoint and
+    never evaluating either end, so the ends may be poles (the residual
+    may overflow next to them): every evaluation moves one end of the
+    bracket to x by the residual's sign, and a Newton step that leaves the
+    bracket or has a non-finite derivative becomes a bisection step.
+    rtsafe's test that the step halves is left out: after one-ulp steps
+    near the root it forces bisection of a bracket whose far end is still
+    where Newton started. Once a Newton step rounds to no move, the row
+    walks one ulp at a time towards the sign change. A row ends when its
+    bracket ends are adjacent floats, or equal at an exact zero, and
+    returns their midpoint; a row still open after MAX_ITERATIONS
     evaluations raises :class:`RootBracketError`. Rows share nothing but
     the loop, so a row's root does not depend on the others.
     """
-    roots = np.empty(ac.size)
-    rows = np.arange(ac.size)
-    lo, hi = np.zeros(ac.size), np.ones(ac.size)
-    x = np.full(ac.size, 0.5)
-    walking = np.zeros(ac.size, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(MAX_ITERATIONS):
-            psi, slope = _psi(x[:, None], cs, ac[:, None], slope=True)
-            total, dtotal = psi.sum(axis=1), slope.sum(axis=1)
-            gap = 1.0 - x
-            f = np.where(infinite, total / gap - 1.0, x + total - 1.0)
-            df = np.where(infinite, (dtotal + total / gap) / gap, 1.0 + dtotal)
-            lo = np.where(f <= 0.0, x, lo)
-            hi = np.where(f >= 0.0, x, hi)
-            mid = 0.5 * (lo + hi)
+    roots = np.empty(lo.size)
+    rows = np.arange(lo.size)
+    x = mid = 0.5 * (lo + hi)
+    f = df = np.full(lo.size, np.nan)
+    walking = np.zeros(lo.size, dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for evaluations in range(MAX_ITERATIONS + 1):
             done = (mid <= lo) | (mid >= hi)
             if done.any():
                 roots[rows[done]] = mid[done]
                 if done.all():
                     return roots
                 keep = ~done
-                rows, x, f, df, lo, hi, mid, walking, ac, infinite = (
-                    a[keep] for a in (rows, x, f, df, lo, hi, mid, walking, ac, infinite)
+                rows, x, f, df, lo, hi, mid, walking, *params = (
+                    a[keep] for a in (rows, x, f, df, lo, hi, mid, walking, *params)
                 )
-            newton = x - f / df
-            finite = np.isfinite(df)
-            walking |= finite & (newton == x)
-            inside = finite & (lo < newton) & (newton < hi)
-            x = np.where(
-                walking, np.nextafter(x, np.where(f < 0.0, hi, lo)), np.where(inside, newton, mid)
-            )
-    raise RootBracketError(float(lo[0]), float(hi[0]), float(f[0]))
+            if evaluations == MAX_ITERATIONS:
+                raise RootBracketError(float(lo[0]), float(hi[0]), float(f[0]))
+            if evaluations:
+                newton = x - f / df
+                finite = np.isfinite(df)
+                walking |= finite & (newton == x)
+                inside = finite & (lo < newton) & (newton < hi)
+                x = np.where(
+                    walking, np.nextafter(x, np.where(f < 0.0, hi, lo)), np.where(inside, newton, mid)
+                )
+            f, df = residual(x, *params)
+            lo = np.where(f <= 0.0, x, lo)
+            hi = np.where(f >= 0.0, x, hi)
+            mid = 0.5 * (lo + hi)
 
 
 def _leading_weights(ratios: Sequence[float], orders: Sequence[Order]) -> np.ndarray:
@@ -225,8 +199,10 @@ def _leading_weights(ratios: Sequence[float], orders: Sequence[Order]) -> np.nda
 
     Zero ratios have psi = 0 and drop out. At alpha = inf the endpoint
     x = 1 is the limit when the ratios sum to at most 1 and none is 1;
-    those orders get 1 without iterating, and every other order is one
-    row of :func:`_bracketed_newton`.
+    those orders get 1 without iterating. Every other order is one row of
+    :func:`_bracketed_newton` on [0, 1], with residual x + sum_k psi(x, c_k) - 1
+    at conjugate ac, or at alpha = inf the factored residual
+    sum_k psi(x, c_k) / (1 - x) - 1.
     """
     roots = np.ones(len(orders))
     cs = np.asarray(ratios, dtype=float)
@@ -236,8 +212,18 @@ def _leading_weights(ratios: Sequence[float], orders: Sequence[Order]) -> np.nda
     infinite = np.array([o.is_infinite for o in orders], dtype=bool)
     solve = ~(infinite & (_max_power_tight(ratios) and cs.max() < 1.0))
     if solve.any():
-        ac = np.array([o.alpha_conj for o in orders])
-        roots[solve] = _bracketed_newton(cs, ac[solve], infinite[solve])
+
+        def residual(x, ac, infinite):
+            psi, slope = _psi(x[:, None], cs, ac[:, None], slope=True)
+            total, dtotal = psi.sum(axis=1), slope.sum(axis=1)
+            gap = 1.0 - x
+            f = np.where(infinite, total / gap - 1.0, x + total - 1.0)
+            return f, np.where(infinite, (dtotal + total / gap) / gap, 1.0 + dtotal)
+
+        ac = np.array([o.alpha_conj for o in orders])[solve]
+        roots[solve] = _bracketed_newton(
+            residual, np.zeros(ac.size), np.ones(ac.size), ac, infinite[solve]
+        )
     return roots
 
 

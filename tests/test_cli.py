@@ -19,6 +19,7 @@ from repi import cli
 from repi.cli import (
     COLUMNS,
     MAX_GRID_ORDERS,
+    MAX_TABLE_CELLS,
     SweepSpec,
     _parse_alpha_grid,
     build_parser,
@@ -89,6 +90,28 @@ class TestSweepSpec:
             SweepSpec(alphas=(0.5, 2.0))
         with pytest.raises(ValueError):
             SweepSpec(alphas=(2.0,), ns=(0,))
+
+    def test_table_cell_cap(self):
+        """Orders x max(counts, powers) past MAX_TABLE_CELLS is refused; 4096 x 1000 is not."""
+        alphas = tuple(1.5 + k for k in range(MAX_GRID_ORDERS))
+        SweepSpec(alphas=alphas, powers=(1.0,) * 1000)
+        SweepSpec(alphas=alphas, ns=tuple(range(1, 1001)))
+        for field in ("powers", "ns"):
+            with pytest.raises(ValueError, match=f"{MAX_TABLE_CELLS} cells .*, got 4198400$"):
+                SweepSpec(alphas=alphas, **{field: (1,) * 1025})
+
+    def test_table_cell_cap_exit(self, monkeypatch, capsys):
+        """compare refuses an oversized table with exit 2 and one line, before solving."""
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the table was solved")
+
+        monkeypatch.setattr(cli, "bound_reports", no_solve)
+        powers = ",".join(["1"] * 1025)
+        with pytest.raises(SystemExit) as err:
+            main(["compare", "--powers", powers, "--alpha-grid", f"1.01:2:{MAX_GRID_ORDERS}"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestConstantsCommand:

@@ -172,6 +172,21 @@ class TestSecularMaxEigenvalue:
         m = RankOneSymmetric((1.0, 1.0), -0.25, (1.0, 1.0))
         assert secular_max_eigenvalue(m) == pytest.approx(1.0, abs=1e-14)
 
+    def test_root_next_to_a_pole(self):
+        """The bracket ends are the poles themselves, so a root close to one stays inside.
+
+        An inward nudge of 1e-15 times the bracket width shut these roots out:
+        the Hessian's secular value was -3.20000025, the first downdate's -9e-8
+        and the second's -1e-15.
+        """
+        m = reduced_hessian((1e-8, 0.25 + 1e-9 - 1e-8), 3.0)
+        ref = float(np.linalg.eigvalsh(m.as_matrix())[-1])
+        assert max_eigenvalue(m) == pytest.approx(ref, rel=1e-14, abs=0.0)
+        m = RankOneSymmetric((1e-8, -1e8), -1e-8, (1.0, 1.0))
+        assert secular_max_eigenvalue(m) == pytest.approx(1e-24, abs=1e-20)
+        m = RankOneSymmetric((-1.0, 0.0), -1e-300, (1.0, 1.0))
+        assert secular_max_eigenvalue(m) == pytest.approx(-1e-300, rel=1e-15)
+
     def test_agreement_with_dense_route(self):
         """Secular and dense routes agree on 500 random factored matrices."""
         rng = np.random.default_rng(37)

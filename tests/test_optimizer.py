@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from repi import (
     DegeneratePowersError,
+    RankOneSymmetric,
     RootBracketError,
     as_order,
     bc_constant,
@@ -19,6 +20,7 @@ from repi import (
     log_constant,
     optimal_weights,
     optimized_constant,
+    secular_max_eigenvalue,
     sharpened_constant,
     solve_leading_weight,
     two_summand_constant,
@@ -216,12 +218,62 @@ class TestSolveLeadingWeight:
         assert 0.0 < abs(err.value.residual) < 1.0
         with pytest.raises(RootBracketError):
             bound_reports((1.0, 2.0, 3.0), (1.5, 2.0, math.inf))
+        for rho in (0.5, -0.5):
+            with pytest.raises(RootBracketError) as err:
+                secular_max_eigenvalue(RankOneSymmetric((0.0, 1.0, 3.0), rho, (1.0, 1.0, 1.0)))
+            lo, hi = err.value.bracket
+            assert (1.0 if rho < 0.0 else 3.0) <= lo < hi <= 3.0 + max(rho, 0.0) * 3.0
 
     def test_bracket_error_carries_state(self):
         """The no-convergence error exposes its bracket and residual."""
         err = RootBracketError(0.1, 0.9, 0.5)
         assert err.bracket == (0.1, 0.9)
         assert err.residual == 0.5
+
+
+def ulps_above(lo, k):
+    """The float k ulps above lo."""
+    for _ in range(k):
+        lo = math.nextafter(lo, math.inf)
+    return lo
+
+
+@st.composite
+def bracket_rows(draw):
+    """Brackets from adjacent floats to widths of 1e16, each with the sign change
+    s of a residual a (x - s) + atan((x - s) / scale) somewhere in it, ends included."""
+    lo = draw(st.floats(-1e6, 1e6))
+    if draw(st.booleans()):
+        hi = ulps_above(lo, draw(st.integers(1, 8)))
+    else:
+        hi = max(lo + 10.0 ** draw(st.floats(-12.0, 16.0)), math.nextafter(lo, math.inf))
+    s = min(max(lo + draw(st.floats(0.0, 1.0)) * (hi - lo), lo), hi)
+    slope = draw(st.sampled_from((0.0, 1e-3, 1.0, 1e3)))
+    scale = max((hi - lo) * 10.0 ** draw(st.floats(-6.0, 2.0)), 1e-300)
+    return lo, hi, s, slope, scale
+
+
+def arctan_residual(x, s, slope, scale, lo, hi):
+    """Increasing residual with one sign change, at s; asserts no bracket end is evaluated."""
+    assert np.all((lo < x) & (x < hi))
+    u = (x - s) / scale
+    return slope * (x - s) + np.arctan(u), slope + 1.0 / (scale * (1.0 + u * u))
+
+
+class TestBracketedNewton:
+    @given(st.lists(bracket_rows(), min_size=1, max_size=5))
+    def test_contract(self, rows):
+        """No evaluation lands on a bracket end, each root sits between adjacent floats
+        that bracket the sign change, and rows solved together equal rows solved alone."""
+        lo, hi, *params = (np.array(c) for c in zip(*rows))
+        roots = optimizer._bracketed_newton(arctan_residual, lo, hi, *params, lo, hi)
+        for i, root in enumerate(roots):
+            one = [a[i : i + 1] for a in (lo, hi, *params)]
+            assert optimizer._bracketed_newton(arctan_residual, *one, *one[:2]) == root
+            assert lo[i] <= root <= hi[i]
+            around = np.array([math.nextafter(root, -math.inf), math.nextafter(root, math.inf)])
+            f, _ = arctan_residual(around, *(p[i] for p in params), -math.inf, math.inf)
+            assert f[0] <= 0.0 <= f[1]
 
 
 class TestOptimalWeights:
