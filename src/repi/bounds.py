@@ -35,10 +35,7 @@ def bc_constant(order: Order | float) -> float:
     Decreases from 1 (alpha -> 1) to 1/e (alpha = inf) and is independent of
     the number of summands and of the dimension.
     """
-    order = as_order(order)
-    if order.is_infinite:
-        return math.exp(-1.0)
-    return math.exp(order.log_alpha_slope() - 1.0)
+    return math.exp(as_order(order).log_alpha_slope() - 1.0)
 
 
 def sharpened_constant(order: Order | float, n: int) -> float:

@@ -78,8 +78,6 @@ class SweepSpec:
 
 
 def _parse_alpha(text: str) -> float:
-    if text.strip().lower() == "inf":
-        return math.inf
     try:
         value = float(text)
     except ValueError:

@@ -73,19 +73,23 @@ def as_order(order: Order | float) -> Order:
 def power_from_entropy(entropy: float, dim: int = 1) -> float:
     """Entropy power exp(2 h / d) of a d-dimensional vector with entropy h.
 
-    ``entropy = -inf`` maps to power 0.
+    ``entropy = -inf`` maps to power 0; NaN, +inf or an overflowing power is a ``ValueError``.
     """
     _check_dim(dim)
-    if entropy == -math.inf:
-        return 0.0
-    return math.exp(2.0 * entropy / dim)
+    try:
+        power = math.exp(2.0 * entropy / dim)
+    except OverflowError:
+        power = math.inf
+    if not power < math.inf:
+        raise ValueError(f"entropy {entropy!r} has no finite entropy power in dimension {dim}")
+    return power
 
 
 def entropy_from_power(power: float, dim: int = 1) -> float:
-    """Inverse of :func:`power_from_entropy`; power 0 maps to -inf."""
+    """Inverse of :func:`power_from_entropy`; power 0 maps to -inf, and inf is a ``ValueError``."""
     _check_dim(dim)
-    if power < 0.0 or math.isnan(power):
-        raise ValueError(f"entropy power must be >= 0, got {power!r}")
+    if not 0.0 <= power < math.inf:
+        raise ValueError(f"entropy power must be finite and >= 0, got {power!r}")
     if power == 0.0:
         return -math.inf
     return 0.5 * dim * math.log(power)
@@ -154,20 +158,13 @@ WEIGHT_SUM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SimplexWeights:
-    """A point of the probability simplex (weights sum to 1, all >= 0)."""
+    """A simplex point (weights >= 0 summing to 1), checked by :func:`_check_simplex`."""
 
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
         vals = tuple(float(t) for t in self.weights)
-        if len(vals) < 1:
-            raise ValueError("need at least one weight")
-        for t in vals:
-            if not math.isfinite(t) or t < WEIGHT_FLOOR:
-                raise ValueError(f"weights must be >= 0, got {t!r}")
-        s = sum(vals)
-        if abs(s - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1, got {s!r}")
+        _check_simplex(np.array([vals]))
         object.__setattr__(self, "weights", vals)
 
     def __len__(self) -> int:
@@ -180,26 +177,27 @@ class SimplexWeights:
         return self.weights[i]
 
 
-def _simplex_rows(weights: np.ndarray) -> list[SimplexWeights]:
-    """One :class:`SimplexWeights` per row of a 2-d array, checked as a whole.
+def _check_simplex(w: np.ndarray) -> None:
+    """The simplex rules, for one weight row or many.
 
-    The constructor's checks in one numpy pass, with its messages: every
-    entry finite and >= WEIGHT_FLOOR, every row sum within WEIGHT_SUM_TOL of
-    1. ``np.cumsum`` adds a row left to right as ``sum`` does (before
-    Python 3.12, whose ``sum`` compensates and differs by rounding only),
-    so a row passes here exactly when the constructor would pass it, and
-    the rows are built without checking each again.
+    Every entry is finite and >= WEIGHT_FLOOR, and every row's left-to-right
+    sum (0.0 for a row of -0.0) is within WEIGHT_SUM_TOL of 1.
     """
-    w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[1] < 1:
         raise ValueError("need at least one weight")
     bad = ~np.isfinite(w) | (w < WEIGHT_FLOOR)
     if bad.any():
         raise ValueError(f"weights must be >= 0, got {float(w[bad][0])!r}")
-    sums = np.cumsum(w, axis=1)[:, -1]
+    sums = np.cumsum(w, axis=1)[:, -1] + 0.0
     off = np.abs(sums - 1.0) > WEIGHT_SUM_TOL
     if off.any():
         raise ValueError(f"weights must sum to 1, got {float(sums[off][0])!r}")
+
+
+def _simplex_rows(weights: np.ndarray) -> list[SimplexWeights]:
+    """One :class:`SimplexWeights` per row, all checked by one :func:`_check_simplex`."""
+    w = np.asarray(weights, dtype=float)
+    _check_simplex(w)
     rows = []
     for row in w.tolist():
         checked = object.__new__(SimplexWeights)

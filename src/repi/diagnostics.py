@@ -186,8 +186,7 @@ def secular_max_eigenvalue(m: RankOneSymmetric) -> float:
             deflated.append(dj)
         else:
             merged[dj] = zj * zj
-    ds = np.array(sorted(merged))
-    ws = np.array([merged[v] for v in sorted(merged)])
+    ds, ws = np.array(sorted(merged.items())).T
     rho = m.rho
     if ds.size == 1:
         return max([float(ds[0] + rho * ws[0])] + deflated)
@@ -255,6 +254,8 @@ def concavity_slacks(
     All three minima are positive exactly when the concavity argument goes
     through; tests assert that.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples!r}")
     order = as_order(order)
     ac = order.alpha_conj
     if not 1.0 < ac < 2.0:

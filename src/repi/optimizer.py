@@ -261,7 +261,7 @@ def optimal_weights(
     weight of its power ratio, which is exactly 0 for a zero power.
     """
     rows = _weight_rows(as_power_vector(powers), (as_order(order),))
-    return SimplexWeights(tuple(rows[0].tolist()))
+    return _simplex_rows(rows)[0]
 
 
 def optimized_constant(powers: PowerVector | Sequence[float], order: Order | float) -> float:

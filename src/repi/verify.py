@@ -121,10 +121,12 @@ class GridDensity:
         vals: list[float] = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             if header[:2] != ["x", "f"]:
                 raise ValueError(f"expected header x,f, got {header!r}")
-            for row in reader:
+            for row in filter(None, reader):  # blank lines read as []
+                if len(row) < 2:
+                    raise ValueError(f"line {reader.line_num}: expected x,f, got {row!r}")
                 xs.append(float(row[0]))
                 vals.append(float(row[1]))
         if len(xs) < 2:

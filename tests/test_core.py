@@ -112,6 +112,23 @@ class TestPowerEntropyConversions:
         with pytest.raises(ValueError):
             entropy_from_power(1.0, 1.5)
 
+    @pytest.mark.parametrize("entropy", [400.0, 1e308, math.inf, math.nan])
+    def test_entropy_without_finite_power_rejected(self, entropy):
+        """An entropy whose power overflows or is not a number is a ValueError naming it."""
+        with pytest.raises(ValueError, match=re.escape(repr(entropy))):
+            power_from_entropy(entropy)
+
+    def test_largest_finite_power(self):
+        """Just below the overflow edge the power is finite; dimension divides the exponent."""
+        assert power_from_entropy(354.0) == math.exp(708.0)
+        assert power_from_entropy(400.0, 2) == math.exp(400.0)
+
+    @pytest.mark.parametrize("power", [math.inf, math.nan])
+    def test_non_finite_power_rejected(self, power):
+        """An infinite or NaN power is a ValueError naming it."""
+        with pytest.raises(ValueError, match=re.escape(repr(power))):
+            entropy_from_power(power)
+
 
 class TestPowerVector:
     def test_aggregates(self):

@@ -304,6 +304,12 @@ class TestConcavity:
         with pytest.raises(ValueError):
             concavity_slacks(1.5)  # conjugate 3
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_samples_below_one_rejected(self, samples):
+        """No samples probe nothing; that is a ValueError, not all_positive."""
+        with pytest.raises(ValueError, match="samples"):
+            concavity_slacks(2.5, samples=samples)
+
     def test_thin_domain_rejected(self):
         """A conjugate so close to 2 that the margin cannot fit is rejected."""
         with pytest.raises(ValueError):

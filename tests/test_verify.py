@@ -112,6 +112,28 @@ class TestGridDensity:
         with pytest.raises(ValueError):
             GridDensity.from_csv(str(path))
 
+    def test_csv_trailing_blank_line_skipped(self, tmp_path):
+        """A blank line at the end of the file is skipped, not an IndexError."""
+        d = uniform_density(0.0, 1.0, spacing=2.0 ** -4)
+        path = tmp_path / "density.csv"
+        d.to_csv(str(path))
+        path.write_text(path.read_text() + "\n")
+        assert np.array_equal(GridDensity.from_csv(str(path)).values, d.values)
+
+    def test_csv_short_row_names_its_line(self, tmp_path):
+        """A row with one field is a ValueError that names its line."""
+        path = tmp_path / "bad.csv"
+        path.write_text("x,f\n0.0,1.0\n0.5\n1.0,1.0\n")
+        with pytest.raises(ValueError, match="line 3"):
+            GridDensity.from_csv(str(path))
+
+    def test_csv_empty_file_rejected(self, tmp_path):
+        """An empty file is a ValueError, not a StopIteration."""
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="header"):
+            GridDensity.from_csv(str(path))
+
     def test_csv_uniform_grid_enforced(self, tmp_path):
         """Files with irregular x spacing are rejected."""
         path = tmp_path / "bad.csv"
@@ -331,6 +353,12 @@ class TestEntropy:
         """entropy_power is exp(2 h) on the one-dimensional grid."""
         d = uniform_density(0.0, 2.0)
         assert entropy_power(d, 2.0) == pytest.approx(4.0, rel=1e-10)
+
+    def test_entropy_power_overflow_rejected(self):
+        """A window of width 1e160 has entropy 368, whose power exp(737) is a ValueError."""
+        d = uniform_density(0.0, 1e160, spacing=1e157)
+        with pytest.raises(ValueError, match="no finite entropy power"):
+            entropy_power(d, 2.0)
 
 
 class TestConvolve:
