@@ -26,7 +26,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .bounds import bc_constant, sharpened_constant
-from .core import Order, as_power_vector
+from .core import Order, as_power_vector, holder_conjugate
 from .filters import FilterSpec, filter_bounds, gaussian_reference
 from .optimizer import bound_reports
 from .verify import certify, gaussian_density, random_corpus, uniform_density
@@ -63,8 +63,7 @@ class SweepSpec:
         if not self.alphas:
             raise ValueError("empty order grid")
         for a in self.alphas:
-            if math.isnan(a) or a <= 1.0:
-                raise ValueError(f"orders must satisfy alpha > 1, got {a!r}")
+            holder_conjugate(a)
         if any(b <= a for a, b in zip(self.alphas, self.alphas[1:])):
             raise ValueError("order grid must be strictly increasing")
         if any(n < 1 for n in self.ns):
@@ -82,8 +81,7 @@ def _parse_alpha(text: str) -> float:
         value = float(text)
     except ValueError:
         raise ValueError(f"cannot parse order {text!r}")
-    if math.isnan(value) or value <= 1.0:
-        raise ValueError(f"orders must satisfy alpha > 1, got {text!r}")
+    holder_conjugate(value)
     return value
 
 
@@ -100,10 +98,7 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
         if count > MAX_GRID_ORDERS:
             raise ValueError(f"geometric grids hold at most {MAX_GRID_ORDERS} orders, got {count}")
         return tuple(float(a) for a in np.geomspace(start, stop, count))
-    alphas = tuple(_parse_alpha(p) for p in text.split(",") if p.strip())
-    if not alphas:
-        raise ValueError("empty order grid")
-    return alphas
+    return tuple(_parse_alpha(p) for p in text.split(",") if p.strip())
 
 
 def _parse_list(text: str, what: str, kind: type) -> tuple:

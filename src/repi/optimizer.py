@@ -23,9 +23,10 @@ point 1/2, the finite-order weight of two equal powers.
 
 The root is found by bracketed Newton on [0, 1] from the midpoint 1/2,
 falling back to bisection whenever a Newton step would leave the bracket.
-When Newton stops moving, the row walks one ulp at a time until the
-bracket ends are adjacent floats, and the root is their midpoint, so it
-is exact to one ulp. One call solves a whole grid of orders as the rows
+On any pass where a Newton step rounds to no move, the row steps one ulp
+towards the sign change instead; the step keeps no state between passes.
+A row ends when its bracket ends are adjacent floats, and the root is
+their midpoint, so it is exact to one ulp. One call solves a whole grid of orders as the rows
 of an (orders x ratios) array; :func:`bound_reports` is its batched front.
 """
 
@@ -155,9 +156,10 @@ def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
     bracket or has a non-finite derivative becomes a bisection step.
     rtsafe's test that the step halves is left out: after one-ulp steps
     near the root it forces bisection of a bracket whose far end is still
-    where Newton started. Once a Newton step rounds to no move, the row
-    walks one ulp at a time towards the sign change. A row ends when its
-    bracket ends are adjacent floats, or equal at an exact zero, and
+    where Newton started. On any pass where a finite Newton step rounds
+    to no move, the row steps one ulp towards the sign change instead;
+    the test is made afresh each pass and keeps no state. A row ends when
+    its bracket ends are adjacent floats, or equal at an exact zero, and
     returns their midpoint; a row still open after MAX_ITERATIONS
     evaluations raises :class:`RootBracketError`. Rows share nothing but
     the loop, so a row's root does not depend on the others.
@@ -166,7 +168,6 @@ def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
     rows = np.arange(lo.size)
     x = mid = 0.5 * (lo + hi)
     f = df = np.full(lo.size, np.nan)
-    walking = np.zeros(lo.size, dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for evaluations in range(MAX_ITERATIONS + 1):
             done = (mid <= lo) | (mid >= hi)
@@ -175,15 +176,15 @@ def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
                 if done.all():
                     return roots
                 keep = ~done
-                rows, x, f, df, lo, hi, mid, walking, *params = (
-                    a[keep] for a in (rows, x, f, df, lo, hi, mid, walking, *params)
+                rows, x, f, df, lo, hi, mid, *params = (
+                    a[keep] for a in (rows, x, f, df, lo, hi, mid, *params)
                 )
             if evaluations == MAX_ITERATIONS:
                 raise RootBracketError(float(lo[0]), float(hi[0]), float(f[0]))
             if evaluations:
                 newton = x - f / df
                 finite = np.isfinite(df)
-                walking |= finite & (newton == x)
+                walking = finite & (newton == x)
                 inside = finite & (lo < newton) & (newton < hi)
                 x = np.where(
                     walking, np.nextafter(x, np.where(f < 0.0, hi, lo)), np.where(inside, newton, mid)
