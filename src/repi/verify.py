@@ -64,9 +64,11 @@ MAX_GRID_SAMPLES = 2 ** 24
 class GridDensity:
     """A probability density sampled on a uniform grid.
 
-    ``values[i]`` is the density at ``origin + i * spacing``. Values are
-    nonnegative, origin and spacing are finite, and the trapezoid integral
-    is 1 within ``MASS_TOL``.
+    ``values[i]`` belongs to the knot ``origin + i * spacing``: the density
+    there for the smooth constructors, and the average of the density over
+    the cell of width ``spacing`` centred there for :func:`uniform_density`.
+    Values are nonnegative, origin and spacing are finite, and the
+    trapezoid integral is 1 within ``MASS_TOL``.
     """
 
     origin: float
@@ -178,13 +180,20 @@ def gaussian_density(mean: float, std: float, spacing: float = DEFAULT_SPACING) 
 
 
 def uniform_density(lo: float, hi: float, spacing: float = DEFAULT_SPACING) -> GridDensity:
-    """Uniform on [lo, hi]; constant samples make the trapezoid mass exact.
+    """Uniform on [lo, hi], stored as the averages of its n cells.
 
-    The width snaps to the nearest positive multiple of ``spacing`` so the
+    The width snaps to the nearest positive multiple n of ``spacing`` so the
     grid stays convolvable with every other density at the same spacing.
+    The values are [0, 1/(n h), ..., 1/(n h), 0] at origin lo - h/2: each
+    cell's average at the cell's centre, padded by a zero on each side, so
+    both jumps fall midway between samples. The trapezoid mass and the
+    summand's own entropy are exact, and the discrete convolution of two
+    such uniforms is the exact density of their sum at its knots.
     """
     n = max(int(round(_grid_cells(lo, hi, spacing))), 1)
-    return GridDensity(lo, spacing, np.full(n + 1, 1.0 / (n * spacing)))
+    values = np.zeros(n + 2)
+    values[1:-1] = 1.0 / (n * spacing)
+    return GridDensity(lo - 0.5 * spacing, spacing, values)
 
 
 def exponential_density(

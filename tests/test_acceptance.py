@@ -298,8 +298,8 @@ class TestNumericalCertification:
     def test_density_corpus_certifies_within_budget(self):
         """Grid densities meet every bound; anchors hit their frozen ratios.
 
-        Two Uniform[0, 1] summands at order infinity sit within 1e-3 of the
-        tight constant 1/2 and above it; two standard Gaussians give ratio 1
+        Two Uniform[0, 1] summands at order infinity give the tight constant
+        1/2 to rounding; two standard Gaussians give ratio 1
         to 1e-4 at finite orders; a 200-instance random corpus certifies
         with zero violations at slack 1e-4. All inside two minutes.
         """
@@ -308,8 +308,7 @@ class TestNumericalCertification:
         box = uniform_density(0.0, 1.0)
         pair = certify((box, box), math.inf)
         assert pair.ok
-        assert pair.ratio >= 0.5
-        assert abs(pair.ratio - 0.5) <= 1e-3
+        assert abs(pair.ratio - 0.5) <= 1e-14
 
         bell = gaussian_density(0.0, 1.0)
         for alpha in (1.1, 2.0, 10.0):

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -240,18 +239,22 @@ class TestFilterCommand:
 
 class TestVerifyCommand:
     def test_tight_two_summand_case(self, capsys):
-        """The uniform pair at the limit order reports its frozen ratio.
+        """The uniform pair at the limit order sits on the tight constant 1/2.
 
-        The grid value is exactly (4098/4097)^2 / 2; the spectral product
-        prints it 2 ulp low, and the parsed ratio must stay within 4 ulp.
+        Cell-average uniforms convolve to the exact peak of the sum, so the
+        ratio is 1/2 to rounding. The spectral product leaves the sum's power
+        4 ulp below 1, and that is the tightest margin, on bv.
         """
         code, lines = run_lines(["verify", "--corpus", "two-uniforms", "--alpha", "inf"], capsys)
         assert code == 0
-        assert "inf,ratio,0.5002441108226792,2" in lines
+        assert "inf,ratio,0.4999999999999998,2" in lines
+        assert "inf,margin,-4.440892098500626e-16,2" in lines
         assert lines[-1] == ",violations,0.0,"
-        ratio = float(next(line for line in lines if ",ratio," in line).split(",")[2])
-        exact = Fraction(4098, 4097) ** 2 / 2
-        assert abs(Fraction(ratio) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+
+    def test_unknown_corpus_rejected(self):
+        """A corpus name that argparse would refuse is also refused by the command itself."""
+        with pytest.raises(ValueError, match="unknown corpus 'nope'"):
+            cmd_verify("nope", 2.0, 1, 1, 1e-4)
 
     def test_gaussian_pair(self, capsys):
         """The Gaussian pair certifies with ratio 1."""
@@ -313,6 +316,8 @@ class TestUsageErrors:
             ["constants", "--alpha-grid", "1.5:inf:5", "--n", "2"],
             ["compare", "--powers", "1,-2", "--alpha-grid", "2"],
             ["filter", "--taps", "", "--dim", "1", "--alpha", "2"],
+            ["filter", "--taps", "1", "--alpha", "x"],
+            ["constants", "--alpha-grid", "1.5:2", "--n", "2"],
         ],
     )
     def test_bad_values(self, argv):

@@ -197,6 +197,11 @@ class TestSimplexWeights:
         with pytest.raises(ValueError):
             SimplexWeights((-0.1, 1.1))
 
+    def test_empty_rejected(self):
+        """A simplex point has at least one weight."""
+        with pytest.raises(ValueError, match="at least one weight"):
+            SimplexWeights(())
+
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12),
         st.sampled_from([0.0, 1e-11, -1e-11, 9.9e-11, 1e-10, -1e-10, 1.01e-10, 1e-3]),
@@ -250,6 +255,26 @@ class TestBoundReport:
                 sharpened=0.8,
                 optimized=0.85,
                 bv=1.0,
+                weights=SimplexWeights((0.5, 0.5)),
+            )
+
+    @pytest.mark.parametrize(
+        "sharpened, optimized, bv, match",
+        [
+            (0.9, 0.8, 1.0, "sharpened > optimized"),
+            (0.35, 0.4, 1.0, "below the max-power bound"),
+        ],
+    )
+    def test_chain_violation_named(self, sharpened, optimized, bv, match):
+        """A sharpened constant above the optimized one, or an optimized bound below bv, cannot be constructed."""
+        with pytest.raises(ValueError, match=match):
+            BoundReport(
+                order=Order(2.0),
+                powers=PowerVector((1.0, 1.0)),
+                bc=0.3,
+                sharpened=sharpened,
+                optimized=optimized,
+                bv=bv,
                 weights=SimplexWeights((0.5, 0.5)),
             )
 

@@ -41,10 +41,10 @@ def _direct_reference(parts):
 
 class TestGridDensity:
     def test_axis_and_mass(self):
-        """xs spans origin + i * spacing; the trapezoid mass is 1."""
+        """xs spans origin + i * spacing, half a cell past each end of a uniform; the trapezoid mass is 1."""
         d = uniform_density(0.0, 1.0)
-        assert d.xs()[0] == 0.0
-        assert d.xs()[-1] == pytest.approx(1.0, abs=1e-12)
+        assert d.xs()[0] == -0.5 * DEFAULT_SPACING
+        assert d.xs()[-1] == pytest.approx(1.0 + 0.5 * DEFAULT_SPACING, abs=1e-12)
         assert d.integral() == pytest.approx(1.0, abs=1e-12)
 
     def test_validation(self):
@@ -134,6 +134,13 @@ class TestGridDensity:
         with pytest.raises(ValueError, match="header"):
             GridDensity.from_csv(str(path))
 
+    def test_csv_single_sample_rejected(self, tmp_path):
+        """A header and one row make no grid."""
+        path = tmp_path / "one.csv"
+        path.write_text("x,f\n0.0,1.0\n")
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            GridDensity.from_csv(str(path))
+
     def test_csv_uniform_grid_enforced(self, tmp_path):
         """Files with irregular x spacing are rejected."""
         path = tmp_path / "bad.csv"
@@ -184,6 +191,8 @@ class TestConstructors:
             exponential_density(-0.5)
         with pytest.raises(ValueError):
             gaussian_mixture_density((0.5, 0.4), (0.0, 1.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="vanishes"):
+            from_function(np.zeros_like, 0.0, 1.0)
 
     def test_gaussian_is_a_one_component_mixture(self):
         """A Gaussian is sampled exactly as the one-component mixture."""
@@ -201,6 +210,7 @@ class TestConstructors:
             ((1.0,), (math.inf,), (1.0,), "mean"),
             ((math.nan, 1.0), (0.0, 1.0), (1.0, 1.0), "weights must be positive"),
             ((0.5, 0.4), (0.0, 1.0), (1.0, 1.0), "sum to 1"),
+            ((0.5, 0.5), (0.0,), (1.0, 1.0), "equal positive length"),
         ],
     )
     def test_mixture_parameters_named(self, weights, means, stds, match):
@@ -393,7 +403,7 @@ class TestConvolve:
         f = uniform_density(1.0, 2.0)
         g = uniform_density(-0.5, 0.5)
         conv = convolve_many((f, g))
-        assert conv.origin == pytest.approx(0.5, abs=1e-12)
+        assert conv.origin == pytest.approx(0.5 - DEFAULT_SPACING, abs=1e-12)
         assert conv.values.size == f.values.size + g.values.size - 1
         assert conv.integral() == pytest.approx(1.0, abs=1e-12)
 
@@ -447,12 +457,12 @@ class TestConvolve:
 
 class TestCertify:
     def test_two_uniforms_at_limit_order(self):
-        """The tight two-summand case: measured ratio just above 1/2."""
+        """The tight two-summand case: the measured ratio is 1/2, on the bound."""
         u = uniform_density(0.0, 1.0)
         cert = certify((u, u), math.inf)
-        assert cert.ratio == pytest.approx(0.5002441108226794, abs=1e-12)
+        assert cert.ratio == pytest.approx(0.5, abs=1e-12)
         assert cert.ok
-        assert min(cert.margins().values()) > 0.0
+        assert min(cert.margins().values()) == pytest.approx(0.0, abs=1e-12)
         assert set(cert.margins()) == {"bc", "sharpened", "optimized", "bv"}
 
     def test_holds_the_bound_report(self):
@@ -533,6 +543,41 @@ class TestCertify:
         """A single density is not a sum."""
         with pytest.raises(ValueError):
             certify((uniform_density(0.0, 1.0),), 2.0)
+
+
+def _exact_power(alpha, integral, peak):
+    """exp(2 h_alpha) from the closed form of the integral of f^alpha, or of max f at alpha = inf."""
+    if math.isinf(alpha):
+        return peak ** -2.0
+    return math.exp(2.0 * math.log(integral(alpha)) / (1.0 - alpha))
+
+
+class TestClosedForms:
+    """Measured ratios of sums against their exact Renyi entropies, at the default spacing."""
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.5, 1.0), (0.75, 2.0), (1.25, 3.0)])
+    def test_two_uniforms(self, a, b):
+        """U[0, a] + U[0, b] with a <= b has a trapezoid density:
+        int f^alpha = b^-alpha (2a / (alpha + 1) + b - a) and max f = 1/b,
+        and each summand has power its width squared."""
+        parts = (uniform_density(0.0, a), uniform_density(0.0, b))
+        for alpha in (1.1, 2.0, 5.0, math.inf):
+            power = _exact_power(alpha, lambda s: b ** -s * (2.0 * a / (s + 1.0) + b - a), 1.0 / b)
+            tol = 1e-14 if math.isinf(alpha) else 1e-6
+            assert certify(parts, alpha).ratio == pytest.approx(power / (a * a + b * b), abs=tol)
+
+    @pytest.mark.parametrize("rate", [0.7, 2.5])
+    def test_two_exponentials(self, rate):
+        """Exp(rate) + Exp(rate) is Gamma(2, rate):
+        int f^alpha = rate^(alpha - 1) Gamma(alpha + 1) / alpha^(alpha + 1) and
+        max f = rate / e; one summand has rate^(alpha - 1) / alpha and rate."""
+        e = exponential_density(rate)
+        for alpha in (1.1, 2.0, 5.0, math.inf):
+            total = _exact_power(
+                alpha, lambda s: rate ** (s - 1.0) * math.gamma(s + 1.0) / s ** (s + 1.0), rate / math.e
+            )
+            one = _exact_power(alpha, lambda s: rate ** (s - 1.0) / s, rate)
+            assert certify((e, e), alpha).ratio == pytest.approx(total / (2.0 * one), rel=1e-5)
 
 
 class TestCollisionBound:
