@@ -63,7 +63,7 @@ class SweepSpec:
         if not self.alphas:
             raise ValueError("empty order grid")
         for a in self.alphas:
-            holder_conjugate(a)
+            holder_conjugate(a)  # raises unless alpha > 1
         if any(b <= a for a, b in zip(self.alphas, self.alphas[1:])):
             raise ValueError("order grid must be strictly increasing")
         if any(n < 1 for n in self.ns):
@@ -81,7 +81,7 @@ def _parse_alpha(text: str) -> float:
         value = float(text)
     except ValueError:
         raise ValueError(f"cannot parse order {text!r}")
-    holder_conjugate(value)
+    holder_conjugate(value)  # raises unless alpha > 1
     return value
 
 

@@ -26,8 +26,9 @@ falling back to bisection whenever a Newton step would leave the bracket.
 On any pass where a Newton step rounds to no move, the row steps one ulp
 towards the sign change instead; the step keeps no state between passes.
 A row ends when its bracket ends are adjacent floats, and the root is
-their midpoint, so it is exact to one ulp. One call solves a whole grid of orders as the rows
-of an (orders x ratios) array; :func:`bound_reports` is its batched front.
+their midpoint, so it is exact to one ulp. One call solves a whole grid
+of orders as the rows of an (orders x ratios) array; :func:`bound_reports`
+is its batched front.
 """
 
 from __future__ import annotations

@@ -182,8 +182,8 @@ def gaussian_density(mean: float, std: float, spacing: float = DEFAULT_SPACING) 
 def uniform_density(lo: float, hi: float, spacing: float = DEFAULT_SPACING) -> GridDensity:
     """Uniform on [lo, hi], stored as the averages of its n cells.
 
-    The width snaps to the nearest positive multiple n of ``spacing`` so the
-    grid stays convolvable with every other density at the same spacing.
+    The width snaps to the nearest positive multiple n of ``spacing`` = h so
+    the grid stays convolvable with every other density at the same spacing.
     The values are [0, 1/(n h), ..., 1/(n h), 0] at origin lo - h/2: each
     cell's average at the cell's centre, padded by a zero on each side, so
     both jumps fall midway between samples. The trapezoid mass and the
