@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Order, SimplexWeights, as_order, as_power_vector, as_simplex_weights
+from .core import Order, SimplexWeights, _positive_int, as_order, as_power_vector, as_simplex_weights
 
 __all__ = [
     "bc_constant",
@@ -48,8 +48,7 @@ def sharpened_constant(order: Order | float, n: int) -> float:
     so n = 1 short-circuits to 1.
     """
     order = as_order(order)
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"number of summands must be a positive integer, got {n!r}")
+    n = _positive_int(n, "number of summands")
     if n == 1:
         return 1.0
     m = n * order.alpha_conj

@@ -88,11 +88,12 @@ def _parse_alpha(text: str) -> float:
 def _parse_alpha_grid(text: str) -> tuple[float, ...]:
     """Comma list of orders, or start:stop:count for a geometric grid."""
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid syntax is start:stop:count, got {text!r}")
-        start, stop = _parse_alpha(parts[0]), _parse_alpha(parts[1])
-        count = int(parts[2])
+        try:  # three fields, the last an integer
+            start_text, stop_text, count_text = text.split(":")
+            count = int(count_text)
+        except ValueError:
+            raise ValueError(f"grid syntax is start:stop:count, got {text!r}") from None
+        start, stop = _parse_alpha(start_text), _parse_alpha(stop_text)
         if math.isinf(start) or math.isinf(stop) or count < 2:
             raise ValueError(f"geometric grids need finite ends and count >= 2, got {text!r}")
         if count > MAX_GRID_ORDERS:
@@ -303,9 +304,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.out == "-":
         _write(rows, sys.stdout, args.format, args.command)
-    else:
-        with open(args.out, "w", newline="") as fh:
-            _write(rows, fh, args.format, args.command)
+        return exit_code
+    # opened only now, so a refused argument leaves no empty file behind
+    try:
+        fh = open(args.out, "w", newline="")
+    except OSError as exc:
+        parser.exit(2, f"{parser.prog}: error: cannot write {args.out!r}: {exc.strerror}\n")
+    with fh:
+        _write(rows, fh, args.format, args.command)
     return exit_code
 
 

@@ -8,6 +8,7 @@ here so that every other module agrees on the conventions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -75,7 +76,7 @@ def power_from_entropy(entropy: float, dim: int = 1) -> float:
 
     ``entropy = -inf`` maps to power 0; NaN, +inf or an overflowing power is a ``ValueError``.
     """
-    _check_dim(dim)
+    dim = _positive_int(dim, "dimension")
     try:
         power = math.exp(2.0 * entropy / dim)
     except OverflowError:
@@ -87,7 +88,7 @@ def power_from_entropy(entropy: float, dim: int = 1) -> float:
 
 def entropy_from_power(power: float, dim: int = 1) -> float:
     """Inverse of :func:`power_from_entropy`; power 0 maps to -inf, and inf is a ``ValueError``."""
-    _check_dim(dim)
+    dim = _positive_int(dim, "dimension")
     if not 0.0 <= power < math.inf:
         raise ValueError(f"entropy power must be finite and >= 0, got {power!r}")
     if power == 0.0:
@@ -95,9 +96,15 @@ def entropy_from_power(power: float, dim: int = 1) -> float:
     return 0.5 * dim * math.log(power)
 
 
-def _check_dim(dim: int) -> None:
-    if not isinstance(dim, int) or dim < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dim!r}")
+def _positive_int(value: int, what: str) -> int:
+    """``value`` as an int when it is an integer of any type, numpy's too, and >= 1."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return n
 
 
 @dataclass(frozen=True)

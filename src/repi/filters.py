@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Order, _check_dim, as_order, entropy_from_power
+from .core import Order, _positive_int, as_order, entropy_from_power
 from .optimizer import bound_report
 
 __all__ = [
@@ -43,7 +43,7 @@ class FilterSpec:
             raise ValueError("need at least one tap")
         if any(not math.isfinite(t) or t == 0.0 for t in vals):
             raise ValueError(f"taps must be finite and nonzero, got {self.taps!r}")
-        _check_dim(self.dim)
+        object.__setattr__(self, "dim", _positive_int(self.dim, "dimension"))
         object.__setattr__(self, "taps", vals)
         object.__setattr__(self, "order", as_order(self.order))
 

@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .bounds import sharpened_constant
-from .core import BoundReport, Order, _check_dim, as_order, power_from_entropy
+from .core import BoundReport, Order, _positive_int, as_order, power_from_entropy
 from .optimizer import bound_report
 
 __all__ = [
@@ -158,6 +158,19 @@ def _grid_cells(lo: float, hi: float, spacing: float) -> float:
     return cells
 
 
+def _renormalized(origin: float, spacing: float, values: np.ndarray) -> GridDensity:
+    """The grid density of ``values`` clipped at 0 and scaled to unit trapezoid mass.
+
+    ``values`` must be a fresh array: it is clipped and scaled in place.
+    """
+    np.maximum(values, 0.0, out=values)
+    mass = float(np.trapezoid(values, dx=spacing))
+    if mass <= 0.0:
+        raise ValueError("density vanishes on its grid")
+    values /= mass
+    return GridDensity(origin, spacing, values)
+
+
 def from_function(
     fn: Callable[[np.ndarray], np.ndarray],
     lo: float,
@@ -167,11 +180,7 @@ def from_function(
     """Sample an analytic density on [lo, hi] and renormalize to mass 1."""
     n = int(math.ceil(_grid_cells(lo, hi, spacing)))
     xs = lo + spacing * np.arange(n + 1)
-    v = np.maximum(np.asarray(fn(xs), dtype=float), 0.0)
-    mass = float(np.trapezoid(v, dx=spacing))
-    if mass <= 0.0:
-        raise ValueError("density vanishes on the requested window")
-    return GridDensity(lo, spacing, v / mass)
+    return _renormalized(lo, spacing, np.array(fn(xs), dtype=float))
 
 
 def gaussian_density(mean: float, std: float, spacing: float = DEFAULT_SPACING) -> GridDensity:
@@ -268,7 +277,7 @@ def gaussian_renyi_entropy(order: Order | float, dim: int, det_cov: float) -> fl
     recovering the Shannon value (1/2) log((2 pi e)^d det_cov).
     """
     order = as_order(order)
-    _check_dim(dim)
+    dim = _positive_int(dim, "dimension")
     if not det_cov > 0.0:
         raise ValueError(f"covariance determinant must be positive, got {det_cov!r}")
     return 0.5 * dim * order.log_alpha_slope() + 0.5 * (
@@ -286,20 +295,22 @@ def renyi_entropy(density: GridDensity, order: Order | float) -> float:
         h = log J - log1p(sum q expm1((alpha - 1) log r)) / (alpha - 1).
 
     Since r <= 1 no term overflows at any order, and as alpha -> 1 no
-    mass error of order 1e-16 is divided by alpha - 1.
+    mass error of order 1e-16 is divided by alpha - 1. No weight array is
+    built: after the logs, r is scaled in place by the spacing and its two
+    end entries are halved, which makes it w r.
     """
     order = as_order(order)
     peak = float(density.values.max())
     if order.is_infinite:
         return -math.log(peak)
     r = density.values / peak
-    w = np.full(r.size, density.spacing)
-    w[0] = w[-1] = 0.5 * density.spacing
-    wr = w * r
-    mass = float(wr.sum())
     # log 0 = -inf, and (alpha - 1) log r overflows to -inf at huge alpha: expm1 is -1 for both
     with np.errstate(divide="ignore", over="ignore"):
-        excess = float(np.dot(wr, np.expm1((order.alpha - 1.0) * np.log(r)))) / mass
+        terms = np.expm1((order.alpha - 1.0) * np.log(r))
+    r *= density.spacing
+    r[[0, -1]] *= 0.5
+    mass = float(r.sum())
+    excess = float(np.dot(r, terms)) / mass
     return math.log(mass) - math.log1p(excess) / (order.alpha - 1.0)
 
 
@@ -331,7 +342,8 @@ def convolve_many(densities: Sequence[GridDensity]) -> GridDensity:
     smallest 5-smooth length that holds the full linear convolution; the
     spectra are multiplied and inverted once. Transform roundoff is clipped
     at 0 and the output is renormalized to mass 1, absorbing the mass lost
-    to tail truncation of the inputs.
+    to tail truncation of the inputs. Fewer than two summands, or summands
+    on different spacings, are refused before any transform.
     """
     if len(densities) < 2:
         raise ValueError("need at least two densities")
@@ -347,12 +359,7 @@ def convolve_many(densities: Sequence[GridDensity]) -> GridDensity:
         # keeps the scale of a density whatever the number of summands
         spectrum *= np.fft.rfft(d.values * spacing, size)
     raw = np.fft.irfft(spectrum, size)[:n]
-    np.maximum(raw, 0.0, out=raw)  # clip transform roundoff
-    mass = float(np.trapezoid(raw, dx=spacing))
-    if mass <= 0.0:
-        raise ValueError("convolution lost all mass")
-    raw /= mass
-    return GridDensity(sum(d.origin for d in densities), spacing, raw)
+    return _renormalized(sum(d.origin for d in densities), spacing, raw)
 
 
 @dataclass(frozen=True)
@@ -397,15 +404,16 @@ def certify(
 ) -> Certification:
     """Convolve the densities and measure every bound on the result.
 
-    A non-finite slack is rejected: NaN or inf would pass every check.
+    :func:`convolve_many` runs first, so fewer than two summands or
+    mismatched spacings are refused before any entropy is computed. A
+    non-finite slack is rejected: NaN or inf would pass every check.
     """
     order = as_order(order)
-    if len(densities) < 2:
-        raise ValueError("need at least two summands to certify")
     if not math.isfinite(slack):
         raise ValueError(f"slack must be finite, got {slack!r}")
+    total = convolve_many(densities)
     report = bound_report([entropy_power(d, order) for d in densities], order)
-    return Certification(report, entropy_power(convolve_many(densities), order), slack)
+    return Certification(report, entropy_power(total, order), slack)
 
 
 def collision_bound(p_x: float, p_y: float, dim: int) -> float:
@@ -421,7 +429,7 @@ def collision_bound(p_x: float, p_y: float, dim: int) -> float:
     """
     if not 0.0 < p_x <= 1.0 or not 0.0 < p_y <= 1.0:
         raise ValueError(f"collision probabilities must lie in (0, 1], got {p_x!r}, {p_y!r}")
-    _check_dim(dim)
+    dim = _positive_int(dim, "dimension")
     c = sharpened_constant(Order(2.0), 2)
     # factored through the smaller probability, so p^-2 cannot overflow
     lo, hi = sorted((p_x, p_y))

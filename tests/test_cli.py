@@ -318,13 +318,38 @@ class TestUsageErrors:
             ["filter", "--taps", "", "--dim", "1", "--alpha", "2"],
             ["filter", "--taps", "1", "--alpha", "x"],
             ["constants", "--alpha-grid", "1.5:2", "--n", "2"],
+            ["constants", "--alpha-grid", "1.5:2:x", "--n", "2"],
+            ["constants", "--alpha-grid", "1.5:2:2.5", "--n", "2"],
         ],
     )
-    def test_bad_values(self, argv):
-        """Malformed parameters exit with code 2."""
+    def test_bad_values(self, argv, capsys):
+        """Malformed parameters exit with code 2 and one stderr line; a bad grid names its syntax."""
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("repi: error: ") and stderr.count("\n") == 1
+        if argv[2] in ("1.5:2", "1.5:2:x", "1.5:2:2.5"):
+            assert stderr == f"repi: error: grid syntax is start:stop:count, got {argv[2]!r}\n"
+
+    @pytest.mark.parametrize("target", ["directory", "missing/x.csv"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, target):
+        """An --out that cannot be opened exits 2 with one stderr line naming the path."""
+        out = tmp_path if target == "directory" else tmp_path / target
+        with pytest.raises(SystemExit) as err:
+            main(["constants", "--alpha-grid", "2", "--n", "2", "--out", str(out)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repi: error: cannot write {str(out)!r}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_refused_argument_leaves_no_file(self, tmp_path):
+        """Arguments are checked before --out is opened, so a refusal creates no file."""
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit):
+            main(["constants", "--alpha-grid", "1.5:2:x", "--n", "2", "--out", str(out)])
+        assert not out.exists()
 
     def test_unknown_subcommand(self):
         """argparse rejects unknown commands with code 2."""

@@ -26,6 +26,7 @@ from repi import (
     entropy_from_power,
     holder_conjugate,
     power_from_entropy,
+    sharpened_constant,
 )
 from repi.core import _simplex_rows
 
@@ -128,6 +129,23 @@ class TestPowerEntropyConversions:
         """An infinite or NaN power is a ValueError naming it."""
         with pytest.raises(ValueError, match=re.escape(repr(power))):
             entropy_from_power(power)
+
+    @pytest.mark.parametrize("two", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_any_integer_type_counts(self, two):
+        """Dimensions and summand counts of any integer type act as the int of that value."""
+        assert power_from_entropy(0.5, two) == power_from_entropy(0.5, 2)
+        assert entropy_from_power(3.0, two) == entropy_from_power(3.0, 2)
+        assert sharpened_constant(2.0, two) == sharpened_constant(2.0, 2) == 27 / 32
+
+    @pytest.mark.parametrize("bad", [2.0, "2", 0, -1, np.float64(2.0), None])
+    def test_non_integers_refused(self, bad):
+        """Floats, strings and counts below 1 stay refused, with the same message."""
+        with pytest.raises(ValueError, match="^dimension must be a positive integer"):
+            power_from_entropy(0.5, bad)
+        with pytest.raises(ValueError, match="^dimension must be a positive integer"):
+            entropy_from_power(3.0, bad)
+        with pytest.raises(ValueError, match="^number of summands must be a positive integer"):
+            sharpened_constant(2.0, bad)
 
 
 class TestPowerVector:

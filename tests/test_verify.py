@@ -39,6 +39,19 @@ def _direct_reference(parts):
     return GridDensity(sum(d.origin for d in parts), spacing, raw)
 
 
+def _weight_array_entropy(density, alpha):
+    """Finite-order renyi_entropy with an explicit trapezoid weight array w: the reference."""
+    peak = float(density.values.max())
+    r = density.values / peak
+    w = np.full(r.size, density.spacing)
+    w[0] = w[-1] = 0.5 * density.spacing
+    wr = w * r
+    mass = float(wr.sum())
+    with np.errstate(divide="ignore", over="ignore"):
+        excess = float(np.dot(wr, np.expm1((alpha - 1.0) * np.log(r)))) / mass
+    return math.log(mass) - math.log1p(excess) / (alpha - 1.0)
+
+
 class TestGridDensity:
     def test_axis_and_mass(self):
         """xs spans origin + i * spacing, half a cell past each end of a uniform; the trapezoid mass is 1."""
@@ -359,6 +372,14 @@ class TestEntropy:
             h = renyi_entropy(d, 1e308)
         assert h == pytest.approx(renyi_entropy(d, math.inf), abs=1e-12)
 
+    @pytest.mark.parametrize("spacing", [2.0 ** -12, 2.0 ** -9, 0.01, 1e-3 * math.pi])
+    def test_weights_applied_in_place_match_weight_array(self, spacing):
+        """Weighting the ratios in place gives the weight-array sum bit for bit."""
+        for inst in random_corpus(seed=3, count=3, spacing=spacing):
+            for d in inst.densities + (convolve_many(inst.densities),):
+                for alpha in (1.1, 2.0, 5.0, 1e6):
+                    assert renyi_entropy(d, alpha) == _weight_array_entropy(d, alpha)
+
     def test_entropy_power_relation(self):
         """entropy_power is exp(2 h) on the one-dimensional grid."""
         d = uniform_density(0.0, 2.0)
@@ -543,6 +564,21 @@ class TestCertify:
         """A single density is not a sum."""
         with pytest.raises(ValueError):
             certify((uniform_density(0.0, 1.0),), 2.0)
+
+    @pytest.mark.parametrize(
+        "spacings, match",
+        [((2.0 ** -10,), "at least two densities"), ((2.0 ** -10, 2.0 ** -9), "share spacing")],
+    )
+    def test_refused_before_any_entropy(self, monkeypatch, spacings, match):
+        """One density, or mismatched spacings, is refused by the convolution, before any entropy."""
+
+        def no_entropy(*args):
+            raise AssertionError("an entropy was computed")
+
+        monkeypatch.setattr(verify, "renyi_entropy", no_entropy)
+        densities = tuple(uniform_density(0.0, 1.0, spacing=h) for h in spacings)
+        with pytest.raises(ValueError, match=match):
+            certify(densities, 2.0)
 
 
 def _exact_power(alpha, integral, peak):
