@@ -19,14 +19,14 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import IO, Sequence
 
 import numpy as np
 
 from .bounds import bc_constant, sharpened_constant
-from .core import Order, as_power_vector, holder_conjugate
+from .core import Order, _positive_int, as_power_vector, holder_conjugate
 from .filters import FilterSpec, filter_bounds, gaussian_reference
 from .optimizer import bound_reports
 from .verify import certify, gaussian_density, random_corpus, uniform_density
@@ -51,23 +51,24 @@ class SweepSpec:
     """Parsed sweep parameters shared by the table-producing commands.
 
     The order grid must be non-empty, strictly increasing and entirely
-    above 1; summand counts must be positive; the table must hold at most
-    MAX_TABLE_CELLS cells.
+    above 1; summand counts must be positive integers up to 2**53; the
+    table must hold at most MAX_TABLE_CELLS cells. ``orders`` holds one
+    :class:`Order` per entry of ``alphas``, built once here.
     """
 
     alphas: tuple[float, ...]
     ns: tuple[int, ...] = ()
     powers: tuple[float, ...] = ()
+    orders: tuple[Order, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.alphas:
             raise ValueError("empty order grid")
-        for a in self.alphas:
-            holder_conjugate(a)  # raises unless alpha > 1
+        object.__setattr__(self, "orders", tuple(Order(a) for a in self.alphas))
         if any(b <= a for a, b in zip(self.alphas, self.alphas[1:])):
             raise ValueError("order grid must be strictly increasing")
-        if any(n < 1 for n in self.ns):
-            raise ValueError("summand counts must be positive")
+        for n in self.ns:
+            _positive_int(n, "summand count")
         cells = len(self.alphas) * max(len(self.ns), len(self.powers))
         if cells > MAX_TABLE_CELLS:
             raise ValueError(
@@ -99,7 +100,7 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
         if count > MAX_GRID_ORDERS:
             raise ValueError(f"geometric grids hold at most {MAX_GRID_ORDERS} orders, got {count}")
         return tuple(float(a) for a in np.geomspace(start, stop, count))
-    return tuple(_parse_alpha(p) for p in text.split(",") if p.strip())
+    return _parse_floats(text, "order grid")
 
 
 def _parse_list(text: str, what: str, kind: type) -> tuple:
@@ -170,11 +171,10 @@ def write_json(rows: Sequence[Row], out: IO[str], command: str) -> None:
 def cmd_constants(spec: SweepSpec) -> list[Row]:
     """The n-aware constant per requested n, and the n-free limit column."""
     rows: list[Row] = []
-    for alpha in spec.alphas:
-        order = Order(alpha)
+    for order in spec.orders:
         for n in spec.ns:
-            rows.append((alpha, "sharpened", sharpened_constant(order, n), n))
-        rows.append((alpha, "bc", bc_constant(order), None))
+            rows.append((order.alpha, "sharpened", sharpened_constant(order, n), n))
+        rows.append((order.alpha, "bc", bc_constant(order), None))
     return rows
 
 
@@ -183,8 +183,8 @@ def cmd_compare(spec: SweepSpec) -> list[Row]:
     pv = as_power_vector(spec.powers)
     n = len(pv)
     return [
-        (alpha, method, value, n)
-        for alpha, report in zip(spec.alphas, bound_reports(pv, spec.alphas))
+        (report.order.alpha, method, value, n)
+        for report in bound_reports(pv, spec.orders)
         for method, value in report.lower_bounds().items()
     ]
 
@@ -293,8 +293,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 _parse_floats(args.taps, "taps"), args.dim, _parse_alpha(args.alpha)
             )
         else:
-            if args.count < 1:
-                raise ValueError("corpus count must be positive")
+            _positive_int(args.count, "corpus count")
             rows, violations = cmd_verify(
                 args.corpus, _parse_alpha(args.alpha), args.seed, args.count, args.slack
             )

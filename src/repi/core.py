@@ -97,13 +97,17 @@ def entropy_from_power(power: float, dim: int = 1) -> float:
 
 
 def _positive_int(value: int, what: str) -> int:
-    """``value`` as an int when it is an integer of any type, numpy's too, and >= 1."""
+    """``value`` as an int when it is an integer of any type, numpy's too, from 1 to 2**53.
+
+    Every caller does float arithmetic with the count, and every integer
+    up to 2**53 is an exact float.
+    """
     try:
         n = operator.index(value)
     except TypeError:
         n = 0
-    if n < 1:
-        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    if not 1 <= n <= 2 ** 53:
+        raise ValueError(f"{what} must be a positive integer up to 2**53, got {value!r}")
     return n
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Order, as_order
+from .core import Order, _positive_int, as_order
 from .optimizer import _bracketed_newton
 
 __all__ = [
@@ -254,8 +254,7 @@ def concavity_slacks(
     All three minima are positive exactly when the concavity argument goes
     through; tests assert that.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples!r}")
+    samples = _positive_int(samples, "samples")
     order = as_order(order)
     ac = order.alpha_conj
     if not 1.0 < ac < 2.0:

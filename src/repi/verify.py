@@ -462,8 +462,7 @@ def random_corpus(
     and ``spacing`` are checked on the call; instances are drawn lazily,
     one at a time.
     """
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count!r}")
+    count = _positive_int(count, "count")
     return _corpus_draws(np.random.default_rng(seed), count, _check_spacing(spacing))
 
 

@@ -80,9 +80,11 @@ class TestSharpenedConstant:
             gap = sharpened_constant(alpha, 10 ** 5) - bc_constant(alpha)
             assert 0.0 < gap < 1e-4
 
-    @pytest.mark.parametrize("bad", [0, -1, 2.0, "2"])
+    @pytest.mark.parametrize(
+        "bad", [0, -1, 2.0, "2", 2 ** 53 + 1, pytest.param(10 ** 308, id="10**308")]
+    )
     def test_count_validation(self, bad):
-        """The summand count must be a positive integer."""
+        """The summand count must be a positive integer up to 2**53."""
         with pytest.raises(ValueError):
             sharpened_constant(2.0, bad)
 

@@ -90,6 +90,23 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(alphas=(2.0,), ns=(0,))
 
+    def test_orders_built_once(self, monkeypatch):
+        """cmd_compare's reports hold the very Orders of ``spec.orders``, which repr and == ignore."""
+        spec = SweepSpec(alphas=(1.5, 2.0, math.inf), powers=(1.0, 3.0))
+        assert [o.alpha for o in spec.orders] == [1.5, 2.0, math.inf]
+        assert "orders" not in repr(spec)
+        assert spec == SweepSpec(alphas=(1.5, 2.0, math.inf), powers=(1.0, 3.0))
+        real, reports = cli.bound_reports, []
+
+        def recording(*args):
+            reports.extend(real(*args))
+            return reports
+
+        monkeypatch.setattr(cli, "bound_reports", recording)
+        cmd_compare(spec)
+        assert len(reports) == 3
+        assert all(r.order is o for r, o in zip(reports, spec.orders))
+
     def test_table_cell_cap(self):
         """Orders x max(counts, powers) past MAX_TABLE_CELLS is refused; 4096 x 1000 is not."""
         alphas = tuple(1.5 + k for k in range(MAX_GRID_ORDERS))
@@ -320,10 +337,18 @@ class TestUsageErrors:
             ["constants", "--alpha-grid", "1.5:2", "--n", "2"],
             ["constants", "--alpha-grid", "1.5:2:x", "--n", "2"],
             ["constants", "--alpha-grid", "1.5:2:2.5", "--n", "2"],
+            ["constants", "--alpha-grid", "2", "--n", str(2 ** 53 + 1)],
+            ["constants", "--alpha-grid", "1.0000000000001", "--n", str(10 ** 300)],
+            ["filter", "--taps", "2,1", "--alpha", "2", "--dim", str(10 ** 399)],
+            ["constants", "--alpha-grid", "2,x", "--n", "2"],
+            ["constants", "--alpha-grid", "2,nan", "--n", "2"],
         ],
     )
     def test_bad_values(self, argv, capsys):
-        """Malformed parameters exit with code 2 and one stderr line; a bad grid names its syntax."""
+        """Malformed parameters exit with code 2 and one stderr line; a bad grid names its syntax.
+
+        Counts past 2**53 are refused before any float arithmetic overflows.
+        """
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
@@ -331,6 +356,8 @@ class TestUsageErrors:
         assert stderr.startswith("repi: error: ") and stderr.count("\n") == 1
         if argv[2] in ("1.5:2", "1.5:2:x", "1.5:2:2.5"):
             assert stderr == f"repi: error: grid syntax is start:stop:count, got {argv[2]!r}\n"
+        if argv[2] == "2,x":
+            assert stderr == "repi: error: cannot parse order grid '2,x'\n"
 
     @pytest.mark.parametrize("target", ["directory", "missing/x.csv"])
     def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, target):

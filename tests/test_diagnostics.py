@@ -304,9 +304,9 @@ class TestConcavity:
         with pytest.raises(ValueError):
             concavity_slacks(1.5)  # conjugate 3
 
-    @pytest.mark.parametrize("samples", [0, -5])
+    @pytest.mark.parametrize("samples", [0, -5, 2.5])
     def test_samples_below_one_rejected(self, samples):
-        """No samples probe nothing; that is a ValueError, not all_positive."""
+        """No samples probe nothing, and a fractional count is no count; both are a ValueError."""
         with pytest.raises(ValueError, match="samples"):
             concavity_slacks(2.5, samples=samples)
 

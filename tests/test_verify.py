@@ -662,9 +662,10 @@ class TestRandomCorpus:
             assert inst.order.alpha > 1.0
 
     def test_count_validation(self):
-        """Empty corpora are rejected."""
-        with pytest.raises(ValueError):
-            random_corpus(count=0)
+        """Empty corpora and counts that are not integers up to 2**53 are rejected on the call."""
+        for count in (0, 2.5, 2 ** 53 + 1):
+            with pytest.raises(ValueError, match="^count must be a positive integer"):
+                random_corpus(1, count)
 
     def test_sample_certifies_cleanly(self):
         """A slice of the default corpus passes certification."""
