@@ -60,13 +60,17 @@ def young_constant(t: float) -> float:
 
     Defined for t > 0 with the continuous extensions A_1 = A_inf = 1.
     Conjugate exponents multiply to one: A_t * A_{t'} = 1 for t > 1.
+    For t < 1 the two log terms nearly cancel, so there the log is taken
+    as log t + (1 - t) log1p(-t) / t, which tends to log(t / e) as t -> 0.
     """
     t = float(t)
     if math.isnan(t) or t <= 0.0:
         raise ValueError(f"exponent must be > 0, got {t!r}")
     if t == 1.0 or math.isinf(t):
         return 1.0
-    tc = abs(t / (t - 1.0))
+    if t < 1.0:
+        return math.exp(math.log(t) + (1.0 - t) * math.log1p(-t) / t)
+    tc = t / (t - 1.0)
     return math.exp(math.log(t) / t - math.log(tc) / tc)
 
 
@@ -78,6 +82,15 @@ def _kernel(t: np.ndarray, ac) -> np.ndarray:
     return left + right
 
 
+def _unit_weights(x) -> np.ndarray:
+    """``x`` as a float array, every entry in [0, 1]; NaN is refused."""
+    xs = np.asarray(x, dtype=float)
+    bad = ~((xs >= 0.0) & (xs <= 1.0))
+    if bad.any():
+        raise ValueError(f"weight must lie in [0, 1], got {float(xs[bad][0])!r}")
+    return xs
+
+
 def weight_kernel(x: float, order: Order | float) -> float:
     """The per-summand term g(x) = (a' - x) log(1 - x/a') - x log x.
 
@@ -86,10 +99,7 @@ def weight_kernel(x: float, order: Order | float) -> float:
     Strictly concave on (0, 1).
     """
     order = as_order(order)
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"weight must lie in [0, 1], got {x!r}")
-    return float(_kernel(np.float64(x), order.alpha_conj))
+    return float(_kernel(_unit_weights(float(x)), order.alpha_conj))
 
 
 def log_constant(

@@ -83,6 +83,6 @@ def gaussian_reference(spec: FilterSpec, gram_det: float | None = None) -> float
         return math.log(top) + 0.5 * math.log(sum((t / top) ** 2 for t in spec.taps))
     if gram_det is None:
         raise ValueError("d > 1 needs det(sum_k H_k H_k^T) passed as gram_det")
-    if not gram_det > 0.0:
-        raise ValueError(f"gram determinant must be positive, got {gram_det!r}")
+    if not 0.0 < gram_det < math.inf:
+        raise ValueError(f"gram determinant must be positive and finite, got {gram_det!r}")
     return 0.5 * math.log(gram_det)

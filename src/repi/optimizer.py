@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bounds import _log_constants, bc_constant, binary_kl, sharpened_constant
+from .bounds import _log_constants, _unit_weights, bc_constant, binary_kl, sharpened_constant
 from .core import (
     BoundReport,
     Order,
@@ -125,21 +125,21 @@ def companion_weight(x: float, ratio: float, order: Order | float) -> float:
         2 ratio x (a' - x) / (a' + sqrt(a'^2 (1 - ratio) + ratio (2x - a')^2))
 
     which avoids the cancellation of the textbook quadratic formula for
-    ratios near 1.
+    ratios near 1. The leading weight x must lie in [0, 1].
     """
     (c,) = _check_ratios((ratio,))
-    return float(_psi(float(x), c, as_order(order).alpha_conj))
+    return float(_psi(float(_unit_weights(x)), c, as_order(order).alpha_conj))
 
 
 def weight_sum(x, ratios: Sequence[float], order: Order | float) -> float | np.ndarray:
     """x plus the companion weight of every ratio; the simplex constraint pins this to 1.
 
     ``x`` is one leading weight, giving a float, or an array of them, giving
-    an array of its shape.
+    an array of its shape; every entry must lie in [0, 1].
     """
     order = as_order(order)
     cs = _check_ratios(ratios)
-    xs = np.asarray(x, dtype=float)
+    xs = _unit_weights(x)
     out = xs + sum(_psi(xs, c, order.alpha_conj) for c in cs)
     return float(out) if out.ndim == 0 else out
 

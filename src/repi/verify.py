@@ -278,8 +278,8 @@ def gaussian_renyi_entropy(order: Order | float, dim: int, det_cov: float) -> fl
     """
     order = as_order(order)
     dim = _positive_int(dim, "dimension")
-    if not det_cov > 0.0:
-        raise ValueError(f"covariance determinant must be positive, got {det_cov!r}")
+    if not 0.0 < det_cov < math.inf:
+        raise ValueError(f"covariance determinant must be positive and finite, got {det_cov!r}")
     return 0.5 * dim * order.log_alpha_slope() + 0.5 * (
         dim * math.log(2.0 * math.pi) + math.log(det_cov)
     )

@@ -102,8 +102,15 @@ class TestYoungConstant:
         assert young_constant(2.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_below_one(self):
-        """t = 1/2 gives 1/4."""
+        """t = 1/2 gives 1/4, and t = 1/3 gives 4/27."""
         assert young_constant(0.5) == pytest.approx(0.25, rel=1e-14)
+        assert young_constant(1.0 / 3.0) == pytest.approx(4.0 / 27.0, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("t", [1e-8, 1e-15, 1e-200])
+    def test_small_exponents(self, t):
+        """A_t = (t / e) exp(t/2 + O(t^2)) as t -> 0, with no cancellation."""
+        expected = t / math.e * math.exp(t / 2.0)
+        assert young_constant(t) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     @given(st.floats(min_value=1.01, max_value=50.0))
     def test_conjugate_product(self, t):

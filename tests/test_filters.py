@@ -171,3 +171,9 @@ class TestGaussianReference:
             gaussian_reference(spec)
         with pytest.raises(ValueError):
             gaussian_reference(spec, gram_det=-1.0)
+
+    @pytest.mark.parametrize("det", [0.0, -1.0, math.nan, math.inf])
+    def test_gram_determinant_positive_and_finite(self, det):
+        """A gram determinant that is not positive and finite has no entropy."""
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            gaussian_reference(FilterSpec((1.0, 1.0), 2, 2.0), gram_det=det)

@@ -109,6 +109,15 @@ class TestCompanionWeight:
         with pytest.raises(ValueError):
             companion_weight(0.5, 1.2, 2.0)
 
+    @pytest.mark.parametrize("x", [-0.1, 5.0, math.nan])
+    def test_weight_domain(self, x):
+        """A leading weight outside [0, 1] is rejected, alone or in an array."""
+        message = f"^weight must lie in \\[0, 1\\], got {x!r}$"
+        with pytest.raises(ValueError, match=message):
+            companion_weight(x, 0.5, 2.0)
+        with pytest.raises(ValueError, match=message):
+            weight_sum(np.array([0.5, x, 0.25]), (0.5,), 2.0)
+
 
 class TestWeightSum:
     def test_grid_matches_scalar(self):

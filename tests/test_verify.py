@@ -356,6 +356,12 @@ class TestEntropy:
         with pytest.raises(ValueError):
             gaussian_renyi_entropy(2.0, 1, -1.0)
 
+    @pytest.mark.parametrize("det", [0.0, -1.0, math.nan, math.inf])
+    def test_determinant_positive_and_finite(self, det):
+        """A determinant that is not positive and finite has no entropy."""
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            gaussian_renyi_entropy(2.0, 1, det)
+
     def test_monotone_in_order(self):
         """Grid entropies inherit exact monotonicity in the order."""
         d = gaussian_mixture_density((0.3, 0.7), (-1.0, 1.0), (0.4, 1.1))
