@@ -100,14 +100,19 @@ def _positive_int(value: int, what: str) -> int:
     """``value`` as an int when it is an integer of any type, numpy's too, from 1 to 2**53.
 
     Every caller does float arithmetic with the count, and every integer
-    up to 2**53 is an exact float.
+    up to 2**53 is an exact float. A refused integer beyond that range is
+    named by its bit length: its digits may be too many to print.
     """
     try:
         n = operator.index(value)
     except TypeError:
         n = 0
     if not 1 <= n <= 2 ** 53:
-        raise ValueError(f"{what} must be a positive integer up to 2**53, got {value!r}")
+        if abs(n) > 2 ** 53:
+            got = f"{'a negative' if n < 0 else 'an'} integer of {n.bit_length()} bits"
+        else:
+            got = repr(value)
+        raise ValueError(f"{what} must be a positive integer up to 2**53, got {got}")
     return n
 
 

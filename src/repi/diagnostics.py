@@ -9,8 +9,9 @@ with q the second derivative of the per-summand kernel. Structure of that
 form has fully understood spectra: the eigenvalues interlace the diagonal
 and shift by nonnegative multiples of rho summing to rho * ||z||^2. This
 module checks concavity numerically through two independent eigenvalue
-routes (a dense Jacobi sweep, and the secular equation solved by the
-weight solver's bracketed Newton) and exposes the reciprocal-curvature
+routes (LAPACK's dense symmetric eigensolver, and the secular equation
+solved by the weight solver's bracketed Newton), which must agree to a
+tolerance relative to the matrix norm, and exposes the reciprocal-curvature
 quantities whose positivity underlies the concavity proof for conjugates
 below 2.
 """
@@ -30,7 +31,6 @@ __all__ = [
     "curvature",
     "RankOneSymmetric",
     "reduced_hessian",
-    "jacobi_eigenvalues",
     "secular_max_eigenvalue",
     "max_eigenvalue",
     "EigenvalueMismatchError",
@@ -38,11 +38,13 @@ __all__ = [
     "concavity_slacks",
 ]
 
-#: dense route is meant for the reduced Hessians, which are tiny
+#: largest size the dense route materializes; the reduced Hessians are tiny
 MAX_DENSE_SIZE = 64
 
-#: disagreement between the two eigenvalue routes treated as an error
-ROUTE_AGREEMENT = 1e-8
+#: disagreement between the two eigenvalue routes treated as an error,
+#: relative to max(1, ||A||_2): the curvature grows like 1/x as a weight x
+#: shrinks, so a fixed bound fails any correct solver at small weights
+ROUTE_AGREEMENT = 1e-13
 
 
 class EigenvalueMismatchError(RuntimeError):
@@ -74,8 +76,11 @@ class RankOneSymmetric:
     z: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        d = tuple(float(v) for v in self.diagonal)
-        z = tuple(float(v) for v in self.z)
+        # tuples from lists, here and in reduced_hessian: tuple() of a
+        # generator starts at 10 entries and resizes, which in a long loop
+        # of calls strands megabytes of tuples on CPython's per-size free lists
+        d = tuple([float(v) for v in self.diagonal])
+        z = tuple([float(v) for v in self.z])
         if len(d) < 1 or len(z) != len(d):
             raise ValueError("diagonal and z must have equal positive length")
         for v in d + z + (float(self.rho),):
@@ -103,55 +108,14 @@ def reduced_hessian(
     be positive. Poles of the curvature raise ValueError.
     """
     order = as_order(order)
-    head = tuple(float(t) for t in interior_weights)
+    head = tuple([float(t) for t in interior_weights])
     if len(head) < 1:
         raise ValueError("need at least one interior weight")
     tail = 1.0 - sum(head)
     if min(head) <= 0.0 or tail <= 0.0:
         raise ValueError(f"weights must be interior to the simplex, got {head!r}")
-    diag = tuple(curvature(t, order) for t in head)
+    diag = tuple([curvature(t, order) for t in head])
     return RankOneSymmetric(diag, curvature(tail, order), (1.0,) * len(head))
-
-
-def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a small symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps annihilate each off-diagonal pair in turn until the off-diagonal
-    Frobenius mass falls below 1e-14 times the matrix norm. Cubic
-    work per sweep, fine for the tiny reduced Hessians this package builds.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
-    m = a.shape[0]
-    if m > MAX_DENSE_SIZE:
-        raise ValueError(f"dense route limited to size {MAX_DENSE_SIZE}, got {m}")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
-        raise ValueError("matrix is not symmetric")
-    if m == 1:
-        return a[0, :1].copy()
-    norm = max(float(np.linalg.norm(a)), 1e-300)
-    for _ in range(60):
-        off = math.sqrt(max(float(np.sum(a * a)) - float(np.sum(np.diag(a) ** 2)), 0.0))
-        if off <= 1e-14 * norm:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = float(a[p, q])
-                if apq == 0.0:
-                    continue
-                # plain float math: a denormal apq overflows to inf without
-                # numpy warnings and yields the correct no-op rotation
-                theta = float(a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[:, p], a[:, q] = c * a[:, p] - s * a[:, q], s * a[:, p] + c * a[:, q]
-                a[p, q] = a[q, p] = 0.0
-    return np.sort(np.diag(a))
 
 
 def secular_max_eigenvalue(m: RankOneSymmetric) -> float:
@@ -205,14 +169,22 @@ def secular_max_eigenvalue(m: RankOneSymmetric) -> float:
 
 
 def max_eigenvalue(m: RankOneSymmetric) -> float:
-    """Largest eigenvalue via the dense route, cross-checked by the secular one.
+    """Largest eigenvalue via LAPACK's dense route, cross-checked by the secular one.
 
-    The two computations share no code path; disagreement beyond 1e-8
-    raises :class:`EigenvalueMismatchError` instead of returning either.
+    The dense route is ``np.linalg.eigvalsh`` on the materialized matrix,
+    refused with ValueError above ``MAX_DENSE_SIZE`` before anything is
+    allocated. The two computations share no code path; a gap beyond
+    ``ROUTE_AGREEMENT`` times max(1, ||A||_2), the norm taken from the
+    dense eigenvalues, raises :class:`EigenvalueMismatchError` instead of
+    returning either. Otherwise the dense value is returned.
     """
-    dense = float(jacobi_eigenvalues(m.as_matrix())[-1])
+    if m.size > MAX_DENSE_SIZE:
+        raise ValueError(f"dense route limited to size {MAX_DENSE_SIZE}, got {m.size}")
+    eigs = np.linalg.eigvalsh(m.as_matrix())
+    dense = float(eigs[-1])
+    scale = max(1.0, abs(float(eigs[0])), abs(dense))
     secular = secular_max_eigenvalue(m)
-    if abs(dense - secular) > ROUTE_AGREEMENT:
+    if abs(dense - secular) > ROUTE_AGREEMENT * scale:
         raise EigenvalueMismatchError(
             f"dense route {dense!r} vs secular route {secular!r}"
         )

@@ -88,6 +88,15 @@ class TestSharpenedConstant:
         with pytest.raises(ValueError):
             sharpened_constant(2.0, bad)
 
+    @pytest.mark.parametrize("sign, shown", [(1, "an"), (-1, "a negative")])
+    def test_count_past_printable_digits(self, sign, shown):
+        """A count of 5001 digits is refused by the count rule and named by its bit length."""
+        with pytest.raises(
+            ValueError,
+            match=rf"^number of summands must be a positive integer up to 2\*\*53, got {shown} integer of 16610 bits$",
+        ):
+            sharpened_constant(2.0, sign * 10 ** 5000)
+
 
 class TestYoungConstant:
     def test_reference_values(self):

@@ -7,15 +7,16 @@ import pytest
 
 from repi import (
     CurvatureSlackReport,
+    EigenvalueMismatchError,
     Order,
     RankOneSymmetric,
     concavity_slacks,
     curvature,
-    jacobi_eigenvalues,
     max_eigenvalue,
     reduced_hessian,
     secular_max_eigenvalue,
 )
+from repi import diagnostics
 
 
 def order_from_conjugate(ac):
@@ -93,40 +94,71 @@ class TestReducedHessian:
             reduced_hessian((), 2.0)
 
 
-class TestJacobiEigenvalues:
-    def test_diagonal_is_fixed_point(self):
-        """A diagonal matrix returns its sorted diagonal unchanged."""
-        vals = jacobi_eigenvalues(np.diag([3.0, -1.0, 2.0]))
-        assert np.array_equal(vals, [-1.0, 2.0, 3.0])
+def route_scale(m):
+    """LAPACK's top eigenvalue of m and max(1, ||m||_2) from the same spectrum."""
+    eigs = np.linalg.eigvalsh(m.as_matrix())
+    return float(eigs[-1]), max(1.0, abs(float(eigs[0])), abs(float(eigs[-1])))
 
-    def test_known_two_by_two(self):
-        """[[2,1],[1,2]] has eigenvalues 1 and 3."""
-        vals = jacobi_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert vals == pytest.approx([1.0, 3.0], abs=1e-13)
+
+class TestMaxEigenvalue:
+    def test_zero_rho_is_the_top_diagonal_entry(self):
+        """With rho = 0 the matrix is diagonal and its top entry comes back exactly."""
+        assert max_eigenvalue(RankOneSymmetric((3.0, -1.0, 2.0), 0.0, (1.0, 1.0, 1.0))) == 3.0
 
     def test_single_entry(self):
-        """1 x 1 matrices are their own spectrum."""
-        assert jacobi_eigenvalues(np.array([[4.5]]))[0] == 4.5
+        """1 x 1 matrices give d + rho z^2 exactly."""
+        assert max_eigenvalue(RankOneSymmetric((2.0,), 0.5, (3.0,))) == 6.5
 
-    def test_matches_library_eigensolver(self):
-        """Full agreement with numpy's symmetric eigensolver on random input."""
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            size = int(rng.integers(2, 17))
-            a = rng.standard_normal((size, size))
-            sym = (a + a.T) / 2.0
-            ours = jacobi_eigenvalues(sym)
-            ref = np.linalg.eigvalsh(sym)
-            assert np.max(np.abs(ours - ref)) <= 1e-10
+    def test_known_two_by_two(self):
+        """diag(1, 1) + ones ones^T = [[2, 1], [1, 2]] has top eigenvalue 3."""
+        m = RankOneSymmetric((1.0, 1.0), 1.0, (1.0, 1.0))
+        assert max_eigenvalue(m) == pytest.approx(3.0, rel=1e-15, abs=0.0)
 
-    def test_validation(self):
-        """Non-square, asymmetric and oversized inputs are rejected."""
-        with pytest.raises(ValueError):
-            jacobi_eigenvalues(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            jacobi_eigenvalues(np.eye(65))
+    def test_oversize_refused_before_materializing(self, monkeypatch):
+        """Size 65 is a ValueError raised before the dense matrix is built; 64 still runs."""
+        m = RankOneSymmetric(tuple(float(k) for k in range(64)), 1.0, (1.0,) * 64)
+        assert max_eigenvalue(m) > 63.0
+
+        def refuse(self):
+            raise AssertionError("as_matrix called for an oversize matrix")
+
+        monkeypatch.setattr(RankOneSymmetric, "as_matrix", refuse)
+        with pytest.raises(ValueError, match="limited to size 64, got 65"):
+            max_eigenvalue(RankOneSymmetric((0.0,) * 65, 1.0, (1.0,) * 65))
+
+    @pytest.mark.parametrize("small", [1e-6, 1e-9, 1e-12])
+    def test_small_weight_within_relative_tolerance(self, small):
+        """One tiny weight drives the curvature like 1/x; the routes still agree relative to ||A||.
+
+        max_eigenvalue must not raise, and it returns LAPACK's value.
+        """
+        rng = np.random.default_rng(59)
+        for _ in range(200):
+            size = int(rng.integers(2, 40))
+            weights = np.insert(
+                rng.dirichlet(np.ones(size)) * (1.0 - small), rng.integers(size + 1), small
+            )
+            m = reduced_hessian(tuple(weights[:-1]), order_from_conjugate(float(rng.uniform(1.05, 10.0))))
+            top, scale = route_scale(m)
+            assert max_eigenvalue(m) == top
+            assert abs(secular_max_eigenvalue(m) - top) <= 1e-13 * scale
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            RankOneSymmetric((0.1, 0.2, 0.3), 0.05, (1.0, 1.0, 1.0)),
+            reduced_hessian((1e-6, 0.3, 0.2), 3.0),
+        ],
+        ids=["unit-scale", "weight-1e-6"],
+    )
+    def test_route_gap_past_the_tolerance_raises(self, monkeypatch, m):
+        """A secular value 1e-12 * max(1, ||A||) off raises; 1e-14 * max(1, ||A||) off does not."""
+        top, scale = route_scale(m)
+        monkeypatch.setattr(diagnostics, "secular_max_eigenvalue", lambda _: top + 1e-12 * scale)
+        with pytest.raises(EigenvalueMismatchError):
+            max_eigenvalue(m)
+        monkeypatch.setattr(diagnostics, "secular_max_eigenvalue", lambda _: top + 1e-14 * scale)
+        assert max_eigenvalue(m) == top
 
 
 class TestSecularMaxEigenvalue:
@@ -193,8 +225,8 @@ class TestSecularMaxEigenvalue:
         for _ in range(500):
             size = int(rng.integers(1, 11))
             m = random_rank_one(rng, size)
-            dense = float(jacobi_eigenvalues(m.as_matrix())[-1])
-            assert abs(secular_max_eigenvalue(m) - dense) <= 1e-8
+            dense, scale = route_scale(m)
+            assert abs(secular_max_eigenvalue(m) - dense) <= 1e-13 * scale
             max_eigenvalue(m)  # raises on disagreement
 
     def test_matches_library_eigensolver(self):
@@ -219,7 +251,7 @@ class TestInterlacing:
             z = rng.uniform(0.1, 1.0, size=size)
             rho = float(rng.uniform(0.1, 2.0))
             m = RankOneSymmetric(tuple(diag), rho, tuple(z))
-            lams = jacobi_eigenvalues(m.as_matrix())
+            lams = np.linalg.eigvalsh(m.as_matrix())
             assert np.all(lams >= diag - 1e-10)
             assert np.all(lams[:-1] <= diag[1:] + 1e-10)
             assert lams[-1] <= diag[-1] + rho * float(z @ z) + 1e-10
@@ -233,7 +265,7 @@ class TestInterlacing:
             z = rng.uniform(0.1, 1.0, size=size)
             rho = float(rng.uniform(0.1, 2.0))
             m = RankOneSymmetric(tuple(diag), rho, tuple(z))
-            shifts = jacobi_eigenvalues(m.as_matrix()) - diag
+            shifts = np.linalg.eigvalsh(m.as_matrix()) - diag
             fractions = shifts / (rho * float(z @ z))
             assert np.all(fractions >= -1e-9)
             assert float(fractions.sum()) == pytest.approx(1.0, abs=1e-9)
@@ -247,7 +279,7 @@ class TestInterlacing:
             z = rng.uniform(0.1, 1.0, size=size)
             rho = float(rng.uniform(-2.0, -0.1))
             m = RankOneSymmetric(tuple(diag), rho, tuple(z))
-            lams = jacobi_eigenvalues(m.as_matrix())
+            lams = np.linalg.eigvalsh(m.as_matrix())
             assert np.all(lams <= diag + 1e-10)
             assert np.all(lams[1:] >= diag[:-1] - 1e-10)
 
@@ -260,7 +292,7 @@ class TestConcavity:
         while checked < 1000:
             n = int(rng.integers(2, 9))
             point = rng.dirichlet(np.ones(n))
-            if float(point.min()) < 1e-3:
+            if float(point.min()) < 1e-6:
                 continue
             if checked % 2 == 0:
                 ac = float(rng.uniform(1.05, 1.999))
