@@ -22,7 +22,6 @@ __all__ = [
     "bc_constant",
     "sharpened_constant",
     "young_constant",
-    "weight_kernel",
     "log_constant",
     "binary_kl",
     "bv_bound",
@@ -75,31 +74,12 @@ def young_constant(t: float) -> float:
 
 
 def _kernel(t: np.ndarray, ac) -> np.ndarray:
-    """g(t) elementwise, with 0 log 0 = 0 at t = 0 and at t = a'."""
+    """g(t) = (a' - t) log(1 - t/a') - t log t elementwise, strictly concave on (0, 1),
+    with 0 log 0 = 0 at t = 0 and at t = a' (reached only at alpha = inf, a' = 1)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         left = np.where(t == ac, 0.0, (ac - t) * np.log1p(-t / ac))
         right = np.where(t == 0.0, 0.0, -t * np.log(t))
     return left + right
-
-
-def _unit_weights(x) -> np.ndarray:
-    """``x`` as a float array, every entry in [0, 1]; NaN is refused."""
-    xs = np.asarray(x, dtype=float)
-    bad = ~((xs >= 0.0) & (xs <= 1.0))
-    if bad.any():
-        raise ValueError(f"weight must lie in [0, 1], got {float(xs[bad][0])!r}")
-    return xs
-
-
-def weight_kernel(x: float, order: Order | float) -> float:
-    """The per-summand term g(x) = (a' - x) log(1 - x/a') - x log x.
-
-    Defined for x in [0, 1] with the conventions 0 log 0 = 0 at both ends
-    (x = 0, and x = a' which only occurs at alpha = inf where a' = 1).
-    Strictly concave on (0, 1).
-    """
-    order = as_order(order)
-    return float(_kernel(_unit_weights(float(x)), order.alpha_conj))
 
 
 def log_constant(

@@ -69,7 +69,7 @@ def curvature(x: float, order: Order | float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RankOneSymmetric:
-    """A symmetric matrix diag(d) + rho z z^T, kept in factored form."""
+    """A symmetric matrix diag(d) + rho z z^T, kept in factored form; overflow is refused."""
 
     diagonal: tuple[float, ...]
     rho: float
@@ -83,9 +83,12 @@ class RankOneSymmetric:
         z = tuple([float(v) for v in self.z])
         if len(d) < 1 or len(z) != len(d):
             raise ValueError("diagonal and z must have equal positive length")
-        for v in d + z + (float(self.rho),):
-            if not math.isfinite(v):
-                raise ValueError("matrix data must be finite")
+        # ||d|| + |rho| ||z||^2 bounds every entry and the secular bracket; it is
+        # NaN or inf if a factor is, or if z_i z_j (formed before rho multiplies
+        # it, as in as_matrix) or an entry would overflow
+        norm = math.hypot(*z)
+        if not math.isfinite(math.hypot(*d) + abs(float(self.rho)) * (norm * norm)):
+            raise ValueError("matrix entries and rank-one part must be finite")
         object.__setattr__(self, "diagonal", d)
         object.__setattr__(self, "rho", float(self.rho))
         object.__setattr__(self, "z", z)
@@ -184,7 +187,7 @@ def max_eigenvalue(m: RankOneSymmetric) -> float:
     dense = float(eigs[-1])
     scale = max(1.0, abs(float(eigs[0])), abs(dense))
     secular = secular_max_eigenvalue(m)
-    if abs(dense - secular) > ROUTE_AGREEMENT * scale:
+    if not abs(dense - secular) <= ROUTE_AGREEMENT * scale:  # NaN fails too
         raise EigenvalueMismatchError(
             f"dense route {dense!r} vs secular route {secular!r}"
         )

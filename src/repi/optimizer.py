@@ -8,18 +8,18 @@ function of the leading weight x,
 
     psi(x, c) = (a' - sqrt(a'^2 - 4 c x (a' - x))) / 2,
 
-and the leading weight solves weight_sum(x) = x + sum_k psi(x, c_k) = 1.
+and the leading weight solves the weight sum W(x) = x + sum_k psi(x, c_k) = 1.
 A zero power has ratio 0 and psi(x, 0) = 0, so it gets weight exactly 0.
-weight_sum is continuous and increasing from 0 with weight_sum(1) > 1 for
-finite alpha, so the root is unique in (0, 1]. At alpha = inf,
-weight_sum(1) = 1 as well: when sum(c_k) <= 1 and every c_k < 1 the limit
-solution is the endpoint x = 1 (the max-power bound is asymptotically
-tight), otherwise the limit is the interior root. Every psi carries the
-factor (1 - x) at a' = 1, so that root is the one sign change of the
-factored residual sum_k psi(x, c_k) / (1 - x) - 1, which runs from -1 at
-x = 0 to sum(c_k) - 1 >= 0 as x -> 1. A second largest power (c_k = 1)
-makes it vanish on all of [1/2, 1), and the solver stops at its first
-point 1/2, the finite-order weight of two equal powers.
+W is continuous and increasing from 0 with W(1) > 1 for finite alpha, so
+the root is unique in (0, 1]. At alpha = inf, W(1) = 1 as well: when
+sum(c_k) <= 1 and every c_k < 1 the limit solution is the endpoint x = 1
+(the max-power bound is asymptotically tight), otherwise the limit is the
+interior root. Every psi carries the factor (1 - x) at a' = 1, so that
+root is the one sign change of the factored residual
+sum_k psi(x, c_k) / (1 - x) - 1, which runs from -1 at x = 0 to
+sum(c_k) - 1 >= 0 as x -> 1. A second largest power (c_k = 1) makes it
+vanish on all of [1/2, 1), and the solver stops at its first point 1/2,
+the finite-order weight of two equal powers.
 
 The root is found by bracketed Newton on [0, 1] from the midpoint 1/2,
 falling back to bisection whenever a Newton step would leave the bracket.
@@ -27,8 +27,9 @@ On any pass where a Newton step rounds to no move, the row steps one ulp
 towards the sign change instead; the step keeps no state between passes.
 A row ends when its bracket ends are adjacent floats, and the root is
 their midpoint, so it is exact to one ulp. One call solves a whole grid
-of orders as the rows of an (orders x ratios) array; :func:`bound_reports`
-is its batched front.
+of orders as the rows of an (orders x ratios) array. The solver has no
+public entry of its own: :func:`bound_reports` and its one-order call
+:func:`bound_report` read every weight and constant from it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bounds import _log_constants, _unit_weights, bc_constant, binary_kl, sharpened_constant
+from .bounds import _log_constants, bc_constant, binary_kl, sharpened_constant
 from .core import (
     BoundReport,
     Order,
@@ -52,9 +53,6 @@ from .core import (
 __all__ = [
     "DegeneratePowersError",
     "RootBracketError",
-    "companion_weight",
-    "weight_sum",
-    "solve_leading_weight",
     "optimal_weights",
     "optimized_constant",
     "two_summand_weight",
@@ -109,39 +107,14 @@ def _max_power_tight(ratios: Sequence[float]) -> bool:
 def _psi(x, c, ac, slope: bool = False):
     """Companion weight at leading weight(s) x, elementwise over arrays.
 
-    With ``slope`` also returns its x-derivative c (a' - 2x) / (a' - 2 psi),
-    whose denominator is the square root below, free of cancellation.
+    The smaller root t of t (a' - t) = c x (a' - x), rationalized so that
+    nothing cancels for ratios c near 1. With ``slope`` also returns its
+    x-derivative c (a' - 2x) / (a' - 2 psi), whose denominator is the
+    square root below, free of cancellation.
     """
     root = np.sqrt(ac * ac * (1.0 - c) + c * (2.0 * x - ac) ** 2)
     psi = 2.0 * c * x * (ac - x) / (ac + root)
     return (psi, c * (ac - 2.0 * x) / root) if slope else psi
-
-
-def companion_weight(x: float, ratio: float, order: Order | float) -> float:
-    """Weight forced on a summand with power ratio ``ratio`` by leading weight x.
-
-    The smaller root of t (a' - t) = ratio * x (a' - x), evaluated as
-
-        2 ratio x (a' - x) / (a' + sqrt(a'^2 (1 - ratio) + ratio (2x - a')^2))
-
-    which avoids the cancellation of the textbook quadratic formula for
-    ratios near 1. The leading weight x must lie in [0, 1].
-    """
-    (c,) = _check_ratios((ratio,))
-    return float(_psi(float(_unit_weights(x)), c, as_order(order).alpha_conj))
-
-
-def weight_sum(x, ratios: Sequence[float], order: Order | float) -> float | np.ndarray:
-    """x plus the companion weight of every ratio; the simplex constraint pins this to 1.
-
-    ``x`` is one leading weight, giving a float, or an array of them, giving
-    an array of its shape; every entry must lie in [0, 1].
-    """
-    order = as_order(order)
-    cs = _check_ratios(ratios)
-    xs = _unit_weights(x)
-    out = xs + sum(_psi(xs, c, order.alpha_conj) for c in cs)
-    return float(out) if out.ndim == 0 else out
 
 
 def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
@@ -202,9 +175,11 @@ def _leading_weights(ratios: Sequence[float], orders: Sequence[Order]) -> np.nda
     Zero ratios have psi = 0 and drop out. At alpha = inf the endpoint
     x = 1 is the limit when the ratios sum to at most 1 and none is 1;
     those orders get 1 without iterating. Every other order is one row of
-    :func:`_bracketed_newton` on [0, 1], with residual x + sum_k psi(x, c_k) - 1
-    at conjugate ac, or at alpha = inf the factored residual
-    sum_k psi(x, c_k) / (1 - x) - 1.
+    :func:`_bracketed_newton` on [0, 1], with residual W(x) - 1 at
+    conjugate ac, or at alpha = inf the factored residual
+    sum_k psi(x, c_k) / (1 - x) - 1; Newton never evaluates an endpoint,
+    so the division by 1 - x is safe. The ratios are not checked: every
+    caller derives them from a validated power vector.
     """
     roots = np.ones(len(orders))
     cs = np.asarray(ratios, dtype=float)
@@ -227,22 +202,6 @@ def _leading_weights(ratios: Sequence[float], orders: Sequence[Order]) -> np.nda
             residual, np.zeros(ac.size), np.ones(ac.size), ac, infinite[solve]
         )
     return roots
-
-
-def solve_leading_weight(ratios: Sequence[float], order: Order | float) -> float:
-    """Solve weight_sum(x) = 1 for the weight of the leading summand.
-
-    For finite alpha the root is unique in (0, 1] and bracketed by [0, 1]
-    from the start. Bracketed Newton (:func:`_bracketed_newton`) runs the
-    bracket down to adjacent floats and returns its midpoint, so the root
-    is exact to one ulp. At alpha = inf the endpoint x = 1 is always a
-    root; it is the correct limit iff sum(ratios) <= 1 and no ratio is 1.
-    Otherwise the limit of the finite-alpha solutions is the interior root,
-    where the factored residual sum_k psi(x, c_k) / (1 - x) - 1 changes
-    sign on (0, 1). Newton never evaluates an endpoint, so the division by
-    1 - x is safe.
-    """
-    return float(_leading_weights(_check_ratios(ratios), (as_order(order),))[0])
 
 
 def _weight_rows(pv: PowerVector, orders: Sequence[Order]) -> np.ndarray:

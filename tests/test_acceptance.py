@@ -38,11 +38,11 @@ from repi import (
     sharpened_constant,
     two_summand_constant,
     uniform_density,
-    weight_kernel,
-    weight_sum,
 )
+from repi.bounds import _kernel
 from repi.cli import SweepSpec, cmd_compare, write_json
 from repi.core import as_order
+from repi.optimizer import _psi
 
 ORDER_GRID = (1.1, 1.5, 2.0, 5.0, 100.0, math.inf)
 
@@ -227,7 +227,7 @@ class TestSeededPropertySweeps:
             n = int(rng.integers(2, 7))
             ratios = rng.uniform(0.0, 1.0, n - 1)
             order = Order(float(finite[rng.integers(len(finite))]))
-            vals = weight_sum(xs, ratios, order) - 1.0
+            vals = xs + _psi(xs[:, None], ratios, order.alpha_conj).sum(axis=1) - 1.0
             crossings = int(np.count_nonzero(np.diff(np.signbit(vals))))
             assert crossings == 1
 
@@ -277,11 +277,9 @@ class TestSeededPropertySweeps:
             # per-coordinate, property
             hi = min(1.0, order.alpha_conj / 2.0)
             ts = np.linspace(0.05 * hi, 0.95 * hi, 20)
-            for s in ts:
-                for t in ts:
-                    mid = weight_kernel(0.5 * (s + t), order)
-                    avg = 0.5 * (weight_kernel(s, order) + weight_kernel(t, order))
-                    assert mid >= avg - 1e-12
+            mid = _kernel(0.5 * (ts[:, None] + ts), order.alpha_conj)
+            avg = 0.5 * (_kernel(ts[:, None], order.alpha_conj) + _kernel(ts, order.alpha_conj))
+            assert np.all(mid >= avg - 1e-12)
 
     def test_property_sweeps_green_within_budget(self):
         """All seeded sweeps pass and finish inside thirty seconds."""

@@ -7,16 +7,22 @@ from hypothesis import example, given, strategies as st
 
 from repi import (
     Order,
+    as_order,
     bc_constant,
     binary_kl,
     bv_bound,
     log_constant,
     sharpened_constant,
-    weight_kernel,
     young_constant,
 )
+from repi.bounds import _kernel
 
 finite_orders = st.floats(min_value=1.01, max_value=1e4)
+
+
+def kernel(x, order):
+    """The objective's per-summand term g(x) at one weight and order."""
+    return float(_kernel(x, as_order(order).alpha_conj))
 
 
 class TestBcConstant:
@@ -137,20 +143,20 @@ class TestYoungConstant:
 class TestWeightKernel:
     def test_full_weight_at_two(self):
         """g(1) at alpha = 2 equals -log 2."""
-        assert weight_kernel(1.0, 2.0) == pytest.approx(-math.log(2.0), abs=1e-15)
+        assert kernel(1.0, 2.0) == pytest.approx(-math.log(2.0), abs=1e-15)
 
     def test_half_weight_at_two(self):
         """g(1/2) at alpha = 2 frozen reference value."""
-        assert weight_kernel(0.5, 2.0) == pytest.approx(-0.08494951839769871, abs=1e-15)
+        assert kernel(0.5, 2.0) == pytest.approx(-0.08494951839769871, abs=1e-15)
 
     def test_zero_weight(self):
         """g(0) = 0 under the 0 log 0 convention."""
         for alpha in (1.5, 2.0, math.inf):
-            assert weight_kernel(0.0, alpha) == 0.0
+            assert kernel(0.0, alpha) == 0.0
 
     def test_full_weight_at_infinity(self):
         """At the limit order, x = 1 hits the conjugate and 0 log 0 applies twice."""
-        assert weight_kernel(1.0, math.inf) == 0.0
+        assert kernel(1.0, math.inf) == 0.0
 
     @given(
         st.floats(min_value=0.01, max_value=0.99),
@@ -159,15 +165,15 @@ class TestWeightKernel:
     def test_midpoint_concavity(self, x, y):
         """The kernel is concave: midpoint value dominates the chord."""
         order = Order(2.0)
-        mid = weight_kernel(0.5 * (x + y), order)
-        chord = 0.5 * (weight_kernel(x, order) + weight_kernel(y, order))
+        mid = kernel(0.5 * (x + y), order)
+        chord = 0.5 * (kernel(x, order) + kernel(y, order))
         assert mid >= chord - 1e-12
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
     def test_domain(self, bad):
-        """Weights outside [0, 1] are rejected."""
+        """Weights outside [0, 1] never reach the kernel: log_constant refuses them."""
         with pytest.raises(ValueError):
-            weight_kernel(bad, 2.0)
+            log_constant((bad, 1.0 - bad), (0.5, 0.5), 2.0)
 
 
 class TestLogConstant:

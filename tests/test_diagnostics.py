@@ -75,6 +75,24 @@ class TestRankOneSymmetric:
         with pytest.raises(ValueError):
             RankOneSymmetric((math.inf,), 0.5, (1.0,))
 
+    @pytest.mark.parametrize(
+        "diagonal, rho, z",
+        [
+            ((0.0, 1.0), 1e300, (1e10, 1.0)),
+            ((0.0, 1.0), 0.0, (1e200, 1.0)),
+            ((1e308, 0.0), 1e308, (1.0, 0.0)),
+            ((0.0, 1.0), 1e308, (2.0, 1.0)),
+        ],
+    )
+    def test_overflowing_entries_rejected(self, diagonal, rho, z):
+        """Finite factors whose entries or rank-one part overflow are refused, so no NaN escapes."""
+        with pytest.raises(ValueError, match="^matrix entries and rank-one part must be finite$"):
+            max_eigenvalue(RankOneSymmetric(diagonal, rho, z))
+
+    def test_large_finite_entries_accepted(self):
+        """Below the float range both routes agree on the top eigenvalue d + rho ||z||^2."""
+        assert max_eigenvalue(RankOneSymmetric((0.0,), 1e280, (1e10,))) == 1e300
+
 
 class TestReducedHessian:
     def test_structure_at_reference_point(self):
@@ -152,9 +170,12 @@ class TestMaxEigenvalue:
         ids=["unit-scale", "weight-1e-6"],
     )
     def test_route_gap_past_the_tolerance_raises(self, monkeypatch, m):
-        """A secular value 1e-12 * max(1, ||A||) off raises; 1e-14 * max(1, ||A||) off does not."""
+        """A secular value 1e-12 * max(1, ||A||) off or NaN raises; 1e-14 * max(1, ||A||) off does not."""
         top, scale = route_scale(m)
         monkeypatch.setattr(diagnostics, "secular_max_eigenvalue", lambda _: top + 1e-12 * scale)
+        with pytest.raises(EigenvalueMismatchError):
+            max_eigenvalue(m)
+        monkeypatch.setattr(diagnostics, "secular_max_eigenvalue", lambda _: math.nan)
         with pytest.raises(EigenvalueMismatchError):
             max_eigenvalue(m)
         monkeypatch.setattr(diagnostics, "secular_max_eigenvalue", lambda _: top + 1e-14 * scale)

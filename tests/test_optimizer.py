@@ -16,16 +16,13 @@ from repi import (
     bound_report,
     bound_reports,
     bv_asymptotically_tight,
-    companion_weight,
     log_constant,
     optimal_weights,
     optimized_constant,
     secular_max_eigenvalue,
     sharpened_constant,
-    solve_leading_weight,
     two_summand_constant,
     two_summand_weight,
-    weight_sum,
 )
 from repi import optimizer
 
@@ -73,6 +70,23 @@ def leading_ratios(powers):
     return [p / top for p in rest]
 
 
+def psi(x, ratio, order):
+    """The solver's companion weight psi(x, ratio) at one order."""
+    return float(optimizer._psi(x, ratio, as_order(order).alpha_conj))
+
+
+def weights_total(x, ratios, order):
+    """W(x) = x + sum_k psi(x, c_k), at one leading weight or an array of them."""
+    xs = np.asarray(x, dtype=float)
+    ac = as_order(order).alpha_conj
+    return xs + optimizer._psi(xs[..., None], np.asarray(ratios), ac).sum(axis=-1)
+
+
+def leading_weight(ratios, order):
+    """The solver's root of W(x) = 1 for one list of power ratios at one order."""
+    return float(optimizer._leading_weights(ratios, (as_order(order),))[0])
+
+
 def kernel_gradient(t, power, order, total):
     """Per-summand gradient of the objective at weight t for a positive power."""
     ac = as_order(order).alpha_conj
@@ -82,15 +96,15 @@ def kernel_gradient(t, power, order, total):
 class TestCompanionWeight:
     def test_frozen_value(self):
         """x = 3/4, ratio 1/4 at alpha = 2 forces weight exactly 1/8."""
-        assert companion_weight(0.75, 0.25, 2.0) == pytest.approx(0.125, abs=1e-15)
+        assert psi(0.75, 0.25, 2.0) == pytest.approx(0.125, abs=1e-15)
 
     def test_zero_ratio(self):
         """Ratio 0 forces weight 0."""
-        assert companion_weight(0.6, 0.0, 2.0) == 0.0
+        assert psi(0.6, 0.0, 2.0) == 0.0
 
     def test_unit_ratio(self):
         """Ratio 1 forces the smaller root min(x, conjugate - x)."""
-        assert companion_weight(0.3, 1.0, 2.0) == pytest.approx(0.3, rel=1e-12)
+        assert psi(0.3, 1.0, 2.0) == pytest.approx(0.3, rel=1e-12)
 
     def test_quadratic_identity(self):
         """The weight t solves t (a' - t) = ratio x (a' - x)."""
@@ -100,23 +114,9 @@ class TestCompanionWeight:
             c = float(rng.uniform(0.0, 1.0))
             alpha = float(rng.uniform(1.05, 50.0))
             ac = alpha / (alpha - 1.0)
-            t = companion_weight(x, c, alpha)
+            t = psi(x, c, alpha)
             assert t * (ac - t) == pytest.approx(c * x * (ac - x), rel=1e-12, abs=1e-13)
             assert 0.0 <= t <= x + 1e-15
-
-    def test_ratio_domain(self):
-        """Ratios outside [0, 1] are rejected."""
-        with pytest.raises(ValueError):
-            companion_weight(0.5, 1.2, 2.0)
-
-    @pytest.mark.parametrize("x", [-0.1, 5.0, math.nan])
-    def test_weight_domain(self, x):
-        """A leading weight outside [0, 1] is rejected, alone or in an array."""
-        message = f"^weight must lie in \\[0, 1\\], got {x!r}$"
-        with pytest.raises(ValueError, match=message):
-            companion_weight(x, 0.5, 2.0)
-        with pytest.raises(ValueError, match=message):
-            weight_sum(np.array([0.5, x, 0.25]), (0.5,), 2.0)
 
 
 class TestWeightSum:
@@ -127,40 +127,33 @@ class TestWeightSum:
         for _ in range(20):
             ratios = tuple(float(r) for r in rng.uniform(0, 1, size=3))
             alpha = float(rng.uniform(1.05, 30.0))
-            grid = weight_sum(xs, ratios, alpha)
+            grid = weights_total(xs, ratios, alpha)
             assert grid.shape == xs.shape
             for x, val in zip(xs, grid):
-                expected = x + sum(companion_weight(float(x), c, alpha) for c in ratios)
+                expected = x + sum(psi(float(x), c, alpha) for c in ratios)
                 assert val == pytest.approx(expected, abs=1e-13)
-
-    def test_ratio_domain(self):
-        """A ratio above 1 is rejected for an array of leading weights too."""
-        with pytest.raises(ValueError):
-            weight_sum(np.array([0.3, 0.6]), (1.5,), 2.0)
-        with pytest.raises(ValueError):
-            weight_sum(0.3, (0.5, -0.1), 2.0)
 
     def test_infinity_endpoints(self):
         """At the limit order the sum is pinned at both simplex corners."""
         ratios = (0.7, 0.8)
-        assert weight_sum(0.0, ratios, math.inf) == 0.0
-        assert weight_sum(1.0, ratios, math.inf) == pytest.approx(1.0, abs=1e-15)
+        assert weights_total(0.0, ratios, math.inf) == 0.0
+        assert weights_total(1.0, ratios, math.inf) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestSolveLeadingWeight:
     def test_frozen_root(self):
         """Ratios (1/4, 1/4) at alpha = 2 give leading weight 3/4."""
-        assert solve_leading_weight((0.25, 0.25), 2.0) == pytest.approx(0.75, abs=1e-12)
+        assert leading_weight((0.25, 0.25), 2.0) == pytest.approx(0.75, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_equal_ratios_split_evenly(self, n):
         """All-equal powers put weight 1/n on the leader."""
-        root = solve_leading_weight((1.0,) * (n - 1), 2.0)
+        root = leading_weight((1.0,) * (n - 1), 2.0)
         assert root == pytest.approx(1.0 / n, abs=1e-12)
 
     def test_all_zero_ratios(self):
         """A lone positive power takes all the weight."""
-        assert solve_leading_weight((0.0, 0.0), 2.0) == 1.0
+        assert leading_weight((0.0, 0.0), 2.0) == 1.0
 
     def test_residuals_on_random_instances(self):
         """The simplex constraint holds to tolerance on 500 seeded instances."""
@@ -168,32 +161,32 @@ class TestSolveLeadingWeight:
         worst = 0.0
         for powers, order in random_instances(500, rng):
             ratios = leading_ratios(powers)
-            root = solve_leading_weight(ratios, order)
+            root = leading_weight(ratios, order)
             if math.isinf(order) and root == 1.0:
                 continue  # endpoint root, exact by construction
-            worst = max(worst, abs(weight_sum(root, ratios, order) - 1.0))
+            worst = max(worst, abs(weights_total(root, ratios, order) - 1.0))
         assert worst <= 1e-12
 
     def test_root_is_unique(self):
-        """weight_sum - 1 changes sign exactly once on (0, 1) for finite orders."""
+        """W(x) - 1 changes sign exactly once on (0, 1) for finite orders."""
         rng = np.random.default_rng(3)
         xs = np.linspace(1e-9, 1.0, 10 ** 4)
         for powers, order in random_instances(500, rng):
             if math.isinf(order):
                 order = 2.0
-            signs = np.sign(weight_sum(xs, leading_ratios(powers), order) - 1.0)
+            signs = np.sign(weights_total(xs, leading_ratios(powers), order) - 1.0)
             crossings = int(np.count_nonzero(np.diff(signs[signs != 0.0])))
             assert crossings == 1
 
     def test_infinity_endpoint_when_ratios_small(self):
         """Ratios summing at most 1 give the endpoint root at the limit order."""
-        assert solve_leading_weight((0.2, 0.3), math.inf) == 1.0
+        assert leading_weight((0.2, 0.3), math.inf) == 1.0
 
     def test_infinity_interior_when_ratios_large(self):
         """Ratios summing above 1 give an interior root at the limit order."""
-        root = solve_leading_weight((1.0, 1.0), math.inf)
+        root = leading_weight((1.0, 1.0), math.inf)
         assert root == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert abs(weight_sum(root, (1.0, 1.0), math.inf) - 1.0) <= 1e-12
+        assert abs(weights_total(root, (1.0, 1.0), math.inf) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize(
         "c", [0.5000001, 0.500001, 0.50001, 0.5001, 0.501, 0.51, 0.6, 0.75, 0.9, 1.0]
@@ -202,26 +195,26 @@ class TestSolveLeadingWeight:
         """Two equal ratios c > 1/2 at the limit order: x + 2 psi = 1 gives x = 1/(4c - 1).
 
         Near the threshold c = 1/2 the root crowds the endpoint x = 1, where
-        weight_sum - 1 vanishes too; the solver still lands within 4 ulp.
+        W(x) - 1 vanishes too; the solver still lands within 4 ulp.
         """
         expected = 1.0 / (4.0 * c - 1.0)
-        root = solve_leading_weight((c, c), math.inf)
+        root = leading_weight((c, c), math.inf)
         assert abs(root - expected) <= 4 * math.ulp(expected)
 
     def test_ratio_domain(self):
-        """Ratios outside [0, 1] are rejected before solving."""
+        """Powers whose ratios would leave [0, 1] are rejected before solving."""
         with pytest.raises(ValueError):
-            solve_leading_weight((1.5,), 2.0)
+            bound_report((1.5, -1.0), 2.0)
         with pytest.raises(ValueError):
-            solve_leading_weight((0.5, math.nan), math.inf)
+            bound_report((1.0, 0.5, math.nan), math.inf)
 
     def test_iteration_cap_raises_with_bracket(self, monkeypatch):
         """Capped at two residual evaluations, the solver raises with a bracket around the root."""
         ratios = (1.0 / 3.0, 2.0 / 3.0)
-        root = solve_leading_weight(ratios, 2.0)
+        root = leading_weight(ratios, 2.0)
         monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 2)
         with pytest.raises(RootBracketError) as err:
-            solve_leading_weight(ratios, 2.0)
+            leading_weight(ratios, 2.0)
         lo, hi = err.value.bracket
         assert 0.0 <= lo < root < hi <= 1.0
         assert 0.0 < abs(err.value.residual) < 1.0
@@ -309,8 +302,8 @@ class TestOptimalWeights:
     def test_largest_leads(self):
         """The largest power takes the root; the others keep their order."""
         w = optimal_weights((1.0, 1.0, 4.0), 2.0)
-        lead = solve_leading_weight((0.25, 0.25), 2.0)
-        companion = companion_weight(lead, 0.25, 2.0)
+        lead = leading_weight((0.25, 0.25), 2.0)
+        companion = psi(lead, 0.25, 2.0)
         assert tuple(w) == (companion, companion, lead)
 
     def test_ties_pick_first(self):
@@ -319,11 +312,11 @@ class TestOptimalWeights:
         At alpha = 1.5 the two differ in the last bit, so the weights show
         which of the tied powers leads.
         """
-        lead = solve_leading_weight((0.5, 1.0), 1.5)
-        tied = companion_weight(lead, 1.0, 1.5)
+        lead = leading_weight((0.5, 1.0), 1.5)
+        tied = psi(lead, 1.0, 1.5)
         assert lead != tied
         w = optimal_weights((2.0, 1.0, 2.0), 1.5)
-        assert tuple(w) == (lead, companion_weight(lead, 0.5, 1.5), tied)
+        assert tuple(w) == (lead, psi(lead, 0.5, 1.5), tied)
 
     @given(
         st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6),

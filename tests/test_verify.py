@@ -621,6 +621,40 @@ class TestClosedForms:
             one = _exact_power(alpha, lambda s: rate ** (s - 1.0) / s, rate)
             assert certify((e, e), alpha).ratio == pytest.approx(total / (2.0 * one), rel=1e-5)
 
+    def test_snapped_uniform_widths(self):
+        """U[0, 0.3] + U[0, 0.7] at h = 2^-11 is measured for the widths snapped to
+        614 h and 1434 h: their closed form holds to the tolerance of test_two_uniforms,
+        4x at finite orders for the doubled spacing (the error is second order), while
+        the requested widths miss at alpha = inf by log(1434 h / 0.7) = 2.8e-4 nats."""
+        h = 2.0 ** -11
+        parts = (uniform_density(0.0, 0.3, h), uniform_density(0.0, 0.7, h))
+        a, b = 614 * h, 1434 * h
+        for alpha in (1.1, 2.0, 5.0, math.inf):
+            power = _exact_power(alpha, lambda s: b ** -s * (2.0 * a / (s + 1.0) + b - a), 1.0 / b)
+            tol = 1e-14 if math.isinf(alpha) else 4e-6
+            assert certify(parts, alpha).ratio == pytest.approx(power / (a * a + b * b), abs=tol)
+        miss = renyi_entropy(convolve_many(parts), math.inf) - math.log(0.7)
+        assert miss == pytest.approx(math.log(1434 * h / 0.7), abs=1e-14)
+
+    def test_two_gaussian_mixtures(self):
+        """The sum of two mixtures is the mixture of all pairs, and at alpha = 2
+        int f^2 = sum_ij w_i w_j phi(mu_i - mu_j; var_i + var_j), phi the centred
+        normal density of that variance; the grid matches it to 1e-12 nats."""
+        first = ((0.3, 0.7), (-1.0, 1.0), (0.4, 1.1))
+        second = ((0.6, 0.4), (0.5, -2.0), (0.9, 0.5))
+        total = convolve_many((gaussian_mixture_density(*first), gaussian_mixture_density(*second)))
+        pairs = [
+            (w * v, m + n, s * s + t * t)
+            for w, m, s in zip(*first)
+            for v, n, t in zip(*second)
+        ]
+        integral = sum(
+            w * v * math.exp(-0.5 * (m - n) ** 2 / (s + t)) / math.sqrt(2.0 * math.pi * (s + t))
+            for w, m, s in pairs
+            for v, n, t in pairs
+        )
+        assert renyi_entropy(total, 2.0) == pytest.approx(-math.log(integral), abs=1e-12)
+
 
 class TestCollisionBound:
     def test_frozen_values(self):
