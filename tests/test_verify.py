@@ -3,6 +3,7 @@
 import bisect
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -469,6 +470,19 @@ class TestConvolve:
         with pytest.raises(ValueError):
             convolve_many(parts[:1])
 
+    def test_sum_sample_limit(self, monkeypatch):
+        """A sum of more than MAX_GRID_SAMPLES samples is refused before any transform:
+        seventeen uniforms of 2^20 cells (8 MiB each) would need 17 * 2^20 + 18."""
+
+        def no_transform(*args):
+            raise AssertionError("a transform was computed")
+
+        monkeypatch.setattr(np.fft, "rfft", no_transform)
+        wide = uniform_density(0.0, 1.0, 2.0 ** -20)
+        message = "^the sum spans too many grid cells of 9.5367431640625e-07: 17825810 samples$"
+        with pytest.raises(ValueError, match=message):
+            convolve_many([wide] * 17)
+
     def test_transform_length_is_smallest_5_smooth(self):
         """The transform length is the least 2^a 3^b 5^c at or above n."""
         smooth = sorted(
@@ -594,15 +608,54 @@ def _exact_power(alpha, integral, peak):
     return math.exp(2.0 * math.log(integral(alpha)) / (1.0 - alpha))
 
 
+def _two_uniforms_error(a, b, alpha, spacing):
+    """Measured minus exact ratio of U[0, a] + U[0, b], with a <= b multiples of the spacing."""
+    parts = (uniform_density(0.0, a, spacing), uniform_density(0.0, b, spacing))
+    power = _exact_power(alpha, lambda s: b ** -s * (2.0 * a / (s + 1.0) + b - a), 1.0 / b)
+    return certify(parts, alpha).ratio - power / (a * a + b * b)
+
+
+def _gamma_relative_error(rate, alpha, spacing):
+    """Relative error of the measured ratio of Exp(rate) + Exp(rate) = Gamma(2, rate)."""
+    e = exponential_density(rate, spacing=spacing)
+    total = _exact_power(
+        alpha, lambda s: rate ** (s - 1.0) * math.gamma(s + 1.0) / s ** (s + 1.0), rate / math.e
+    )
+    one = _exact_power(alpha, lambda s: rate ** (s - 1.0) / s, rate)
+    exact = total / (2.0 * one)
+    return (certify((e, e), alpha).ratio - exact) / exact
+
+
+def _irwin_hall_square_integral(n):
+    """int f^2 for the sum of n unit uniforms, exactly.
+
+    f is symmetric about n/2, so int f(x)^2 dx = int f(x) f(n - x) dx is the
+    density of the sum of 2n unit uniforms at n:
+    (1 / (2n - 1)!) sum_{k=0}^{n} (-1)^k C(2n, k) (n - k)^(2n - 1).
+    """
+    terms = sum((-1) ** k * math.comb(2 * n, k) * (n - k) ** (2 * n - 1) for k in range(n + 1))
+    return Fraction(terms, math.factorial(2 * n - 1))
+
+
+def _irwin_hall_error(n, spacing):
+    """Measured minus exact order-2 entropy, in nats, of the sum of n unit uniforms."""
+    total = convolve_many([uniform_density(0.0, 1.0, spacing)] * n)
+    return renyi_entropy(total, 2.0) + math.log(_irwin_hall_square_integral(n))
+
+
 class TestClosedForms:
-    """Measured ratios of sums against their exact Renyi entropies, at the default spacing."""
+    """Measured ratios of sums against their exact Renyi entropies.
+
+    The bounds of test_two_uniforms and test_two_exponentials hold at 2^-12;
+    at DEFAULT_SPACING every oracle is within 2.5e-5 in the ratio.
+    """
 
     @pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.5, 1.0), (0.75, 2.0), (1.25, 3.0)])
     def test_two_uniforms(self, a, b):
         """U[0, a] + U[0, b] with a <= b has a trapezoid density:
         int f^alpha = b^-alpha (2a / (alpha + 1) + b - a) and max f = 1/b,
         and each summand has power its width squared."""
-        parts = (uniform_density(0.0, a), uniform_density(0.0, b))
+        parts = (uniform_density(0.0, a, 2.0 ** -12), uniform_density(0.0, b, 2.0 ** -12))
         for alpha in (1.1, 2.0, 5.0, math.inf):
             power = _exact_power(alpha, lambda s: b ** -s * (2.0 * a / (s + 1.0) + b - a), 1.0 / b)
             tol = 1e-14 if math.isinf(alpha) else 1e-6
@@ -613,13 +666,51 @@ class TestClosedForms:
         """Exp(rate) + Exp(rate) is Gamma(2, rate):
         int f^alpha = rate^(alpha - 1) Gamma(alpha + 1) / alpha^(alpha + 1) and
         max f = rate / e; one summand has rate^(alpha - 1) / alpha and rate."""
-        e = exponential_density(rate)
+        e = exponential_density(rate, spacing=2.0 ** -12)
         for alpha in (1.1, 2.0, 5.0, math.inf):
             total = _exact_power(
                 alpha, lambda s: rate ** (s - 1.0) * math.gamma(s + 1.0) / s ** (s + 1.0), rate / math.e
             )
             one = _exact_power(alpha, lambda s: rate ** (s - 1.0) / s, rate)
             assert certify((e, e), alpha).ratio == pytest.approx(total / (2.0 * one), rel=1e-5)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.5, 1.0), (0.75, 2.0), (1.25, 3.0)])
+    def test_two_uniforms_at_default_spacing(self, a, b):
+        """test_two_uniforms at DEFAULT_SPACING = 2^-11: 1.46e-6 measured at worst, stated as 4e-6."""
+        for alpha in (1.1, 2.0, 5.0, math.inf):
+            tol = 1e-14 if math.isinf(alpha) else 4e-6
+            assert abs(_two_uniforms_error(a, b, alpha, DEFAULT_SPACING)) <= tol
+
+    @pytest.mark.parametrize("rate", [0.7, 2.5])
+    def test_two_exponentials_at_default_spacing(self, rate):
+        """test_two_exponentials at DEFAULT_SPACING = 2^-11: 8.7e-6 measured at worst, stated as 2e-5."""
+        for alpha in (1.1, 2.0, 5.0, math.inf):
+            assert abs(_gamma_relative_error(rate, alpha, DEFAULT_SPACING)) <= 2e-5
+
+    def test_irwin_hall_square_integrals(self):
+        """The exact sums behind the Irwin-Hall oracle."""
+        assert _irwin_hall_square_integral(3) == Fraction(11, 20)
+        assert _irwin_hall_square_integral(4) == Fraction(151, 315)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize(
+        "spacing, tol", [(2.0 ** -12, 6e-8), (DEFAULT_SPACING, 2.5e-7)], ids=["2^-12", "default"]
+    )
+    def test_irwin_hall(self, n, spacing, tol):
+        """n unit uniforms at alpha = 2: 2.7e-8 nats measured at 2^-12 and 1.1e-7 at 2^-11,
+        that is 2.4e-7 in the ratio at 2^-11."""
+        assert abs(_irwin_hall_error(n, spacing)) <= tol
+
+    def test_second_order_convergence(self):
+        """Halving the spacing divides the error by about 4 (measured 3.7 to 4.0): a first-order
+        error, such as point-sampled uniform jumps, would divide it by about 2."""
+        coarse, fine = 2.0 ** -11, 2.0 ** -12
+        for alpha in (1.1, 2.0, 5.0):
+            uniforms = [_two_uniforms_error(0.5, 1.0, alpha, h) for h in (coarse, fine)]
+            assert 3.0 <= uniforms[0] / uniforms[1] <= 5.0
+            gammas = [_gamma_relative_error(0.7, alpha, h) for h in (coarse, fine)]
+            assert 3.0 <= gammas[0] / gammas[1] <= 5.0
+        assert 3.0 <= _irwin_hall_error(3, coarse) / _irwin_hall_error(3, fine) <= 5.0
 
     def test_snapped_uniform_widths(self):
         """U[0, 0.3] + U[0, 0.7] at h = 2^-11 is measured for the widths snapped to
