@@ -256,11 +256,6 @@ class BoundReport:
         if self.optimized * total < self.bv - tol * max(1.0, self.bv):
             raise ValueError("optimized bound fell below the max-power bound")
 
-    @property
-    def is_limit(self) -> bool:
-        """True when the constants are alpha = inf limit values."""
-        return self.order.is_infinite
-
     def lower_bounds(self) -> dict[str, float]:
         """Lower bounds on the entropy power of the sum, by method."""
         total = self.powers.total

@@ -227,9 +227,11 @@ def concavity_slacks(
       coordinates sum below 1 - a'/2 (n up to 6).
 
     All three minima are positive exactly when the concavity argument goes
-    through; tests assert that.
+    through; tests assert that. Above 2**20 ``samples`` are refused.
     """
     samples = _positive_int(samples, "samples")
+    if samples > 2**20:
+        raise ValueError(f"samples must be at most 2**20, got {samples}")
     order = as_order(order)
     ac = order.alpha_conj
     if not 1.0 < ac < 2.0:

@@ -47,10 +47,6 @@ class FilterSpec:
         object.__setattr__(self, "taps", vals)
         object.__setattr__(self, "order", as_order(self.order))
 
-    @property
-    def length(self) -> int:
-        return len(self.taps)
-
 
 def filter_bounds(spec: FilterSpec) -> dict[str, float]:
     """All four output entropy bounds, in nats, keyed by method.

@@ -27,8 +27,10 @@ On any pass where a Newton step rounds to no move, the row steps one ulp
 towards the sign change instead; the step keeps no state between passes.
 A row ends when its bracket ends are adjacent floats, and the root is
 their midpoint, so it is exact to one ulp. One call solves a whole grid
-of orders as the rows of an (orders x ratios) array. The solver has no
-public entry of its own: :func:`bound_reports` and its one-order call
+of orders as the rows of an (orders x ratios) array; an alpha = inf
+endpoint row is the closed bracket [1, 1], which returns 1 unevaluated,
+and an empty grid returns at once. The solver has no public entry of
+its own: :func:`bound_reports` and its one-order call
 :func:`bound_report` read every weight and constant from it.
 """
 
@@ -134,11 +136,14 @@ def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
     to no move, the row steps one ulp towards the sign change instead;
     the test is made afresh each pass and keeps no state. A row ends when
     its bracket ends are adjacent floats, or equal at an exact zero, and
-    returns their midpoint; a row still open after MAX_ITERATIONS
+    returns their midpoint (a closed bracket [r, r] returns r unevaluated,
+    and zero rows an empty array); a row still open after MAX_ITERATIONS
     evaluations raises :class:`RootBracketError`. Rows share nothing but
     the loop, so a row's root does not depend on the others.
     """
     roots = np.empty(lo.size)
+    if not lo.size:
+        return roots
     rows = np.arange(lo.size)
     x = mid = 0.5 * (lo + hi)
     f = df = np.full(lo.size, np.nan)
@@ -172,36 +177,31 @@ def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
 def _leading_weights(ratios: Sequence[float], orders: Sequence[Order]) -> np.ndarray:
     """Leading weight at every order for one list of power ratios.
 
-    Zero ratios have psi = 0 and drop out. At alpha = inf the endpoint
-    x = 1 is the limit when the ratios sum to at most 1 and none is 1;
-    those orders get 1 without iterating. Every other order is one row of
-    :func:`_bracketed_newton` on [0, 1], with residual W(x) - 1 at
-    conjugate ac, or at alpha = inf the factored residual
-    sum_k psi(x, c_k) / (1 - x) - 1; Newton never evaluates an endpoint,
-    so the division by 1 - x is safe. The ratios are not checked: every
-    caller derives them from a validated power vector.
+    Zero ratios have psi = 0 and drop out. Every order is one row of
+    :func:`_bracketed_newton`, with residual W(x) - 1 at conjugate ac, or
+    at alpha = inf the factored residual sum_k psi(x, c_k) / (1 - x) - 1;
+    Newton never evaluates an endpoint, so the division by 1 - x is safe.
+    The bracket is [0, 1], except at alpha = inf when the ratios sum to at
+    most 1 and none is 1: the limit is then the endpoint x = 1, and the
+    closed bracket [1, 1] returns it before any evaluation. The ratios are
+    not checked: every caller derives them from a validated power vector.
     """
-    roots = np.ones(len(orders))
     cs = np.asarray(ratios, dtype=float)
     cs = cs[cs > 0.0]
     if cs.size == 0:
-        return roots
+        return np.ones(len(orders))
     infinite = np.array([o.is_infinite for o in orders], dtype=bool)
-    solve = ~(infinite & (_max_power_tight(ratios) and cs.max() < 1.0))
-    if solve.any():
+    endpoint = infinite & (_max_power_tight(ratios) and cs.max() < 1.0)
 
-        def residual(x, ac, infinite):
-            psi, slope = _psi(x[:, None], cs, ac[:, None], slope=True)
-            total, dtotal = psi.sum(axis=1), slope.sum(axis=1)
-            gap = 1.0 - x
-            f = np.where(infinite, total / gap - 1.0, x + total - 1.0)
-            return f, np.where(infinite, (dtotal + total / gap) / gap, 1.0 + dtotal)
+    def residual(x, ac, infinite):
+        psi, slope = _psi(x[:, None], cs, ac[:, None], slope=True)
+        total, dtotal = psi.sum(axis=1), slope.sum(axis=1)
+        gap = 1.0 - x
+        f = np.where(infinite, total / gap - 1.0, x + total - 1.0)
+        return f, np.where(infinite, (dtotal + total / gap) / gap, 1.0 + dtotal)
 
-        ac = np.array([o.alpha_conj for o in orders])[solve]
-        roots[solve] = _bracketed_newton(
-            residual, np.zeros(ac.size), np.ones(ac.size), ac, infinite[solve]
-        )
-    return roots
+    ac = np.array([o.alpha_conj for o in orders])
+    return _bracketed_newton(residual, endpoint.astype(float), np.ones(ac.size), ac, infinite)
 
 
 def _weight_rows(pv: PowerVector, orders: Sequence[Order]) -> np.ndarray:

@@ -16,7 +16,6 @@ is the analytic machinery feeding those constants.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -112,35 +111,6 @@ class GridDensity:
         if not 0.0 < factor < math.inf:
             raise ValueError(f"scale factor must be positive and finite, got {factor!r}")
         return GridDensity(self.origin * factor, self.spacing * factor, self.values / factor)
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x", "f"])
-            for x, f in zip(self.xs(), self.values):
-                writer.writerow([repr(float(x)), repr(float(f))])
-
-    @staticmethod
-    def from_csv(path: str) -> "GridDensity":
-        xs: list[float] = []
-        vals: list[float] = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            if header[:2] != ["x", "f"]:
-                raise ValueError(f"expected header x,f, got {header!r}")
-            for row in filter(None, reader):  # blank lines read as []
-                if len(row) < 2:
-                    raise ValueError(f"line {reader.line_num}: expected x,f, got {row!r}")
-                xs.append(float(row[0]))
-                vals.append(float(row[1]))
-        if len(xs) < 2:
-            raise ValueError("need at least 2 samples")
-        steps = np.diff(xs)
-        spacing = float(steps[0])
-        if not np.allclose(steps, spacing, rtol=1e-9, atol=0.0):
-            raise ValueError("grid is not uniform")
-        return GridDensity(xs[0], spacing, np.asarray(vals))
 
 
 def _check_spacing(spacing: float) -> float:

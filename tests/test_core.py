@@ -249,7 +249,7 @@ class TestBoundReport:
         """The solver's report satisfies bc <= sharpened <= optimized <= 1."""
         report = bound_report((1.0, 1.0, 4.0), 2.0)
         assert report.bc <= report.sharpened <= report.optimized <= 1.0 + 1e-9
-        assert not report.is_limit
+        assert not report.order.is_infinite
 
     def test_lower_bounds_scale_with_total(self):
         """Constants multiply the total power; bv stands alone."""
@@ -260,8 +260,8 @@ class TestBoundReport:
         assert set(bounds) == {"bc", "sharpened", "optimized", "bv"}
 
     def test_limit_flagged(self):
-        """Reports at alpha = inf are marked as limit values."""
-        assert bound_report((1.0, 2.0), math.inf).is_limit
+        """Reports at alpha = inf carry the infinite order their limit values are for."""
+        assert bound_report((1.0, 2.0), math.inf).order.is_infinite
 
     def test_ordering_violation_rejected(self):
         """A report with bc above sharpened cannot be constructed."""

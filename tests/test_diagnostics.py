@@ -357,9 +357,11 @@ class TestConcavity:
         with pytest.raises(ValueError):
             concavity_slacks(1.5)  # conjugate 3
 
-    @pytest.mark.parametrize("samples", [0, -5, 2.5])
+    @pytest.mark.parametrize("samples", [0, -5, 2.5, 2**20 + 1])
     def test_samples_below_one_rejected(self, samples):
-        """No samples probe nothing, and a fractional count is no count; both are a ValueError."""
+        """No samples probe nothing, a fractional count is no count, and a count above
+        2**20 is refused to bound the memory; each is a ValueError, raised before any
+        allocation."""
         with pytest.raises(ValueError, match="samples"):
             concavity_slacks(2.5, samples=samples)
 

@@ -20,7 +20,7 @@ class TestFilterSpec:
         """Tap signs are dropped; only determinant magnitudes matter."""
         spec = FilterSpec((2.0, -1.0, -1.0), 1, 2.0)
         assert spec.taps == (2.0, 1.0, 1.0)
-        assert spec.length == 3
+        assert len(spec.taps) == 3
 
     def test_powers_scale_with_dimension(self):
         """Summand powers are |det H|^(2/d): two equal taps t give (d/2) log(2 c_2 t^(2/d))."""

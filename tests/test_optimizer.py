@@ -277,6 +277,16 @@ class TestBracketedNewton:
             f, _ = arctan_residual(around, *(p[i] for p in params), -math.inf, math.inf)
             assert f[0] <= 0.0 <= f[1]
 
+    def test_zero_rows_return_at_once(self):
+        """No rows give an empty float array without a residual call."""
+
+        def residual(x):
+            raise AssertionError("residual called")
+
+        roots = optimizer._bracketed_newton(residual, np.zeros(0), np.ones(0))
+        assert roots.dtype == np.float64
+        assert roots.size == 0
+
 
 class TestOptimalWeights:
     def test_frozen_three_summand_solution(self):
@@ -580,6 +590,20 @@ class TestInfinityDichotomy:
         past = (1.0, 0.5, 0.5 * (1.0 + 2e-11))
         assert not bv_asymptotically_tight(past)
         assert optimal_weights(past, math.inf)[0] < 1.0
+
+    def test_endpoint_row_runs_no_residual(self, monkeypatch):
+        """The endpoint limit is a closed bracket: psi runs once, for the companion weights."""
+        calls = []
+        psi = optimizer._psi
+
+        def counting_psi(*args, **kwargs):
+            calls.append(kwargs.get("slope", False))
+            return psi(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "_psi", counting_psi)
+        report = bound_report((10.0, 20.0, 90.0), math.inf)
+        assert calls == [False]
+        assert tuple(report.weights) == (0.0, 0.0, 1.0)
 
     def test_all_zero_powers(self):
         """All-zero powers count as tight, as the max-power rule reads them."""

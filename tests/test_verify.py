@@ -109,59 +109,6 @@ class TestGridDensity:
         with pytest.raises(ValueError, match="origin"):
             uniform_density(0.0, 1.0).translated(math.inf)
 
-    def test_csv_round_trip(self, tmp_path):
-        """to_csv and from_csv reproduce the density bit for bit."""
-        d = uniform_density(0.0, 1.0, spacing=2.0 ** -4)
-        path = str(tmp_path / "density.csv")
-        d.to_csv(path)
-        back = GridDensity.from_csv(path)
-        assert back.origin == d.origin
-        assert back.spacing == d.spacing
-        assert np.array_equal(back.values, d.values)
-
-    def test_csv_header_enforced(self, tmp_path):
-        """Files without the x,f header are rejected."""
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n0.0,1.0\n1.0,1.0\n")
-        with pytest.raises(ValueError):
-            GridDensity.from_csv(str(path))
-
-    def test_csv_trailing_blank_line_skipped(self, tmp_path):
-        """A blank line at the end of the file is skipped, not an IndexError."""
-        d = uniform_density(0.0, 1.0, spacing=2.0 ** -4)
-        path = tmp_path / "density.csv"
-        d.to_csv(str(path))
-        path.write_text(path.read_text() + "\n")
-        assert np.array_equal(GridDensity.from_csv(str(path)).values, d.values)
-
-    def test_csv_short_row_names_its_line(self, tmp_path):
-        """A row with one field is a ValueError that names its line."""
-        path = tmp_path / "bad.csv"
-        path.write_text("x,f\n0.0,1.0\n0.5\n1.0,1.0\n")
-        with pytest.raises(ValueError, match="line 3"):
-            GridDensity.from_csv(str(path))
-
-    def test_csv_empty_file_rejected(self, tmp_path):
-        """An empty file is a ValueError, not a StopIteration."""
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ValueError, match="header"):
-            GridDensity.from_csv(str(path))
-
-    def test_csv_single_sample_rejected(self, tmp_path):
-        """A header and one row make no grid."""
-        path = tmp_path / "one.csv"
-        path.write_text("x,f\n0.0,1.0\n")
-        with pytest.raises(ValueError, match="at least 2 samples"):
-            GridDensity.from_csv(str(path))
-
-    def test_csv_uniform_grid_enforced(self, tmp_path):
-        """Files with irregular x spacing are rejected."""
-        path = tmp_path / "bad.csv"
-        path.write_text("x,f\n0.0,1.0\n0.5,1.0\n2.0,1.0\n")
-        with pytest.raises(ValueError):
-            GridDensity.from_csv(str(path))
-
 
 class TestConstructors:
     def test_uniform_is_exact(self):
