@@ -34,7 +34,7 @@ def bc_constant(order: Order | float) -> float:
     Decreases from 1 (alpha -> 1) to 1/e (alpha = inf) and is independent of
     the number of summands and of the dimension.
     """
-    return math.exp(as_order(order).log_alpha_slope() - 1.0)
+    return math.exp(as_order(order).log_alpha_slope - 1.0)
 
 
 def sharpened_constant(order: Order | float, n: int) -> float:
@@ -51,7 +51,7 @@ def sharpened_constant(order: Order | float, n: int) -> float:
     if n == 1:
         return 1.0
     m = n * order.alpha_conj
-    return math.exp(order.log_alpha_slope() + (m - 1.0) * math.log1p(-1.0 / m))
+    return math.exp(order.log_alpha_slope + (m - 1.0) * math.log1p(-1.0 / m))
 
 
 def young_constant(t: float) -> float:
@@ -123,7 +123,7 @@ def _log_constants(
         # t log N is -inf for a weighted zero power and nan for an unweighted one
         terms = np.where(t > 0.0, _kernel(t, ac) + t * np.log(normalized_powers), 0.0)
     return [
-        math.fsum([o.log_alpha_slope(), *row]) for o, row in zip(orders, terms.tolist())
+        math.fsum([o.log_alpha_slope, *row]) for o, row in zip(orders, terms.tolist())
     ]
 
 

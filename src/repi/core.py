@@ -48,22 +48,19 @@ class Order:
 
     alpha: float
     alpha_conj: float = field(init=False, repr=False)
-    _log_alpha_slope: float = field(init=False, repr=False, compare=False)
+    #: log(alpha) / (alpha - 1), the recurring prefactor; 0 at alpha = inf
+    log_alpha_slope: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         alpha = float(self.alpha)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "alpha_conj", holder_conjugate(alpha))
         slope = 0.0 if math.isinf(alpha) else math.log(alpha) / (alpha - 1.0)
-        object.__setattr__(self, "_log_alpha_slope", slope)
+        object.__setattr__(self, "log_alpha_slope", slope)
 
     @property
     def is_infinite(self) -> bool:
         return math.isinf(self.alpha)
-
-    def log_alpha_slope(self) -> float:
-        """log(alpha) / (alpha - 1), the recurring prefactor; 0 at alpha = inf."""
-        return self._log_alpha_slope
 
 
 def as_order(order: Order | float) -> Order:

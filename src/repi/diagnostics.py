@@ -93,10 +93,6 @@ class RankOneSymmetric:
         object.__setattr__(self, "rho", float(self.rho))
         object.__setattr__(self, "z", z)
 
-    @property
-    def size(self) -> int:
-        return len(self.diagonal)
-
     def as_matrix(self) -> np.ndarray:
         z = np.asarray(self.z)
         return np.diag(self.diagonal) + self.rho * np.outer(z, z)
@@ -181,8 +177,8 @@ def max_eigenvalue(m: RankOneSymmetric) -> float:
     dense eigenvalues, raises :class:`EigenvalueMismatchError` instead of
     returning either. Otherwise the dense value is returned.
     """
-    if m.size > MAX_DENSE_SIZE:
-        raise ValueError(f"dense route limited to size {MAX_DENSE_SIZE}, got {m.size}")
+    if len(m.diagonal) > MAX_DENSE_SIZE:
+        raise ValueError(f"dense route limited to size {MAX_DENSE_SIZE}, got {len(m.diagonal)}")
     eigs = np.linalg.eigvalsh(m.as_matrix())
     dense = float(eigs[-1])
     scale = max(1.0, abs(float(eigs[0])), abs(dense))

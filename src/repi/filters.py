@@ -66,19 +66,14 @@ def filter_bounds(spec: FilterSpec) -> dict[str, float]:
     }
 
 
-def gaussian_reference(spec: FilterSpec, gram_det: float | None = None) -> float:
-    """Exact output entropy power exponent for Gaussian input, in nats.
+def gaussian_reference(spec: FilterSpec) -> float:
+    """Exact output entropy power exponent for Gaussian input, in nats, at d = 1.
 
-    For d = 1 this is (1/2) log sum_k h_k^2, formed from h_k / h_max so no
-    square overflows. For d > 1 the module holds only determinant
-    magnitudes, so the determinant of sum_k H_k H_k^T must be supplied by
-    the caller.
+    This is (1/2) log sum_k h_k^2, formed from h_k / h_max so no square
+    overflows. For d > 1 the exponent is (1/2) log det(sum_k H_k H_k^T),
+    which the determinant magnitudes held here do not determine.
     """
-    if spec.dim == 1:
-        top = max(spec.taps)
-        return math.log(top) + 0.5 * math.log(sum((t / top) ** 2 for t in spec.taps))
-    if gram_det is None:
-        raise ValueError("d > 1 needs det(sum_k H_k H_k^T) passed as gram_det")
-    if not 0.0 < gram_det < math.inf:
-        raise ValueError(f"gram determinant must be positive and finite, got {gram_det!r}")
-    return 0.5 * math.log(gram_det)
+    if spec.dim != 1:
+        raise ValueError(f"the Gaussian reference needs d = 1, got d = {spec.dim}")
+    top = max(spec.taps)
+    return math.log(top) + 0.5 * math.log(sum((t / top) ** 2 for t in spec.taps))

@@ -84,14 +84,6 @@ class RootBracketError(RuntimeError):
         self.residual = residual
 
 
-def _check_ratios(ratios: Sequence[float]) -> tuple[float, ...]:
-    cs = tuple(float(c) for c in ratios)
-    for c in cs:
-        if not 0.0 <= c <= 1.0:
-            raise ValueError(f"power ratios must lie in [0, 1], got {c!r}")
-    return cs
-
-
 def _leading_ratios(pv: PowerVector) -> tuple[int, list[float]]:
     """Index of the first largest power, and every other power divided by it."""
     top = pv.largest
@@ -174,43 +166,38 @@ def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
             mid = 0.5 * (lo + hi)
 
 
-def _leading_weights(ratios: Sequence[float], orders: Sequence[Order]) -> np.ndarray:
-    """Leading weight at every order for one list of power ratios.
-
-    Zero ratios have psi = 0 and drop out. Every order is one row of
-    :func:`_bracketed_newton`, with residual W(x) - 1 at conjugate ac, or
-    at alpha = inf the factored residual sum_k psi(x, c_k) / (1 - x) - 1;
-    Newton never evaluates an endpoint, so the division by 1 - x is safe.
-    The bracket is [0, 1], except at alpha = inf when the ratios sum to at
-    most 1 and none is 1: the limit is then the endpoint x = 1, and the
-    closed bracket [1, 1] returns it before any evaluation. The ratios are
-    not checked: every caller derives them from a validated power vector.
-    """
-    cs = np.asarray(ratios, dtype=float)
-    cs = cs[cs > 0.0]
-    if cs.size == 0:
-        return np.ones(len(orders))
-    infinite = np.array([o.is_infinite for o in orders], dtype=bool)
-    endpoint = infinite & (_max_power_tight(ratios) and cs.max() < 1.0)
-
-    def residual(x, ac, infinite):
-        psi, slope = _psi(x[:, None], cs, ac[:, None], slope=True)
-        total, dtotal = psi.sum(axis=1), slope.sum(axis=1)
-        gap = 1.0 - x
-        f = np.where(infinite, total / gap - 1.0, x + total - 1.0)
-        return f, np.where(infinite, (dtotal + total / gap) / gap, 1.0 + dtotal)
-
-    ac = np.array([o.alpha_conj for o in orders])
-    return _bracketed_newton(residual, endpoint.astype(float), np.ones(ac.size), ac, infinite)
-
-
 def _weight_rows(pv: PowerVector, orders: Sequence[Order]) -> np.ndarray:
-    """Optimal weights, one row per order: the root at the lead, psi elsewhere."""
+    """Optimal weights, one row per order: the root at the lead, psi elsewhere.
+
+    Zero ratios have psi = 0 and drop out of the root problem. Every order
+    is one row of :func:`_bracketed_newton`, with residual W(x) - 1 at
+    conjugate ac, or at alpha = inf the factored residual
+    sum_k psi(x, c_k) / (1 - x) - 1; Newton never evaluates an endpoint,
+    so the division by 1 - x is safe. The bracket is [0, 1], except at
+    alpha = inf when the ratios sum to at most 1 and none is 1: the limit
+    is then the endpoint x = 1, and the closed bracket [1, 1] returns it
+    before any evaluation. With no positive ratio the lead takes weight 1.
+    """
     lead, ratios = _leading_ratios(pv)
-    x = _leading_weights(ratios, orders)[:, None]
-    ac = np.array([o.alpha_conj for o in orders])[:, None]
-    psi = _psi(x, np.array(ratios), ac)
-    return np.hstack((psi[:, :lead], x, psi[:, lead:]))
+    cs = np.array(ratios)
+    ac = np.array([o.alpha_conj for o in orders])
+    positive = cs[cs > 0.0]
+    if positive.size == 0:
+        x = np.ones(ac.size)
+    else:
+        infinite = np.array([o.is_infinite for o in orders], dtype=bool)
+        endpoint = infinite & (_max_power_tight(ratios) and positive.max() < 1.0)
+
+        def residual(x, ac, infinite):
+            psi, slope = _psi(x[:, None], positive, ac[:, None], slope=True)
+            total, dtotal = psi.sum(axis=1), slope.sum(axis=1)
+            gap = 1.0 - x
+            f = np.where(infinite, total / gap - 1.0, x + total - 1.0)
+            return f, np.where(infinite, (dtotal + total / gap) / gap, 1.0 + dtotal)
+
+        x = _bracketed_newton(residual, endpoint.astype(float), np.ones(ac.size), ac, infinite)
+    psi = _psi(x[:, None], cs, ac[:, None])
+    return np.hstack((psi[:, :lead], x[:, None], psi[:, lead:]))
 
 
 def optimal_weights(
@@ -241,7 +228,9 @@ def two_summand_weight(beta: float, order: Order | float) -> float:
     limit 1/2 at every order.
     """
     order = as_order(order)
-    (beta,) = _check_ratios((beta,))
+    beta = float(beta)
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"power ratios must lie in [0, 1], got {beta!r}")
     if beta == 0.0:
         return 0.0
     if beta == 1.0:
@@ -261,7 +250,7 @@ def two_summand_constant(beta: float, order: Order | float) -> float:
     ``sharpened_constant(order, 2)``.
     """
     order = as_order(order)
-    (beta,) = _check_ratios((beta,))
+    beta = float(beta)
     if beta == 0.0:
         return 1.0
     t = two_summand_weight(beta, order)
@@ -271,7 +260,7 @@ def two_summand_constant(beta: float, order: Order | float) -> float:
         return 0.0 if coef == 0.0 else coef * math.log1p(u)
 
     value = (
-        order.log_alpha_slope()
+        order.log_alpha_slope
         - binary_kl(t, beta / (1.0 + beta))
         + xlog1p(ac - t, -t / ac)
         + xlog1p(ac - 1.0 + t, -(1.0 - t) / ac)

@@ -101,17 +101,6 @@ class GridDensity:
     def integral(self) -> float:
         return float(np.trapezoid(self.values, dx=self.spacing))
 
-    def translated(self, offset: float) -> "GridDensity":
-        """The density of X + offset: same samples, shifted origin."""
-        return GridDensity(self.origin + float(offset), self.spacing, self.values)
-
-    def scaled(self, factor: float) -> "GridDensity":
-        """The density of factor * X for finite factor > 0."""
-        factor = float(factor)
-        if not 0.0 < factor < math.inf:
-            raise ValueError(f"scale factor must be positive and finite, got {factor!r}")
-        return GridDensity(self.origin * factor, self.spacing * factor, self.values / factor)
-
 
 def _check_spacing(spacing: float) -> float:
     spacing = float(spacing)
@@ -253,7 +242,7 @@ def gaussian_renyi_entropy(order: Order | float, dim: int, det_cov: float) -> fl
     dim = _positive_int(dim, "dimension")
     if not 0.0 < det_cov < math.inf:
         raise ValueError(f"covariance determinant must be positive and finite, got {det_cov!r}")
-    return 0.5 * dim * order.log_alpha_slope() + 0.5 * (
+    return 0.5 * dim * order.log_alpha_slope + 0.5 * (
         dim * math.log(2.0 * math.pi) + math.log(det_cov)
     )
 
@@ -407,9 +396,10 @@ def collision_bound(p_x: float, p_y: float, dim: int) -> float:
         raise ValueError(f"collision probabilities must lie in (0, 1], got {p_x!r}, {p_y!r}")
     dim = _positive_int(dim, "dimension")
     c = sharpened_constant(Order(2.0), 2)
-    # factored through the smaller probability, so p^-2 cannot overflow
+    # factored through the smaller probability, so p^-2 cannot overflow, and
+    # one base of at most sqrt(16/27) raised to d, so no power can overflow
     lo, hi = sorted((p_x, p_y))
-    return lo ** dim * (c * (1.0 + (lo / hi) ** 2)) ** (-dim / 2.0)
+    return (lo / math.sqrt(c * (1.0 + (lo / hi) ** 2))) ** dim
 
 
 @dataclass(frozen=True)

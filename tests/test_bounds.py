@@ -226,7 +226,7 @@ class TestLogConstant:
             return
         order = Order(alpha)
         ac = order.alpha_conj
-        expected = order.log_alpha_slope()
+        expected = order.log_alpha_slope
         for t, p in zip(weights, powers):
             t = min(max(t, 0.0), 1.0)
             if t > 0.0:

@@ -68,13 +68,13 @@ class TestOrder:
 
     def test_slope_at_two(self):
         """log(alpha)/(alpha-1) equals log 2 at alpha = 2."""
-        assert Order(2.0).log_alpha_slope() == math.log(2.0)
+        assert Order(2.0).log_alpha_slope == math.log(2.0)
 
     def test_slope_at_infinity(self):
         """The slope vanishes in the limit order."""
         order = Order(math.inf)
         assert order.is_infinite
-        assert order.log_alpha_slope() == 0.0
+        assert order.log_alpha_slope == 0.0
 
     def test_frozen(self):
         """Orders are immutable."""

@@ -66,7 +66,7 @@ class TestRankOneSymmetric:
         """as_matrix builds diag(d) + rho z z^T entry by entry."""
         m = RankOneSymmetric((-2.0, -1.0), 1.0, (1.0, 1.0))
         assert np.allclose(m.as_matrix(), [[-1.0, 1.0], [1.0, 0.0]], atol=0.0)
-        assert m.size == 2
+        assert len(m.diagonal) == 2
 
     def test_validation(self):
         """Length mismatch and non-finite data are rejected."""

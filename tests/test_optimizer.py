@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from repi import (
     DegeneratePowersError,
+    PowerVector,
     RankOneSymmetric,
     RootBracketError,
     as_order,
@@ -83,8 +84,13 @@ def weights_total(x, ratios, order):
 
 
 def leading_weight(ratios, order):
-    """The solver's root of W(x) = 1 for one list of power ratios at one order."""
-    return float(optimizer._leading_weights(ratios, (as_order(order),))[0])
+    """The solver's root of W(x) = 1 for one list of power ratios at one order.
+
+    The prepended power 1 is the first largest, so it leads and the ratios
+    reach the solver unchanged.
+    """
+    pv = PowerVector((1.0, *ratios))
+    return float(optimizer._weight_rows(pv, (as_order(order),))[0, 0])
 
 
 def kernel_gradient(t, power, order, total):

@@ -75,7 +75,7 @@ class TestGridDensity:
     def test_translation_preserves_entropy_exactly(self):
         """Shifting the origin reuses the samples, so entropy is bit-identical."""
         d = gaussian_density(0.0, 1.0)
-        shifted = d.translated(3.7)
+        shifted = GridDensity(d.origin + 3.7, d.spacing, d.values)
         assert shifted.origin == pytest.approx(d.origin + 3.7, abs=1e-15)
         for alpha in ORDERS:
             assert renyi_entropy(shifted, alpha) == renyi_entropy(d, alpha)
@@ -83,31 +83,22 @@ class TestGridDensity:
     def test_scaling_shifts_entropy_by_log_factor(self):
         """Entropy of s X is the entropy of X plus log s."""
         d = gaussian_density(0.0, 1.0)
-        scaled = d.scaled(2.5)
+        scaled = GridDensity(d.origin * 2.5, d.spacing * 2.5, d.values / 2.5)
         for alpha in ORDERS:
             assert renyi_entropy(scaled, alpha) == pytest.approx(
                 renyi_entropy(d, alpha) + math.log(2.5), abs=1e-12
             )
-
-    def test_scaling_validation(self):
-        """Nonpositive scale factors are rejected."""
-        with pytest.raises(ValueError):
-            uniform_density(0.0, 1.0).scaled(-1.0)
 
     def test_infinite_spacing_rejected(self):
         """Zero samples on an infinite pitch have NaN mass, which is not 1."""
         with pytest.raises(ValueError, match="spacing"):
             GridDensity(0.0, math.inf, np.zeros(3))
 
-    def test_infinite_scale_rejected(self):
-        """Scaling by inf used to give an all-zero density at origin NaN."""
-        with pytest.raises(ValueError, match="scale factor"):
-            uniform_density(0.0, 1.0).scaled(math.inf)
-
     def test_infinite_translation_rejected(self):
-        """Translating by inf used to give a density at origin inf."""
+        """An infinite origin is refused, even with valid samples."""
+        values = uniform_density(0.0, 1.0).values
         with pytest.raises(ValueError, match="origin"):
-            uniform_density(0.0, 1.0).translated(math.inf)
+            GridDensity(math.inf, DEFAULT_SPACING, values)
 
 
 class TestConstructors:
@@ -710,6 +701,11 @@ class TestCollisionBound:
         expected = 1.0886621079036347e-200
         assert collision_bound(1e-200, 0.5, 1) == pytest.approx(expected, rel=1e-15)
         assert collision_bound(0.5, 1e-200, 1) == collision_bound(1e-200, 0.5, 1)
+
+    def test_huge_dimension_underflows_to_zero(self):
+        """A bound far below the float range is 0.0, not an OverflowError."""
+        assert collision_bound(0.1, 1.0, 10_000) == 0.0
+        assert collision_bound(1e-200, 0.5, 2**53) == 0.0
 
     def test_validation(self):
         """Probabilities outside (0, 1] and bad dimensions are rejected."""
