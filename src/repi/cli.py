@@ -16,6 +16,7 @@ violation, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -200,14 +201,12 @@ def cmd_filter(taps: tuple[float, ...], dim: int, alpha: float) -> list[Row]:
     return rows
 
 
-def cmd_verify(
-    corpus: str, alpha: float, seed: int, count: int, slack: float
-) -> tuple[list[Row], int]:
-    """Certification sweep; returns rows and the number of violating instances.
+def cmd_verify(corpus: str, alpha: float, seed: int, count: int, slack: float) -> list[Row]:
+    """Certification sweep.
 
     Each instance contributes a measured power ratio row and a margin row
     holding the minimum slack across all four checks (margins below
-    ``-slack`` are violations). A trailing row counts violating instances.
+    ``-slack`` are violations). The final row counts violating instances.
     """
     if corpus == "two-uniforms":
         u = uniform_density(0.0, 1.0)
@@ -228,7 +227,7 @@ def cmd_verify(
         rows.append((a, "ratio", cert.ratio, len(densities)))
         rows.append((a, "margin", min(cert.margins().values()), len(densities)))
     rows.append((None, "violations", float(violations), None))
-    return rows, violations
+    return rows
 
 
 @functools.cache
@@ -275,7 +274,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        exit_code = 0
         if args.command == "constants":
             spec = SweepSpec(
                 alphas=_parse_alpha_grid(args.alpha_grid),
@@ -294,31 +292,26 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         else:
             _positive_int(args.count, "corpus count")
-            rows, violations = cmd_verify(
+            rows = cmd_verify(
                 args.corpus, _parse_alpha(args.alpha), args.seed, args.count, args.slack
             )
-            exit_code = 1 if violations else 0
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-
-    if args.out == "-":
-        _write(rows, sys.stdout, args.format, args.command)
-        return exit_code
     # opened only now, so a refused argument leaves no empty file behind
     try:
-        fh = open(args.out, "w", newline="")
-    except OSError as exc:
-        parser.exit(2, f"{parser.prog}: error: cannot write {args.out!r}: {exc.strerror}\n")
-    with fh:
-        _write(rows, fh, args.format, args.command)
-    return exit_code
-
-
-def _write(rows: list[Row], out: IO[str], fmt: str, command: str) -> None:
-    if fmt == "csv":
-        write_csv(rows, out)
-    else:
-        write_json(rows, out, command)
+        target = (
+            contextlib.nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w", newline="")
+        )
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        parser.exit(2, f"{parser.prog}: error: cannot write {args.out!r}: {reason}\n")
+    with target as out:
+        if args.format == "csv":
+            write_csv(rows, out)
+        else:
+            write_json(rows, out, args.command)
+    # the final verify row counts the violating instances
+    return 1 if args.command == "verify" and rows[-1][2] else 0
 
 
 def entry() -> None:

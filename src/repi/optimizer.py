@@ -29,9 +29,10 @@ A row ends when its bracket ends are adjacent floats, and the root is
 their midpoint, so it is exact to one ulp. One call solves a whole grid
 of orders as the rows of an (orders x ratios) array; an alpha = inf
 endpoint row is the closed bracket [1, 1], which returns 1 unevaluated,
-and an empty grid returns at once. The solver has no public entry of
-its own: :func:`bound_reports` and its one-order call
-:func:`bound_report` read every weight and constant from it.
+and an empty grid returns at once. :func:`bound_reports` and its
+one-order call :func:`bound_report` read every weight and constant from
+the solver; the one other public caller is :func:`optimal_weights`,
+which returns the weights alone.
 """
 
 from __future__ import annotations

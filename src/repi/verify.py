@@ -17,6 +17,7 @@ is the analytic machinery feeding those constants.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -139,7 +140,18 @@ def from_function(
     hi: float,
     spacing: float = DEFAULT_SPACING,
 ) -> GridDensity:
-    """Sample an analytic density on [lo, hi] and renormalize to mass 1."""
+    """Sample an analytic density on [lo, hi] and renormalize to mass 1.
+
+    The knots lo + k h must be exact to h / 256: a window where one ulp of
+    its ends is larger is refused before ``fn`` runs, since rounded knots
+    describe another shape. At the default spacing that accepts |x| < 2^34.
+    """
+    far = max(abs(lo), abs(hi))
+    if math.isfinite(far) and math.ulp(far) > _check_spacing(spacing) / 256:
+        raise ValueError(
+            f"[{lo!r}, {hi!r}] is too far from 0 for grid cells of {spacing!r}:"
+            " its knots would round by more than 1/256 of a cell"
+        )
     n = int(math.ceil(_grid_cells(lo, hi, spacing)))
     xs = lo + spacing * np.arange(n + 1)
     return _renormalized(lo, spacing, np.array(fn(xs), dtype=float))
@@ -424,10 +436,12 @@ def random_corpus(
 
     Each instance draws 2 to 4 summands among Gaussians, uniforms, shifted
     exponentials and two-component Gaussian mixtures, plus an order from
-    ``CORPUS_ORDERS``. Identical seeds yield identical instances. ``count``
-    and ``spacing`` are checked on the call; instances are drawn lazily,
-    one at a time.
+    ``CORPUS_ORDERS``. Identical seeds yield identical instances. ``seed``
+    (an integer from 0 up), ``count`` and ``spacing`` are checked on the
+    call; instances are drawn lazily, one at a time.
     """
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     count = _positive_int(count, "count")
     return _corpus_draws(np.random.default_rng(seed), count, _check_spacing(spacing))
 

@@ -307,6 +307,28 @@ class TestVerifyCommand:
         assert code == 1
         assert lines[-1] == ",violations,1.0,"
 
+    @pytest.mark.parametrize("slack, k", [(1e-4, 0), (-1.0, 1)])
+    def test_table_ends_with_the_violation_count(self, slack, k):
+        """cmd_verify returns its table; the final row is the only copy of the count."""
+        rows = cmd_verify("two-uniforms", math.inf, 1, 1, slack)
+        assert isinstance(rows, list)
+        assert rows[-1] == (None, "violations", float(k), None)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_exit_code_reads_the_final_row(self, monkeypatch, capsys, k):
+        """main exits 1 exactly when the final violations row is nonzero."""
+        rows = [(2.0, "ratio", 1.0, 2), (None, "violations", float(k), None)]
+        monkeypatch.setattr(cli, "cmd_verify", lambda *args: rows)
+        assert main(["verify"]) == (1 if k else 0)
+        assert capsys.readouterr().out.splitlines()[-1] == f",violations,{float(k)!r},"
+
+    def test_negative_seed_exit(self, capsys):
+        """A negative seed is a usage error that names the seed."""
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--seed", "-1", "--count", "1"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == "repi: error: seed must be a non-negative integer, got -1\n"
+
     @pytest.mark.parametrize("slack", ["nan", "inf"])
     def test_non_finite_slack_exit(self, slack):
         """A slack that would pass every check is a usage error."""
@@ -371,6 +393,16 @@ class TestUsageErrors:
         assert captured.err.startswith(f"repi: error: cannot write {str(out)!r}: ")
         assert captured.err.count("\n") == 1
 
+    def test_path_with_a_nul_is_a_usage_error(self, capsys):
+        """An --out path that open refuses with ValueError exits 2 like any unwritable path."""
+        with pytest.raises(SystemExit) as err:
+            main(["filter", "--taps", "2,-1,-1", "--alpha", "2", "--out", "a\0b"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repi: error: cannot write 'a\\x00b': ")
+        assert captured.err.count("\n") == 1
+
     def test_refused_argument_leaves_no_file(self, tmp_path):
         """Arguments are checked before --out is opened, so a refusal creates no file."""
         out = tmp_path / "t.csv"
@@ -395,6 +427,26 @@ class TestOutputFormats:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["constants", "--alpha-grid", "1.5,2,inf", "--n", "2,10"],
+            ["compare", "--powers", "1,1,0,3,7.5", "--alpha-grid", "1.1,2,5,inf"],
+            ["filter", "--taps", "3,1,0.5,0.25", "--dim", "3", "--alpha", "inf"],
+            ["verify", "--corpus", "two-uniforms", "--alpha", "inf", "--slack", "-1"],
+        ],
+        ids=["constants", "compare", "filter", "verify"],
+    )
+    def test_out_file_matches_stdout(self, tmp_path, capsys, argv, fmt):
+        """Every command writes the same bytes, and exits the same way, to --out as to stdout."""
+        code = main(argv + ["--format", fmt])
+        stdout = capsys.readouterr().out
+        target = tmp_path / "t.out"
+        assert main(argv + ["--format", fmt, "--out", str(target)]) == code
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == stdout.encode()
 
     def test_csv_line_endings(self, tmp_path):
         """Files use bare newline terminators."""

@@ -53,6 +53,11 @@ def _weight_array_entropy(density, alpha):
     return math.log(mass) - math.log1p(excess) / (alpha - 1.0)
 
 
+def _unevaluated(x):
+    """A density that must not be sampled: its window is refused first."""
+    raise AssertionError("fn ran on a refused window")
+
+
 class TestGridDensity:
     def test_axis_and_mass(self):
         """xs spans origin + i * spacing, half a cell past each end of a uniform; the trapezoid mass is 1."""
@@ -231,6 +236,37 @@ class TestConstructors:
         with pytest.raises(ValueError, match="too many grid cells"):
             from_function(lambda x: np.ones_like(x), 0.0, past)
 
+    @pytest.mark.parametrize("centre", [1e16, -1e16, 1e17])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda c: gaussian_density(c, 1.0),
+            lambda c: exponential_density(1.0, c),
+            lambda c: gaussian_mixture_density((0.4, 0.6), (c - 1.0, c + 1.0), (0.5, 1.0)),
+            lambda c: from_function(_unevaluated, c, c + 10.0),
+        ],
+        ids=["gaussian", "exponential", "mixture", "from_function"],
+    )
+    def test_far_window_refused(self, build, centre):
+        """Where one ulp of the window exceeds spacing / 256 the knots round, so it is refused before fn runs."""
+        with pytest.raises(ValueError, match=r"too far from 0 for grid cells of 0\.00048828125"):
+            build(centre)
+
+    @pytest.mark.parametrize("centre", [1e10, -1e10])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda c: gaussian_density(c, 0.7),
+            lambda c: exponential_density(1.3, c),
+            lambda c: gaussian_mixture_density((0.3, 0.7), (c - 1.0, c + 1.5), (0.5, 0.9)),
+        ],
+        ids=["gaussian", "exponential", "mixture"],
+    )
+    def test_far_window_keeps_its_shape(self, build, centre):
+        """Inside the rule, a smooth family's entropy at +-1e10 matches its copy at 0 within 1e-9 nats."""
+        far, near = build(centre), build(0.0)
+        for alpha in ORDERS:
+            assert renyi_entropy(far, alpha) == pytest.approx(renyi_entropy(near, alpha), abs=1e-9)
 
     @pytest.mark.parametrize(
         "build",
@@ -740,6 +776,20 @@ class TestRandomCorpus:
         for count in (0, 2.5, 2 ** 53 + 1):
             with pytest.raises(ValueError, match="^count must be a positive integer"):
                 random_corpus(1, count)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, None])
+    def test_seed_validation(self, seed):
+        """A seed that is not an integer from 0 up is refused on the call, by name."""
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+            random_corpus(seed, 1)
+
+    @pytest.mark.parametrize("seed", [np.int64(4), 2 ** 70])
+    def test_integer_seeds_of_any_type(self, seed):
+        """numpy integers and integers past 64 bits seed the corpus like a plain int."""
+        inst = next(random_corpus(seed, 1, spacing=2.0 ** -9))
+        same = next(random_corpus(int(seed), 1, spacing=2.0 ** -9))
+        assert inst.label == same.label
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(inst.densities, same.densities))
 
     def test_sample_certifies_cleanly(self):
         """A slice of the default corpus passes certification."""
