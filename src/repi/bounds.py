@@ -131,7 +131,8 @@ def binary_kl(x: float, y: float) -> float:
     """Relative entropy d(x || y) between Bernoulli(x) and Bernoulli(y).
 
     Continuous in x on [0, 1] with 0 log 0 = 0. Endpoint reference values
-    y in {0, 1} give +inf unless x matches exactly.
+    y in {0, 1} give +inf unless x matches exactly. The log of x / y is
+    taken as log x - log y only where that quotient overflows (y subnormal).
     """
     x, y = float(x), float(y)
     if not 0.0 <= x <= 1.0 or not 0.0 <= y <= 1.0:
@@ -140,7 +141,11 @@ def binary_kl(x: float, y: float) -> float:
         return 0.0 if x == 0.0 else math.inf
     if y == 1.0:
         return 0.0 if x == 1.0 else math.inf
-    left = 0.0 if x == 0.0 else x * math.log(x / y)
+    if x == 0.0:
+        left = 0.0
+    else:
+        ratio = x / y
+        left = x * (math.log(x) - math.log(y) if math.isinf(ratio) else math.log(ratio))
     right = 0.0 if x == 1.0 else (1.0 - x) * math.log((1.0 - x) / (1.0 - y))
     return left + right
 

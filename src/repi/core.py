@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ def holder_conjugate(alpha: float) -> float:
     Defined for alpha > 1, with alpha = inf mapping to 1. On finite orders
     the map is an involution: ``holder_conjugate(holder_conjugate(a)) == a``.
     """
-    alpha = float(alpha)
+    alpha = _as_float(alpha, "order")
     if math.isnan(alpha) or alpha <= 1.0:
         raise ValueError(f"order must satisfy alpha > 1, got {alpha!r}")
     if math.isinf(alpha):
@@ -52,7 +52,7 @@ class Order:
     log_alpha_slope: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        alpha = float(self.alpha)
+        alpha = _as_float(self.alpha, "order")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "alpha_conj", holder_conjugate(alpha))
         slope = 0.0 if math.isinf(alpha) else math.log(alpha) / (alpha - 1.0)
@@ -65,7 +65,7 @@ class Order:
 
 def as_order(order: Order | float) -> Order:
     """Coerce a bare float into an :class:`Order`."""
-    return order if isinstance(order, Order) else Order(float(order))
+    return order if isinstance(order, Order) else Order(order)
 
 
 def power_from_entropy(entropy: float, dim: int = 1) -> float:
@@ -93,6 +93,20 @@ def entropy_from_power(power: float, dim: int = 1) -> float:
     return 0.5 * dim * math.log(power)
 
 
+def _left_sum(values: Iterable[float]) -> float:
+    """The float sum of ``values``, added one at a time from the left, starting at 0.0.
+
+    The built-in ``sum`` of floats compensates its rounding from Python
+    3.12 on (``sum((1.0, 1e-16, 1e-16))`` is 1.0000000000000002 there and
+    1.0 before), so a result formed with it depends on the interpreter.
+    This is the plain sum of Python 3.10 and 3.11 on every version.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _positive_int(value: int, what: str) -> int:
     """``value`` as an int when it is an integer of any type, numpy's too, from 1 to 2**53.
 
@@ -105,12 +119,35 @@ def _positive_int(value: int, what: str) -> int:
     except TypeError:
         n = 0
     if not 1 <= n <= 2 ** 53:
-        if abs(n) > 2 ** 53:
-            got = f"{'a negative' if n < 0 else 'an'} integer of {n.bit_length()} bits"
-        else:
-            got = repr(value)
-        raise ValueError(f"{what} must be a positive integer up to 2**53, got {got}")
+        raise ValueError(f"{what} must be a positive integer up to 2**53, got {_named(value)}")
     return n
+
+
+def _named(value) -> str:
+    """``repr(value)``, except that an integer beyond 2**53 is named by its sign and bit length.
+
+    The digits of a huge integer may be too many to print: past 4300 of
+    them ``repr`` itself raises.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:
+        return repr(value)
+    if abs(n) <= 2 ** 53:
+        return repr(value)
+    return f"{'a negative' if n < 0 else 'an'} integer of {n.bit_length()} bits"
+
+
+def _as_float(value, what: str) -> float:
+    """``float(value)``, where a value beyond the float range is a ValueError naming ``what``.
+
+    ``float`` of an integer past about 2**1024 raises OverflowError; every
+    float input is already in range (inf included).
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must lie within the float range, got {_named(value)}") from None
 
 
 @dataclass(frozen=True)
@@ -134,7 +171,7 @@ class PowerVector:
             if not math.isfinite(p) or p < 0.0:
                 raise ValueError(f"entropy powers must be finite and >= 0, got {p!r}")
         object.__setattr__(self, "powers", vals)
-        object.__setattr__(self, "total", sum(vals))
+        object.__setattr__(self, "total", _left_sum(vals))
 
     def __len__(self) -> int:
         return len(self.powers)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Order, _positive_int, as_order
+from .core import Order, _left_sum, _positive_int, as_order
 from .optimizer import _bracketed_newton
 
 __all__ = [
@@ -110,7 +110,7 @@ def reduced_hessian(
     head = tuple([float(t) for t in interior_weights])
     if len(head) < 1:
         raise ValueError("need at least one interior weight")
-    tail = 1.0 - sum(head)
+    tail = 1.0 - _left_sum(head)
     if min(head) <= 0.0 or tail <= 0.0:
         raise ValueError(f"weights must be interior to the simplex, got {head!r}")
     diag = tuple([curvature(t, order) for t in head])
@@ -136,7 +136,7 @@ def secular_max_eigenvalue(m: RankOneSymmetric) -> float:
     evaluates the bracket ends, so they are the poles themselves.
     Deflated diagonal entries compete in the final max.
     """
-    norm2 = sum(v * v for v in m.z)
+    norm2 = _left_sum(v * v for v in m.z)
     if m.rho == 0.0 or norm2 == 0.0:
         return max(m.diagonal)
     merged: dict[float, float] = {}
@@ -255,7 +255,7 @@ def concavity_slacks(
         raw = rng.dirichlet(np.ones(n - 1))
         head = raw * (hi - DOMAIN_MARGIN - (n - 1) * DOMAIN_MARGIN) + DOMAIN_MARGIN
         tail = 1.0 - float(head.sum())
-        slack = sum(inv_q(float(t)) for t in head) + inv_q(tail)
+        slack = _left_sum(inv_q(float(t)) for t in head) + inv_q(tail)
         partition_min = min(partition_min, slack)
 
     return CurvatureSlackReport(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Order, _positive_int, as_order, entropy_from_power
+from .core import Order, _left_sum, _positive_int, as_order, entropy_from_power
 from .optimizer import bound_report
 
 __all__ = [
@@ -76,4 +76,4 @@ def gaussian_reference(spec: FilterSpec) -> float:
     if spec.dim != 1:
         raise ValueError(f"the Gaussian reference needs d = 1, got d = {spec.dim}")
     top = max(spec.taps)
-    return math.log(top) + 0.5 * math.log(sum((t / top) ** 2 for t in spec.taps))
+    return math.log(top) + 0.5 * math.log(_left_sum((t / top) ** 2 for t in spec.taps))

@@ -48,6 +48,7 @@ from .core import (
     Order,
     PowerVector,
     SimplexWeights,
+    _left_sum,
     _simplex_rows,
     as_order,
     as_power_vector,
@@ -96,20 +97,29 @@ def _leading_ratios(pv: PowerVector) -> tuple[int, list[float]]:
 
 def _max_power_tight(ratios: Sequence[float]) -> bool:
     """At alpha = inf the endpoint x = 1 is the limit iff the ratios sum to at most 1."""
-    return sum(ratios) <= 1.0 + 1e-12
+    return _left_sum(ratios) <= 1.0 + 1e-12
 
 
-def _psi(x, c, ac, slope: bool = False):
+def _psi_invariants(c, ac):
+    """The terms of :func:`_psi` that do not depend on x: a'^2 (1 - c) and 2c."""
+    return ac * ac * (1.0 - c), 2.0 * c
+
+
+def _psi(x, c, ac, slope: bool = False, invariants=None):
     """Companion weight at leading weight(s) x, elementwise over arrays.
 
     The smaller root t of t (a' - t) = c x (a' - x), rationalized so that
     nothing cancels for ratios c near 1. With ``slope`` also returns its
     x-derivative c (a' - 2x) / (a' - 2 psi), whose denominator is the
-    square root below, free of cancellation.
+    square root below, free of cancellation. A caller evaluating many x
+    at the same c and a' passes ``invariants = _psi_invariants(c, ac)``,
+    formed once; the result is the same in every bit.
     """
-    root = np.sqrt(ac * ac * (1.0 - c) + c * (2.0 * x - ac) ** 2)
-    psi = 2.0 * c * x * (ac - x) / (ac + root)
-    return (psi, c * (ac - 2.0 * x) / root) if slope else psi
+    fixed, twice_c = _psi_invariants(c, ac) if invariants is None else invariants
+    twice_x = 2.0 * x
+    root = np.sqrt(fixed + c * (twice_x - ac) ** 2)
+    psi = twice_c * x * (ac - x) / (ac + root)
+    return (psi, c * (ac - twice_x) / root) if slope else psi
 
 
 def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
@@ -121,18 +131,23 @@ def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
     Numerical Recipes 9.4) inside [lo, hi], starting at the midpoint and
     never evaluating either end, so the ends may be poles (the residual
     may overflow next to them): every evaluation moves one end of the
-    bracket to x by the residual's sign, and a Newton step that leaves the
-    bracket or has a non-finite derivative becomes a bisection step.
-    rtsafe's test that the step halves is left out: after one-ulp steps
-    near the root it forces bisection of a bracket whose far end is still
-    where Newton started. On any pass where a finite Newton step rounds
-    to no move, the row steps one ulp towards the sign change instead;
-    the test is made afresh each pass and keeps no state. A row ends when
-    its bracket ends are adjacent floats, or equal at an exact zero, and
-    returns their midpoint (a closed bracket [r, r] returns r unevaluated,
-    and zero rows an empty array); a row still open after MAX_ITERATIONS
-    evaluations raises :class:`RootBracketError`. Rows share nothing but
-    the loop, so a row's root does not depend on the others.
+    bracket to x by the residual's sign, and a Newton step that is not
+    strictly inside the bracket becomes a bisection step. That test alone
+    also catches a non-finite derivative: unless the residual is NaN, x is
+    one of the bracket ends after every evaluation, and an infinite or NaN
+    derivative gives a step of x itself or NaN. rtsafe's test that the
+    step halves is left out: after one-ulp steps near the root it forces
+    bisection of a bracket whose far end is still where Newton started. On
+    any pass where a Newton step with a finite derivative rounds to no
+    move, the row steps one ulp from x towards the sign change instead;
+    the test is made afresh each pass and keeps no state, and
+    ``np.nextafter`` runs only on passes where some row walks. A row ends
+    when its bracket ends are adjacent floats, or equal at an exact zero,
+    and returns their midpoint (a closed bracket [r, r] returns r
+    unevaluated, and zero rows an empty array); a row still open after
+    MAX_ITERATIONS evaluations raises :class:`RootBracketError`. Rows
+    share nothing but the loop, so a row's root does not depend on the
+    others.
     """
     roots = np.empty(lo.size)
     if not lo.size:
@@ -155,12 +170,12 @@ def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
                 raise RootBracketError(float(lo[0]), float(hi[0]), float(f[0]))
             if evaluations:
                 newton = x - f / df
-                finite = np.isfinite(df)
-                walking = finite & (newton == x)
-                inside = finite & (lo < newton) & (newton < hi)
-                x = np.where(
-                    walking, np.nextafter(x, np.where(f < 0.0, hi, lo)), np.where(inside, newton, mid)
-                )
+                step = np.where((lo < newton) & (newton < hi), newton, mid)
+                walking = newton == x
+                if walking.any():
+                    walking &= np.isfinite(df)
+                    step = np.where(walking, np.nextafter(x, np.where(f < 0.0, hi, lo)), step)
+                x = step
             f, df = residual(x, *params)
             lo = np.where(f <= 0.0, x, lo)
             hi = np.where(f >= 0.0, x, hi)
@@ -174,30 +189,39 @@ def _weight_rows(pv: PowerVector, orders: Sequence[Order]) -> np.ndarray:
     is one row of :func:`_bracketed_newton`, with residual W(x) - 1 at
     conjugate ac, or at alpha = inf the factored residual
     sum_k psi(x, c_k) / (1 - x) - 1; Newton never evaluates an endpoint,
-    so the division by 1 - x is safe. The bracket is [0, 1], except at
-    alpha = inf when the ratios sum to at most 1 and none is 1: the limit
-    is then the endpoint x = 1, and the closed bracket [1, 1] returns it
-    before any evaluation. With no positive ratio the lead takes weight 1.
+    so the division by 1 - x is safe. The residual is W(x) - 1 on every
+    row, and only a grid that holds alpha = inf overwrites those rows with
+    the factored form. The x-free terms of psi (:func:`_psi_invariants`)
+    are formed once per call and travel with their rows. The bracket is
+    [0, 1], except at alpha = inf when the ratios sum to at most 1 and none
+    is 1: the limit is then the endpoint x = 1, and the closed bracket
+    [1, 1] returns it before any evaluation. With no positive ratio the
+    lead takes weight 1.
     """
     lead, ratios = _leading_ratios(pv)
     cs = np.array(ratios)
-    ac = np.array([o.alpha_conj for o in orders])
+    ac = np.array([o.alpha_conj for o in orders])[:, None]
     positive = cs[cs > 0.0]
     if positive.size == 0:
         x = np.ones(ac.size)
     else:
         infinite = np.array([o.is_infinite for o in orders], dtype=bool)
-        endpoint = infinite & (_max_power_tight(ratios) and positive.max() < 1.0)
+        has_infinite = bool(infinite.any())
+        endpoint = infinite & (has_infinite and _max_power_tight(ratios) and positive.max() < 1.0)
+        fixed, twice_c = _psi_invariants(positive, ac)
 
-        def residual(x, ac, infinite):
-            psi, slope = _psi(x[:, None], positive, ac[:, None], slope=True)
+        def residual(x, ac, fixed, infinite):
+            psi, slope = _psi(x[:, None], positive, ac, slope=True, invariants=(fixed, twice_c))
             total, dtotal = psi.sum(axis=1), slope.sum(axis=1)
-            gap = 1.0 - x
-            f = np.where(infinite, total / gap - 1.0, x + total - 1.0)
-            return f, np.where(infinite, (dtotal + total / gap) / gap, 1.0 + dtotal)
+            f, df = x + total - 1.0, 1.0 + dtotal
+            if has_infinite:
+                gap, inf_total = 1.0 - x[infinite], total[infinite]
+                f[infinite] = inf_total / gap - 1.0
+                df[infinite] = (dtotal[infinite] + inf_total / gap) / gap
+            return f, df
 
-        x = _bracketed_newton(residual, endpoint.astype(float), np.ones(ac.size), ac, infinite)
-    psi = _psi(x[:, None], cs, ac[:, None])
+        x = _bracketed_newton(residual, endpoint.astype(float), np.ones(ac.size), ac, fixed, infinite)
+    psi = _psi(x[:, None], cs, ac)
     return np.hstack((psi[:, :lead], x[:, None], psi[:, lead:]))
 
 

@@ -24,7 +24,16 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .bounds import sharpened_constant
-from .core import BoundReport, Order, _positive_int, as_order, power_from_entropy
+from .core import (
+    BoundReport,
+    Order,
+    _as_float,
+    _left_sum,
+    _named,
+    _positive_int,
+    as_order,
+    power_from_entropy,
+)
 from .optimizer import bound_report
 
 __all__ = [
@@ -86,7 +95,7 @@ class GridDensity:
         if not np.all(np.isfinite(v)) or float(v.min()) < 0.0:
             raise ValueError("density values must be finite and nonnegative")
         spacing = _check_spacing(self.spacing)
-        origin = float(self.origin)
+        origin = _as_float(self.origin, "origin")
         if not math.isfinite(origin):
             raise ValueError(f"origin must be finite, got {origin!r}")
         mass = float(np.trapezoid(v, dx=spacing))
@@ -104,7 +113,7 @@ class GridDensity:
 
 
 def _check_spacing(spacing: float) -> float:
-    spacing = float(spacing)
+    spacing = _as_float(spacing, "spacing")
     if not 0.0 < spacing < math.inf:
         raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
     return spacing
@@ -146,6 +155,7 @@ def from_function(
     its ends is larger is refused before ``fn`` runs, since rounded knots
     describe another shape. At the default spacing that accepts |x| < 2^34.
     """
+    lo, hi = _as_float(lo, "window ends"), _as_float(hi, "window ends")
     far = max(abs(lo), abs(hi))
     if math.isfinite(far) and math.ulp(far) > _check_spacing(spacing) / 256:
         raise ValueError(
@@ -173,6 +183,7 @@ def uniform_density(lo: float, hi: float, spacing: float = DEFAULT_SPACING) -> G
     summand's own entropy are exact, and the discrete convolution of two
     such uniforms is the exact density of their sum at its knots.
     """
+    lo, hi = _as_float(lo, "window ends"), _as_float(hi, "window ends")
     n = max(int(round(_grid_cells(lo, hi, spacing))), 1)
     values = np.zeros(n + 2)
     values[1:-1] = 1.0 / (n * spacing)
@@ -222,8 +233,9 @@ def gaussian_mixture_density(
             raise ValueError(f"mixture weights must be positive, got {w!r}")
         if not (0.0 < s < math.inf and math.isfinite(m)):
             raise ValueError(f"need finite mean and finite std > 0, got {m!r}, {s!r}")
-    if not abs(sum(weights) - 1.0) <= 1e-9:
-        raise ValueError(f"mixture weights must sum to 1, got {sum(weights)!r}")
+    total = _left_sum(weights)
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(f"mixture weights must sum to 1, got {total!r}")
     log_peak_cut = -math.log(TRUNCATION_LEVEL * math.sqrt(2.0 * math.pi))
     halves = [
         s * math.sqrt(2.0 * max(log_peak_cut + math.log(w) - math.log(s), 1.0))
@@ -336,7 +348,7 @@ def convolve_many(densities: Sequence[GridDensity]) -> GridDensity:
         # keeps the scale of a density whatever the number of summands
         spectrum *= np.fft.rfft(d.values * spacing, size)
     raw = np.fft.irfft(spectrum, size)[:n]
-    return _renormalized(sum(d.origin for d in densities), spacing, raw)
+    return _renormalized(_left_sum(d.origin for d in densities), spacing, raw)
 
 
 @dataclass(frozen=True)
@@ -441,7 +453,7 @@ def random_corpus(
     call; instances are drawn lazily, one at a time.
     """
     if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        raise ValueError(f"seed must be a non-negative integer, got {_named(seed)}")
     count = _positive_int(count, "count")
     return _corpus_draws(np.random.default_rng(seed), count, _check_spacing(spacing))
 

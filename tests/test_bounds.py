@@ -34,6 +34,11 @@ class TestBcConstant:
         """The limit order gives 1/e."""
         assert bc_constant(math.inf) == math.exp(-1.0)
 
+    def test_integer_order_past_float_range(self):
+        """An order of 10**400 is refused by the order rule, not by an OverflowError."""
+        with pytest.raises(ValueError, match="^order must lie within the float range"):
+            bc_constant(10 ** 400)
+
     def test_near_one(self):
         """The constant tends to 1 as the order approaches 1."""
         assert bc_constant(1.0 + 1e-6) > 0.999998
@@ -277,6 +282,10 @@ class TestBinaryKl:
     def test_zero_argument(self):
         """d(0 || y) collapses to -log(1-y)."""
         assert binary_kl(0.0, 0.25) == pytest.approx(-math.log(0.75), abs=1e-15)
+
+    def test_subnormal_reference(self):
+        """x / y overflows at y = 2**-1074; the value is (1/2) log(2**1073) + (1/2) log(1/2)."""
+        assert binary_kl(0.5, 5e-324) == pytest.approx(536.0 * math.log(2.0), rel=1e-15)
 
     def test_domain(self):
         """Arguments must lie in [0, 1]."""

@@ -59,6 +59,14 @@ class TestHolderConjugate:
         with pytest.raises(ValueError):
             holder_conjugate(bad)
 
+    @pytest.mark.parametrize("build", [holder_conjugate, Order, as_order])
+    def test_integer_past_float_range(self, build):
+        """An integer order with no float is a ValueError naming its bit length."""
+        with pytest.raises(
+            ValueError, match="^order must lie within the float range, got an integer of 1329 bits$"
+        ):
+            build(10 ** 400)
+
 
 class TestOrder:
     def test_conjugate_field(self):
@@ -157,6 +165,13 @@ class TestPowerVector:
         assert len(pv) == 3
         assert pv[2] == 4.0
         assert list(pv) == [1.0, 1.0, 4.0]
+
+    def test_total_adds_left_to_right(self):
+        """The total is the plain left-to-right float sum on every Python version.
+
+        The built-in sum compensates from Python 3.12 on and gives 1.0000000000000002 here.
+        """
+        assert PowerVector((1.0, 1e-16, 1e-16)).total == 1.0
 
     def test_normalized(self):
         """normalized entries sum to one and keep ratios."""

@@ -161,6 +161,18 @@ class TestGaussianReference:
         spec = FilterSpec((3.0, 4.0), 1, 2.0)
         assert gaussian_reference(spec) == pytest.approx(0.5 * math.log(25.0), rel=1e-14)
 
+    def test_sums_add_left_to_right(self):
+        """Taps (1, 1e-8, 1e-8) give powers (1, 1e-16, 1e-16), whose plain float sum is 1.0.
+
+        Both the tap energy and the bound report's power total are that sum on
+        every Python version, so the summand-free terms vanish exactly.
+        """
+        spec = FilterSpec((1.0, 1e-8, 1e-8), 1, 2.0)
+        assert gaussian_reference(spec) == 0.0
+        bounds = filter_bounds(spec)
+        assert bounds["sharpened"] == 0.5 * math.log(sharpened_constant(2.0, 3))
+        assert bounds["bv"] == 0.0
+
     def test_higher_dimensions_refused(self):
         """Determinant magnitudes do not fix det(sum H H^T), so d > 1 is refused."""
         with pytest.raises(ValueError, match="d = 1"):

@@ -20,12 +20,13 @@ from repi import (
     log_constant,
     optimal_weights,
     optimized_constant,
+    reduced_hessian,
     secular_max_eigenvalue,
     sharpened_constant,
     two_summand_constant,
     two_summand_weight,
 )
-from repi import optimizer
+from repi import diagnostics, optimizer
 
 ORDER_GRID = (1.1, 1.5, 2.0, 5.0, 100.0, math.inf)
 #: Power ratios just below 1, down to three ulps.
@@ -294,6 +295,66 @@ class TestBracketedNewton:
         assert roots.size == 0
 
 
+class TestEvaluationCounts:
+    """Residual evaluations per solve, pinned: the steps the loop takes are part of its result.
+
+    The reduced Hessians take the one-ulp walking step, which must start
+    from the evaluated point x: a loop that walks from the bisection or
+    Newton step instead returns the same roots after many more evaluations.
+    """
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        solve = optimizer._bracketed_newton
+
+        def counting(residual, lo, hi, *params):
+            def counted(x, *args):
+                calls.append(x.size)
+                return residual(x, *args)
+
+            return solve(counted, lo, hi, *params)
+
+        monkeypatch.setattr(optimizer, "_bracketed_newton", counting)
+        monkeypatch.setattr(diagnostics, "_bracketed_newton", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "powers, alpha, expected",
+        [
+            ((1.0, 2.0, 3.0), 2.0, 5),
+            ((10.0, 20.0, 90.0), 1.1, 4),
+            ((1.0, 0.9, 0.8), math.inf, 5),
+            ((3.0, 1.0), 5.0, 6),
+            ((1.0, 0.5, 0.25, 0.125), 1e6, 8),
+            (tuple(range(1, 21)), 5.0, 8),
+            (tuple(range(1, 101)), math.inf, 5),
+        ],
+    )
+    def test_weight_solves(self, evaluations, powers, alpha, expected):
+        """One order, one row: Newton from 1/2 closes in a handful of evaluations."""
+        bound_report(powers, alpha)
+        assert len(evaluations) == expected
+
+    def test_mixed_grid(self, evaluations):
+        """The rows of one grid are evaluated together until each closes."""
+        bound_reports((1.0, 2.0, 2.5, 3.0), (2.0, math.inf, 5.0))
+        assert evaluations == [3, 3, 3, 3, 3, 1]
+
+    @pytest.mark.parametrize(
+        "interior, alpha, expected",
+        [
+            ((0.1, 0.2, 0.3, 0.15), 5.0, 7),
+            ((0.05, 0.05, 0.6), 1.1, 13),
+            ((0.4, 0.1, 0.1, 0.1), 1.01, 9),
+        ],
+    )
+    def test_walking_secular_solves(self, evaluations, interior, alpha, expected):
+        """Secular equations whose last steps walk one ulp at a time from x."""
+        secular_max_eigenvalue(reduced_hessian(interior, alpha))
+        assert len(evaluations) == expected
+
+
 class TestOptimalWeights:
     def test_frozen_three_summand_solution(self):
         """Powers (1, 1, 4) at alpha = 2 give weights (1/8, 1/8, 3/4)."""
@@ -402,6 +463,21 @@ class TestBatchedReports:
             for order, report in zip(orders, batch):
                 assert report_hexes(report) == report_hexes(bound_report(powers, order))
                 assert report.weights == optimal_weights(powers, order)
+
+    @pytest.mark.parametrize(
+        "powers", [(1.0, 2.0, 2.5, 3.0), (1.0, 2.0, 3.0), (2.0, 0.0, 2.0, 1.0), (5.0, 0.25, 1.0)]
+    )
+    def test_mixed_grid_rows_equal_one_order_rows(self, powers):
+        """The weight rows of the grid (2, inf, 5) are the one-order rows, in every bit.
+
+        The alpha = inf row is interior, an endpoint, a tie and a dominant lead in turn.
+        """
+        pv = PowerVector(powers)
+        grid = tuple(as_order(a) for a in (2.0, math.inf, 5.0))
+        rows = optimizer._weight_rows(pv, grid)
+        for row, order in zip(rows, grid):
+            alone = optimizer._weight_rows(pv, (order,))[0]
+            assert [v.hex() for v in row.tolist()] == [v.hex() for v in alone.tolist()]
 
     def test_empty_grid(self):
         """No orders, no reports."""
@@ -627,6 +703,11 @@ class TestInfinityDichotomy:
 
 
 class TestBoundReport:
+    def test_integer_order_past_float_range(self):
+        """An order of 10**400 is refused by the order rule, not by an OverflowError."""
+        with pytest.raises(ValueError, match="^order must lie within the float range"):
+            bound_report((1, 2), 10 ** 400)
+
     def test_chain_on_random_instances(self):
         """bc <= sharpened <= optimized <= 1 and optimized covers max-power."""
         rng = np.random.default_rng(23)

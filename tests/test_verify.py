@@ -293,6 +293,22 @@ class TestConstructors:
         with pytest.raises(ValueError, match="finite|grid cells"):
             from_function(lambda x: np.ones_like(x), lo, hi)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: uniform_density(10 ** 400, 10 ** 401),
+            lambda: from_function(lambda x: np.ones_like(x), 10 ** 400, 10 ** 401),
+        ],
+        ids=["uniform_density", "from_function"],
+    )
+    def test_integer_window_past_float_range(self, build):
+        """Integer ends with no float are a ValueError naming their bit length."""
+        with pytest.raises(
+            ValueError,
+            match="^window ends must lie within the float range, got an integer of 1329 bits$",
+        ):
+            build()
+
 
 class TestEntropy:
     def test_unit_uniform_has_zero_entropy(self):
@@ -782,6 +798,14 @@ class TestRandomCorpus:
         """A seed that is not an integer from 0 up is refused on the call, by name."""
         with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
             random_corpus(seed, 1)
+
+    def test_seed_past_printable_digits(self):
+        """A negative seed of 5001 digits is refused and named by its bit length."""
+        with pytest.raises(
+            ValueError,
+            match="^seed must be a non-negative integer, got a negative integer of 16610 bits$",
+        ):
+            random_corpus(-10 ** 5000, 1)
 
     @pytest.mark.parametrize("seed", [np.int64(4), 2 ** 70])
     def test_integer_seeds_of_any_type(self, seed):
