@@ -106,11 +106,11 @@ def log_constant(
         )
     if abs(powers.total - 1.0) > 1e-10:
         raise ValueError(f"powers must be normalized to sum 1, got sum {powers.total!r}")
-    return _log_constants(np.array([weights.weights]), powers.powers, (order,))[0]
+    return _log_constants(np.array([weights.weights]), powers._array, (order,))[0]
 
 
 def _log_constants(
-    weights: np.ndarray, normalized_powers: Sequence[float], orders: Sequence[Order]
+    weights: np.ndarray, normalized_powers: np.ndarray, orders: Sequence[Order]
 ) -> list[float]:
     """:func:`log_constant` of each row of ``weights``, row i at ``orders[i]``, unchecked.
 

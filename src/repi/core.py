@@ -107,6 +107,20 @@ def _left_sum(values: Iterable[float]) -> float:
     return total
 
 
+def _left_sum_array(values: np.ndarray) -> float:
+    """:func:`_left_sum` of a 1-d float64 array, in every bit, with numpy doing the adding.
+
+    ``np.add.accumulate`` adds strictly left to right (``np.sum`` adds
+    pairwise); the final ``+ 0.0`` makes a sum of -0.0 entries 0.0, as the
+    0.0 start of :func:`_left_sum` does. A sum past the float range is inf,
+    without a warning.
+    """
+    if not values.size:
+        return 0.0
+    with np.errstate(over="ignore"):
+        return float(np.add.accumulate(values)[-1]) + 0.0
+
+
 def _positive_int(value: int, what: str) -> int:
     """``value`` as an int when it is an integer of any type, numpy's too, from 1 to 2**53.
 
@@ -156,22 +170,35 @@ class PowerVector:
 
     Entries are finite and nonnegative. A zero entry is legal and marks a
     summand whose density is unbounded in the relevant norm; the optimizer
-    assigns it zero weight. ``total``, their sum, is formed once here; it
-    is inf when the sum overflows.
+    assigns it zero weight. The entries are converted with ``float`` and
+    checked once, here, and held both as the tuple ``powers`` and as one
+    private read-only float64 array that the solver's O(n) steps work on;
+    the array takes no part in equality, hashing or ``repr``. ``total``,
+    their left-to-right sum, is formed once here; it is inf when the sum
+    overflows.
     """
 
     powers: tuple[float, ...]
     total: float = field(init=False, repr=False, compare=False)
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        vals = tuple(float(p) for p in self.powers)
+        raw = tuple(self.powers)
+        try:
+            vals = tuple(map(float, raw))
+        except OverflowError:
+            vals = tuple(_as_float(p, "entropy powers") for p in raw)
         if len(vals) < 1:
             raise ValueError("need at least one summand")
-        for p in vals:
-            if not math.isfinite(p) or p < 0.0:
-                raise ValueError(f"entropy powers must be finite and >= 0, got {p!r}")
+        arr = np.array(vals)
+        # argmin and argmax return the index of the first NaN if there is one
+        if not (vals[arr.argmin()] >= 0.0 and vals[arr.argmax()] < math.inf):
+            bad = vals[(~((arr >= 0.0) & (arr < math.inf))).argmax()]
+            raise ValueError(f"entropy powers must be finite and >= 0, got {bad!r}")
+        arr.setflags(write=False)
         object.__setattr__(self, "powers", vals)
-        object.__setattr__(self, "total", _left_sum(vals))
+        object.__setattr__(self, "total", _left_sum_array(arr))
+        object.__setattr__(self, "_array", arr)
 
     def __len__(self) -> int:
         return len(self.powers)
@@ -184,16 +211,21 @@ class PowerVector:
 
     @property
     def largest(self) -> float:
-        return max(self.powers)
+        """The first largest power, as ``max(powers)`` returns it."""
+        return self.powers[self._array.argmax()]
 
     def normalized(self) -> tuple[float, ...]:
         """Powers divided by their sum; requires a nonzero, finite total."""
+        return tuple(self._normalized().tolist())
+
+    def _normalized(self) -> np.ndarray:
+        """:meth:`normalized` as a new float64 array."""
         t = self.total
         if t <= 0.0:
             raise ValueError("cannot normalize an all-zero power vector")
         if math.isinf(t):
             raise ValueError("entropy powers sum past the float range")
-        return tuple(p / t for p in self.powers)
+        return self._array / t
 
 
 def as_power_vector(powers: PowerVector | Sequence[float]) -> PowerVector:

@@ -48,7 +48,7 @@ from .core import (
     Order,
     PowerVector,
     SimplexWeights,
-    _left_sum,
+    _left_sum_array,
     _simplex_rows,
     as_order,
     as_power_vector,
@@ -86,18 +86,19 @@ class RootBracketError(RuntimeError):
         self.residual = residual
 
 
-def _leading_ratios(pv: PowerVector) -> tuple[int, list[float]]:
-    """Index of the first largest power, and every other power divided by it."""
-    top = pv.largest
+def _leading_ratios(pv: PowerVector) -> tuple[int, np.ndarray]:
+    """Index of the first largest power, and every other power divided by it, in order."""
+    powers = pv._array
+    lead = int(powers.argmax())
+    top = powers[lead]
     if top == 0.0:
         raise DegeneratePowersError("all entropy powers are zero")
-    lead = pv.powers.index(top)
-    return lead, [p / top for i, p in enumerate(pv) if i != lead]
+    return lead, np.concatenate((powers[:lead], powers[lead + 1:])) / top
 
 
-def _max_power_tight(ratios: Sequence[float]) -> bool:
+def _max_power_tight(ratios: np.ndarray) -> bool:
     """At alpha = inf the endpoint x = 1 is the limit iff the ratios sum to at most 1."""
-    return _left_sum(ratios) <= 1.0 + 1e-12
+    return _left_sum_array(ratios) <= 1.0 + 1e-12
 
 
 def _psi_invariants(c, ac):
@@ -158,9 +159,10 @@ def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for evaluations in range(MAX_ITERATIONS + 1):
             done = (mid <= lo) | (mid >= hi)
-            if done.any():
+            closed = np.count_nonzero(done)
+            if closed:
                 roots[rows[done]] = mid[done]
-                if done.all():
+                if closed == done.size:
                     return roots
                 keep = ~done
                 rows, x, f, df, lo, hi, mid, *params = (
@@ -172,7 +174,7 @@ def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
                 newton = x - f / df
                 step = np.where((lo < newton) & (newton < hi), newton, mid)
                 walking = newton == x
-                if walking.any():
+                if np.count_nonzero(walking):
                     walking &= np.isfinite(df)
                     step = np.where(walking, np.nextafter(x, np.where(f < 0.0, hi, lo)), step)
                 x = step
@@ -198,8 +200,7 @@ def _weight_rows(pv: PowerVector, orders: Sequence[Order]) -> np.ndarray:
     [1, 1] returns it before any evaluation. With no positive ratio the
     lead takes weight 1.
     """
-    lead, ratios = _leading_ratios(pv)
-    cs = np.array(ratios)
+    lead, cs = _leading_ratios(pv)
     ac = np.array([o.alpha_conj for o in orders])[:, None]
     positive = cs[cs > 0.0]
     if positive.size == 0:
@@ -207,12 +208,12 @@ def _weight_rows(pv: PowerVector, orders: Sequence[Order]) -> np.ndarray:
     else:
         infinite = np.array([o.is_infinite for o in orders], dtype=bool)
         has_infinite = bool(infinite.any())
-        endpoint = infinite & (has_infinite and _max_power_tight(ratios) and positive.max() < 1.0)
+        endpoint = infinite & (has_infinite and _max_power_tight(cs) and positive.max() < 1.0)
         fixed, twice_c = _psi_invariants(positive, ac)
 
         def residual(x, ac, fixed, infinite):
             psi, slope = _psi(x[:, None], positive, ac, slope=True, invariants=(fixed, twice_c))
-            total, dtotal = psi.sum(axis=1), slope.sum(axis=1)
+            total, dtotal = np.add.reduce(psi, axis=1), np.add.reduce(slope, axis=1)
             f, df = x + total - 1.0, 1.0 + dtotal
             if has_infinite:
                 gap, inf_total = 1.0 - x[infinite], total[infinite]
@@ -222,7 +223,9 @@ def _weight_rows(pv: PowerVector, orders: Sequence[Order]) -> np.ndarray:
 
         x = _bracketed_newton(residual, endpoint.astype(float), np.ones(ac.size), ac, fixed, infinite)
     psi = _psi(x[:, None], cs, ac)
-    return np.hstack((psi[:, :lead], x[:, None], psi[:, lead:]))
+    rows = np.empty((x.size, cs.size + 1))
+    rows[:, :lead], rows[:, lead], rows[:, lead + 1:] = psi[:, :lead], x, psi[:, lead:]
+    return rows
 
 
 def optimal_weights(
@@ -319,7 +322,7 @@ def bound_reports(
     orders = [as_order(o) for o in orders]
     pv = as_power_vector(powers)
     rows = _weight_rows(pv, orders)
-    log_optimized = _log_constants(rows, pv.normalized(), orders)
+    log_optimized = _log_constants(rows, pv._normalized(), orders)
     n, bv = len(pv), pv.largest
     return [
         BoundReport(

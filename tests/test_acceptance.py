@@ -162,7 +162,7 @@ class TestSolverBudgets:
 
     @pytest.mark.parametrize("alpha", [2.0, math.inf])
     def test_thousand_summand_report(self, alpha):
-        """bound_report at n = 1000 takes at most 10 ms (about 1.5 ms measured)."""
+        """bound_report at n = 1000 takes at most 10 ms (about 0.9 ms measured)."""
         powers = tuple(float(p) for p in np.exp(np.random.default_rng(41).uniform(-3.0, 3.0, 1000)))
         assert best_of(lambda: bound_report(powers, alpha)) <= 10e-3
 

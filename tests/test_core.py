@@ -192,6 +192,7 @@ class TestPowerVector:
         """Finite powers whose sum overflows are refused by name, not normalized to zeros."""
         pv = PowerVector((1e308, 1e308))
         assert pv.largest == 1e308
+        assert pv.total == math.inf
         with pytest.raises(ValueError, match="sum past the float range"):
             pv.normalized()
 
@@ -200,6 +201,33 @@ class TestPowerVector:
         """Empty, negative and non-finite vectors are rejected."""
         with pytest.raises(ValueError):
             PowerVector(bad)
+
+    @pytest.mark.parametrize(
+        "powers, first",
+        [((1.0, -2.0, math.nan), "-2.0"), ((0.0, math.inf, -1.0), "inf"), ((3.0, math.nan), "nan")],
+    )
+    def test_refusal_names_the_first_bad_entry(self, powers, first):
+        """The message names the first negative or non-finite entry."""
+        with pytest.raises(ValueError, match=f"^entropy powers must be finite and >= 0, got {first}$"):
+            PowerVector(powers)
+
+    @pytest.mark.parametrize(
+        "call", [lambda: PowerVector((10 ** 400,)), lambda: bound_report((10 ** 400, 1.0), 2)]
+    )
+    def test_integer_past_float_range(self, call):
+        """A power of 10**400 is refused by its bit length as a ValueError, not an OverflowError."""
+        message = "^entropy powers must lie within the float range, got an integer of 1329 bits$"
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_held_array_is_read_only_and_invisible(self):
+        """The private array refuses writes and plays no part in equality, hashing or repr."""
+        pv = PowerVector((1.0, 2.0))
+        with pytest.raises(ValueError, match="read-only"):
+            pv._array[0] = 5.0
+        twin = PowerVector([1, 2.0])
+        assert pv == twin and hash(pv) == hash(twin)
+        assert repr(pv) == "PowerVector(powers=(1.0, 2.0))"
 
     def test_as_power_vector(self):
         """Lists coerce; existing vectors pass through."""

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repi import (
     two_summand_weight,
 )
 from repi import diagnostics, optimizer
+from repi.core import _left_sum
 
 ORDER_GRID = (1.1, 1.5, 2.0, 5.0, 100.0, math.inf)
 #: Power ratios just below 1, down to three ulps.
@@ -479,6 +481,13 @@ class TestBatchedReports:
             alone = optimizer._weight_rows(pv, (order,))[0]
             assert [v.hex() for v in row.tolist()] == [v.hex() for v in alone.tolist()]
 
+    def test_thousand_summand_grid_equals_one_order_reports(self):
+        """At n = 1000 the reports of the grid (1.1, 2, inf) equal the one-order reports in every bit."""
+        powers = tuple(float(p) for p in np.exp(np.random.default_rng(53).uniform(-3.0, 3.0, 1000)))
+        orders = (1.1, 2.0, math.inf)
+        for order, report in zip(orders, bound_reports(powers, orders)):
+            assert report_hexes(report) == report_hexes(bound_report(powers, order))
+
     def test_empty_grid(self):
         """No orders, no reports."""
         assert bound_reports((1.0, 2.0), ()) == []
@@ -504,6 +513,57 @@ class TestBatchedReports:
             gap = max(grads) - math.fsum(t * g for t, g in zip(weights, grads))
             worst = max(worst, gap)
         assert worst <= 1e-12
+
+
+def edge_power_vectors(rng):
+    """Seeded vectors at n = 1, 2, 3, 17 and 1000, plain and with zeros, ties for
+    the largest, -0.0 entries or subnormals, then (1e308, 1e308)."""
+    for n in (1, 2, 3, 17, 1000):
+        for shape in range(5):
+            powers = np.exp(rng.uniform(-3.0, 3.0, n))
+            picked = rng.integers(0, n, size=max(1, n // 4))
+            if shape == 1:
+                powers[picked] = 0.0
+            elif shape == 2:
+                powers[picked] = powers.max()
+            elif shape == 3:
+                powers[picked] = -0.0
+            elif shape == 4:
+                powers[picked] = 5e-324 * rng.integers(1, 1000, size=picked.size)
+            yield tuple(float(p) for p in powers)
+    yield (1e308, 1e308)
+
+
+class TestArrayPath:
+    def test_matches_the_loop_formulas(self):
+        """Every O(n) step on the held array equals the per-entry formula it replaced, in every bit.
+
+        The total is the left-to-right sum (inf for (1e308, 1e308), with no
+        warning), the lead is the first largest power, and the ratios and
+        the alpha = inf endpoint test are those of the plain list.
+        """
+        def hexes(values):
+            return [float(v).hex() for v in values]
+
+        for powers in edge_power_vectors(np.random.default_rng(47)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pv = PowerVector(powers)
+            total, top = _left_sum(powers), max(powers)
+            assert pv.total.hex() == total.hex()
+            assert pv.largest.hex() == top.hex()
+            if 0.0 < total < math.inf:
+                assert hexes(pv.normalized()) == hexes(p / total for p in powers)
+            if top == 0.0:
+                with pytest.raises(DegeneratePowersError):
+                    optimizer._leading_ratios(pv)
+                continue
+            lead, ratios = optimizer._leading_ratios(pv)
+            assert lead == powers.index(top)
+            expected = [p / top for i, p in enumerate(powers) if i != lead]
+            assert hexes(ratios) == hexes(expected)
+            assert optimizer._max_power_tight(ratios) == (_left_sum(expected) <= 1.0 + 1e-12)
+        assert pv.total == math.inf
 
 
 class TestOptimizedConstant:
