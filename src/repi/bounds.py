@@ -106,22 +106,25 @@ def log_constant(
         )
     if abs(powers.total - 1.0) > 1e-10:
         raise ValueError(f"powers must be normalized to sum 1, got sum {powers.total!r}")
-    return _log_constants(np.array([weights.weights]), powers._array, (order,))[0]
+    with np.errstate(divide="ignore"):
+        log_powers = np.log(powers._array)
+    return _log_constants(np.array([weights.weights]), log_powers, (order,))[0]
 
 
 def _log_constants(
-    weights: np.ndarray, normalized_powers: np.ndarray, orders: Sequence[Order]
+    weights: np.ndarray, log_powers: np.ndarray, orders: Sequence[Order]
 ) -> list[float]:
-    """:func:`log_constant` of each row of ``weights``, row i at ``orders[i]``, unchecked.
+    """:func:`log_constant` of each row of ``weights``, row i at ``orders[i]``,
+    from the logs of the normalized powers, unchecked.
 
     Each row's terms are summed exactly (``math.fsum``), so a row's value
     depends neither on the other rows nor on where its zero weights sit.
     """
     t = np.clip(weights, 0.0, 1.0)  # SimplexWeights allows -1e-12 noise
     ac = np.array([o.alpha_conj for o in orders])[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):
         # t log N is -inf for a weighted zero power and nan for an unweighted one
-        terms = np.where(t > 0.0, _kernel(t, ac) + t * np.log(normalized_powers), 0.0)
+        terms = np.where(t > 0.0, _kernel(t, ac) + t * log_powers, 0.0)
     return [
         math.fsum([o.log_alpha_slope, *row]) for o, row in zip(orders, terms.tolist())
     ]

@@ -100,7 +100,7 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
             raise ValueError(f"geometric grids need finite ends and count >= 2, got {text!r}")
         if count > MAX_GRID_ORDERS:
             raise ValueError(f"geometric grids hold at most {MAX_GRID_ORDERS} orders, got {count}")
-        return tuple(float(a) for a in np.geomspace(start, stop, count))
+        return tuple(np.geomspace(start, stop, count).tolist())
     return _parse_floats(text, "order grid")
 
 
@@ -134,38 +134,49 @@ def _json_float(value: float) -> str:
     return _JSON_NONFINITE.get(text, text)
 
 
-#: the columns member and one row object, at the depth and with the
-#: separators of json.dump(indent=2)
+_CSV_HEADER = ",".join(COLUMNS) + "\n"
+
+#: the columns member, at the depth and with the separators of json.dump(indent=2)
 _JSON_COLUMNS = '  "columns": [\n' + ",\n".join(f'    "{c}"' for c in COLUMNS) + "\n  ],\n"
-_JSON_ROW = "    {\n" + ",\n".join(f'      "{c}": %s' for c in COLUMNS) + "\n    }"
+
+
+# Both writers build the whole table and hand it to ``out`` in one write.
+# A run of rows that share one alpha object, or one n object, formats it
+# once; runs are told apart by identity, never by equality, so 0.0 after
+# -0.0, or an equal but distinct float, is formatted fresh.
 
 
 def write_csv(rows: Sequence[Row], out: IO[str]) -> None:
-    out.write(",".join(COLUMNS) + "\n")
+    lines = [_CSV_HEADER]
+    last_alpha = last_n = object()
     for alpha, method, value, n in rows:
-        out.write(
-            f"{_fmt_alpha(alpha)},{method},{repr(float(value))},"
-            f"{'' if n is None else n}\n"
-        )
+        if alpha is not last_alpha:
+            last_alpha, head = alpha, f"{_fmt_alpha(alpha)},"
+        if n is not last_n:
+            last_n, tail = n, ("\n" if n is None else f"{n}\n")
+        lines.append(f"{head}{method},{float(value)!r},{tail}")
+    out.write("".join(lines))
 
 
 def write_json(rows: Sequence[Row], out: IO[str], command: str) -> None:
     """The document {command, columns, rows} as ``json.dump(doc, out, indent=2)``
-    writes it, byte for byte, then a newline, in one write.
+    writes it, byte for byte, then a newline.
 
     alpha = inf is the string "inf"; a missing alpha or n is null.
     """
-    body = ",\n".join(
-        _JSON_ROW
-        % (
-            "null" if alpha is None else '"inf"' if math.isinf(alpha) else _json_float(alpha),
-            _json_str(method),
-            _json_float(value),
-            "null" if n is None else repr(int(n)),
-        )
-        for alpha, method, value, n in rows
-    )
-    rows_text = f"[\n{body}\n  ]" if body else "[]"
+    objects = []
+    last_alpha = last_n = object()
+    for alpha, method, value, n in rows:
+        if alpha is not last_alpha:
+            last_alpha = alpha
+            alpha_text = "null" if alpha is None else '"inf"' if math.isinf(alpha) else _json_float(alpha)
+            head = f'    {{\n      "alpha": {alpha_text},\n      "method": '
+        if n is not last_n:
+            last_n = n
+            tail = f',\n      "n": {"null" if n is None else repr(int(n))}\n    }}'
+        text = repr(float(value))
+        objects.append(f'{head}{_json_str(method)},\n      "value": {_JSON_NONFINITE.get(text, text)}{tail}')
+    rows_text = "[\n" + ",\n".join(objects) + "\n  ]" if objects else "[]"
     out.write(f'{{\n  "command": {_json_str(command)},\n{_JSON_COLUMNS}  "rows": {rows_text}\n}}\n')
 
 

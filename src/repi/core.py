@@ -227,6 +227,17 @@ class PowerVector:
             raise ValueError("entropy powers sum past the float range")
         return self._array / t
 
+    def _log_normalized(self) -> np.ndarray:
+        """log of :meth:`_normalized`: -inf at a zero power, and log p - log total
+        where a positive power p over the total underflows to 0."""
+        normalized = self._normalized()
+        with np.errstate(divide="ignore"):
+            logs = np.log(normalized)
+        if not normalized.all():
+            lost = (normalized == 0.0) & (self._array > 0.0)
+            logs[lost] = np.log(self._array[lost]) - math.log(self.total)
+        return logs
+
 
 def as_power_vector(powers: PowerVector | Sequence[float]) -> PowerVector:
     return powers if isinstance(powers, PowerVector) else PowerVector(tuple(powers))

@@ -322,7 +322,7 @@ def bound_reports(
     orders = [as_order(o) for o in orders]
     pv = as_power_vector(powers)
     rows = _weight_rows(pv, orders)
-    log_optimized = _log_constants(rows, pv._normalized(), orders)
+    log_optimized = _log_constants(rows, pv._log_normalized(), orders)
     n, bv = len(pv), pv.largest
     return [
         BoundReport(

@@ -283,7 +283,9 @@ def renyi_entropy(density: GridDensity, order: Order | float) -> float:
     Since r <= 1 no term overflows at any order, and as alpha -> 1 no
     mass error of order 1e-16 is divided by alpha - 1. No weight array is
     built: after the logs, r is scaled in place by the spacing and its two
-    end entries are halved, which makes it w r.
+    end entries are halved, which makes it w r. The weighted sum of the
+    terms is numpy's pairwise sum, not a BLAS dot, whose rounding would
+    follow the BLAS thread count.
     """
     order = as_order(order)
     peak = float(density.values.max())
@@ -296,7 +298,8 @@ def renyi_entropy(density: GridDensity, order: Order | float) -> float:
     r *= density.spacing
     r[[0, -1]] *= 0.5
     mass = float(r.sum())
-    excess = float(np.dot(r, terms)) / mass
+    terms *= r
+    excess = float(terms.sum()) / mass
     return math.log(mass) - math.log1p(excess) / (order.alpha - 1.0)
 
 

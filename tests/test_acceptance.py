@@ -162,16 +162,16 @@ class TestSolverBudgets:
 
     @pytest.mark.parametrize("alpha", [2.0, math.inf])
     def test_thousand_summand_report(self, alpha):
-        """bound_report at n = 1000 takes at most 10 ms (about 0.9 ms measured)."""
+        """bound_report at n = 1000 takes at most 10 ms (0.75 to 1 ms measured)."""
         powers = tuple(float(p) for p in np.exp(np.random.default_rng(41).uniform(-3.0, 3.0, 1000)))
         assert best_of(lambda: bound_report(powers, alpha)) <= 10e-3
 
     def test_compare_over_two_hundred_orders(self):
-        """compare over 1.01:10000:200 at n = 10 takes at most 15 ms (2 to 3.5 ms measured)."""
+        """compare over 1.01:10000:200 at n = 10 takes at most 15 ms (3 to 3.5 ms measured)."""
         assert best_of(lambda: cmd_compare(self.COMPARE)) <= 15e-3
 
     def test_json_of_two_hundred_orders(self):
-        """The JSON of that compare, 800 rows, is written in at most 8 ms (1.7 to 3 ms measured)."""
+        """The JSON of that compare, 800 rows, is written in at most 8 ms (0.9 to 2 ms measured)."""
         rows = cmd_compare(self.COMPARE)
         assert best_of(lambda: write_json(rows, io.StringIO(), "compare")) <= 8e-3
 

@@ -25,6 +25,7 @@ from repi.cli import (
     cmd_compare,
     cmd_verify,
     main,
+    write_csv,
     write_json,
 )
 
@@ -58,16 +59,64 @@ def reference_json(rows, command):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def reference_csv(rows):
+    """The CSV as a per-row formatter spells it: the header, then one line a row."""
+
+    def alpha_text(alpha):
+        return "" if alpha is None else "inf" if math.isinf(alpha) else repr(float(alpha))
+
+    lines = [",".join(COLUMNS) + "\n"]
+    for alpha, method, value, n in rows:
+        lines.append(f"{alpha_text(alpha)},{method},{repr(float(value))},{'' if n is None else n}\n")
+    return "".join(lines)
+
+
+def table_rows(alphas, methods, values, ns):
+    """Rows whose alphas come from a pool of up to three objects, so neighbours
+    often share one alpha object. A row may instead take an equal but distinct
+    copy of its alpha (the same bits in a new float), and equal values of
+    another type (0 after -0.0, 1 after True) stay apart."""
+
+    def build(drawn):
+        pool, picks = drawn
+        rows = []
+        for i, fresh, method, value, n in picks:
+            alpha = pool[i % len(pool)]
+            if fresh and isinstance(alpha, float):
+                alpha = float.fromhex(alpha.hex())
+            rows.append((alpha, method, value, n))
+        return rows
+
+    pick = st.tuples(st.integers(0, 2), st.booleans(), methods, values, ns)
+    return st.tuples(st.lists(alphas, min_size=1, max_size=3), st.lists(pick, max_size=6)).map(build)
+
+
 EDGE_FLOATS = st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e308, -1e308])
-JSON_ROWS = st.lists(
-    st.tuples(
-        st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False), st.just(math.inf)),
-        st.one_of(st.text(alphabet='"\\/ab\u00e9\u20ac\U0001f600\n\t\x00\x7f'), st.text()),
-        st.one_of(EDGE_FLOATS, st.floats()),
-        st.one_of(st.none(), st.integers()),
-    ),
-    max_size=6,
+METHODS = st.one_of(st.text(alphabet='"\\/ab\u00e9\u20ac\U0001f600\n\t\x00\x7f'), st.text())
+# json.dump spells an int alpha or value without a point, so JSON rows hold ints only as n
+JSON_ROWS = table_rows(
+    st.one_of(st.none(), EDGE_FLOATS, st.floats()),
+    METHODS,
+    st.one_of(EDGE_FLOATS, st.floats()),
+    st.one_of(st.none(), st.integers(), st.sampled_from([1, 2, 10 ** 20])),
 )
+FLOAT_INTS = st.integers(-(2 ** 60), 2 ** 60)
+CSV_ROWS = table_rows(
+    st.one_of(st.none(), EDGE_FLOATS, st.floats(), FLOAT_INTS),
+    METHODS,
+    st.one_of(EDGE_FLOATS, st.floats(), FLOAT_INTS),
+    st.one_of(st.none(), st.integers(), st.booleans(), st.sampled_from([0, 1, 10 ** 20])),
+)
+#: rows where an identity test and an equality test disagree
+EQUAL_BUT_DISTINCT = [
+    (-0.0, "bc", 1.0, 1),
+    (0.0, "bc", -0.0, 1),
+    (math.nan, "bv", math.inf, None),
+    (math.nan, "bv", -math.inf, None),
+    (None, "violations", 0.0, None),
+]
+#: and in CSV also ints and bools equal to those floats
+CSV_EQUAL_BUT_DISTINCT = EQUAL_BUT_DISTINCT + [(0, "bv", 0, True), (0, "bv", 1, 1), (-0.0, "bv", 1, 1.0)]
 
 
 def run_lines(argv, capsys):
@@ -267,6 +316,20 @@ class TestVerifyCommand:
         assert "inf,ratio,0.4999999999999998,2" in lines
         assert "inf,margin,-4.440892098500626e-16,2" in lines
         assert lines[-1] == ",violations,0.0,"
+
+    def test_stdout_does_not_follow_the_blas_thread_count(self, capsys):
+        """A corpus run prints the same bytes with one BLAS thread as in process with
+        the default count: no entropy sum goes through a threaded BLAS call."""
+        argv = ["verify", "--count", "20", "--seed", "1"]
+        main(argv)
+        in_process = capsys.readouterr().out
+        proc = subprocess.run(
+            [sys.executable, "-m", "repi.cli", *argv],
+            capture_output=True,
+            env={**module_env(), "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == in_process.encode()
 
     def test_unknown_corpus_rejected(self):
         """A corpus name that argparse would refuse is also refused by the command itself."""
@@ -475,11 +538,41 @@ class TestOutputFormats:
 
     @given(rows=JSON_ROWS, command=st.sampled_from(["constants", "compare", "filter", "verify"]))
     @example(rows=[], command="compare")
+    @example(rows=EQUAL_BUT_DISTINCT, command="verify")
     def test_json_bytes_are_json_dump(self, rows, command):
         """The JSON writer prints json.dump(doc, indent=2) and a newline, byte for byte."""
         out = io.StringIO()
         write_json(rows, out, command)
         assert out.getvalue() == reference_json(rows, command)
+
+    @given(rows=CSV_ROWS)
+    @example(rows=[])
+    @example(rows=CSV_EQUAL_BUT_DISTINCT)
+    def test_csv_bytes_match_the_row_formatter(self, rows):
+        """The CSV writer prints what formatting each row on its own prints, byte for byte."""
+        out = io.StringIO()
+        write_csv(rows, out)
+        assert out.getvalue() == reference_csv(rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_write_per_table(self, fmt):
+        """Each writer hands the whole table to the file in one write."""
+        calls = []
+
+        class Counting(io.StringIO):
+            def write(self, text):
+                calls.append(text)
+                return super().write(text)
+
+        rows = cmd_compare(SweepSpec(alphas=(1.5, 2.0, math.inf), powers=(1.0, 2.0)))
+        out = Counting()
+        if fmt == "csv":
+            write_csv(rows, out)
+            assert out.getvalue() == reference_csv(rows)
+        else:
+            write_json(rows, out, "compare")
+            assert out.getvalue() == reference_json(rows, "compare")
+        assert len(calls) == 1
 
     def test_json_spells_infinity(self, capsys):
         """alpha = inf serializes as the string "inf", blanks as null."""

@@ -779,3 +779,38 @@ class TestBoundReport:
             assert report.optimized * report.powers.total >= report.bv - 1e-9 * max(
                 1.0, report.bv
             )
+
+    def test_subnormal_power_under_the_total(self):
+        """A subnormal power whose ratio to the lead rounds up but whose share of the
+        total underflows to 0 still gives a finite constant: its weight 5e-324 is
+        priced at log p - log total, not at log 0."""
+        report = bound_report((1.731091603520131, 5e-324, 0.3, 0.2), 1.5)
+        assert report.weights[1] == 5e-324
+        assert report.optimized == bound_report((1.731091603520131, 0.3, 0.2), 1.5).optimized
+
+    def test_one_subnormal_power_sweep(self):
+        """Vectors that each hold one subnormal power report what the vector without it does.
+
+        Odd vectors hold 5e-324 with the largest power in [1, 2), where
+        5e-324 over the lead rounds up and over a total of 2 or more rounds
+        down to 0; 19 of the 300 reach that case.
+        """
+        rng = np.random.default_rng(61)
+        orders = (1.01, 1.1, 1.5, 2.0, 10.0, 1e6, math.inf)
+        underflowed = 0
+        for i in range(300):
+            n = int(rng.integers(2, 12))
+            powers = np.exp(rng.uniform(-3.0, 3.0, n))
+            k = int(rng.integers(n))
+            if i % 2:
+                powers *= rng.uniform(1.0, 2.0) / powers.max()
+                powers[k] = 5e-324
+            else:
+                powers[k] = float(rng.choice([5e-324, 1e-323, 3e-320, 1e-310]))
+            order = orders[int(rng.integers(len(orders)))]
+            report = bound_report(tuple(powers.tolist()), order)
+            rest = bound_report(tuple(np.delete(powers, k).tolist()), order)
+            underflowed += report.weights[k] > 0.0 and powers[k] / report.powers.total == 0.0
+            assert report.optimized == pytest.approx(rest.optimized, rel=1e-14)
+            assert report.bc <= report.sharpened <= report.optimized
+        assert underflowed == 19

@@ -41,7 +41,10 @@ def _direct_reference(parts):
 
 
 def _weight_array_entropy(density, alpha):
-    """Finite-order renyi_entropy with an explicit trapezoid weight array w: the reference."""
+    """Finite-order renyi_entropy with an explicit trapezoid weight array w: the reference.
+
+    Both sums are numpy's pairwise ``sum``, as in ``renyi_entropy``.
+    """
     peak = float(density.values.max())
     r = density.values / peak
     w = np.full(r.size, density.spacing)
@@ -49,7 +52,7 @@ def _weight_array_entropy(density, alpha):
     wr = w * r
     mass = float(wr.sum())
     with np.errstate(divide="ignore", over="ignore"):
-        excess = float(np.dot(wr, np.expm1((alpha - 1.0) * np.log(r)))) / mass
+        excess = float((wr * np.expm1((alpha - 1.0) * np.log(r))).sum()) / mass
     return math.log(mass) - math.log1p(excess) / (alpha - 1.0)
 
 
