@@ -16,7 +16,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Order, SimplexWeights, _positive_int, as_order, as_power_vector, as_simplex_weights
+from .core import (
+    Order,
+    SimplexWeights,
+    _as_float,
+    _positive_int,
+    as_order,
+    as_power_vector,
+    as_simplex_weights,
+)
 
 __all__ = [
     "bc_constant",
@@ -62,7 +70,7 @@ def young_constant(t: float) -> float:
     For t < 1 the two log terms nearly cancel, so there the log is taken
     as log t + (1 - t) log1p(-t) / t, which tends to log(t / e) as t -> 0.
     """
-    t = float(t)
+    t = _as_float(t, "exponent")
     if math.isnan(t) or t <= 0.0:
         raise ValueError(f"exponent must be > 0, got {t!r}")
     if t == 1.0 or math.isinf(t):
@@ -137,7 +145,7 @@ def binary_kl(x: float, y: float) -> float:
     y in {0, 1} give +inf unless x matches exactly. The log of x / y is
     taken as log x - log y only where that quotient overflows (y subnormal).
     """
-    x, y = float(x), float(y)
+    x, y = _as_float(x, "arguments"), _as_float(y, "arguments")
     if not 0.0 <= x <= 1.0 or not 0.0 <= y <= 1.0:
         raise ValueError(f"arguments must lie in [0, 1], got {x!r}, {y!r}")
     if y == 0.0:

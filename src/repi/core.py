@@ -164,6 +164,21 @@ def _as_float(value, what: str) -> float:
         raise ValueError(f"{what} must lie within the float range, got {_named(value)}") from None
 
 
+def _as_floats(values, what: str) -> tuple[float, ...]:
+    """:func:`_as_float` of each value, as a tuple.
+
+    Each value takes one plain ``float`` call unless some value is past the
+    float range. The tuple is built from a list: ``tuple()`` of a generator
+    starts at 10 entries and resizes, which in a long loop of calls strands
+    megabytes of tuples on CPython's per-size free lists.
+    """
+    raw = tuple(values)
+    try:
+        return tuple([*map(float, raw)])
+    except OverflowError:
+        return tuple([_as_float(v, what) for v in raw])
+
+
 @dataclass(frozen=True)
 class PowerVector:
     """Entropy powers of the independent summands, one entry per summand.
@@ -183,11 +198,7 @@ class PowerVector:
     _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        raw = tuple(self.powers)
-        try:
-            vals = tuple(map(float, raw))
-        except OverflowError:
-            vals = tuple(_as_float(p, "entropy powers") for p in raw)
+        vals = _as_floats(self.powers, "entropy powers")
         if len(vals) < 1:
             raise ValueError("need at least one summand")
         arr = np.array(vals)

@@ -8,12 +8,12 @@ objective's Hessian is diagonal-plus-rank-one,
 with q the second derivative of the per-summand kernel. Structure of that
 form has fully understood spectra: the eigenvalues interlace the diagonal
 and shift by nonnegative multiples of rho summing to rho * ||z||^2. This
-module checks concavity numerically through two independent eigenvalue
-routes (LAPACK's dense symmetric eigensolver, and the secular equation
-solved by the weight solver's bracketed Newton), which must agree to a
-tolerance relative to the matrix norm, and exposes the reciprocal-curvature
-quantities whose positivity underlies the concavity proof for conjugates
-below 2.
+module checks concavity numerically through two eigenvalue routes
+(LAPACK's dense symmetric eigensolver, and the secular equation solved to
+adjacent floats by the weight solver's bracketed Newton, started at the
+dense value), which must agree to a tolerance relative to the matrix norm,
+and exposes the reciprocal-curvature quantities whose positivity underlies
+the concavity proof for conjugates below 2.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Order, _left_sum, _positive_int, as_order
+from .core import Order, _as_float, _as_floats, _left_sum, _positive_int, as_order
 from .optimizer import _bracketed_newton
 
 __all__ = [
@@ -55,16 +55,21 @@ def curvature(x: float, order: Order | float) -> float:
     """q(x) = (2x - a') / (x (a' - x)), the kernel's second derivative.
 
     Defined strictly between the poles at 0 and a', and only up to 1 since
-    weights never exceed 1. Negative below a'/2, positive above.
+    weights never exceed 1. Negative below a'/2, positive above. Near 0 it
+    is about -1/x, so below about 5.6e-309 it is past the float range and
+    refused with ValueError.
     """
     order = as_order(order)
-    x = float(x)
+    x = _as_float(x, "curvature argument")
     ac = order.alpha_conj
     if not 0.0 < x < min(1.0, ac):
         raise ValueError(
             f"curvature needs 0 < x < min(1, conjugate) = {min(1.0, ac)!r}, got {x!r}"
         )
-    return (2.0 * x - ac) / (x * (ac - x))
+    q = (2.0 * x - ac) / (x * (ac - x))
+    if math.isinf(q):
+        raise ValueError(f"curvature at x = {x!r} is past the float range (about -1/x)")
+    return q
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,21 +81,19 @@ class RankOneSymmetric:
     z: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        # tuples from lists, here and in reduced_hessian: tuple() of a
-        # generator starts at 10 entries and resizes, which in a long loop
-        # of calls strands megabytes of tuples on CPython's per-size free lists
-        d = tuple([float(v) for v in self.diagonal])
-        z = tuple([float(v) for v in self.z])
+        d = _as_floats(self.diagonal, "diagonal")
+        z = _as_floats(self.z, "z")
+        rho = _as_float(self.rho, "rho")
         if len(d) < 1 or len(z) != len(d):
             raise ValueError("diagonal and z must have equal positive length")
         # ||d|| + |rho| ||z||^2 bounds every entry and the secular bracket; it is
         # NaN or inf if a factor is, or if z_i z_j (formed before rho multiplies
         # it, as in as_matrix) or an entry would overflow
         norm = math.hypot(*z)
-        if not math.isfinite(math.hypot(*d) + abs(float(self.rho)) * (norm * norm)):
+        if not math.isfinite(math.hypot(*d) + abs(rho) * (norm * norm)):
             raise ValueError("matrix entries and rank-one part must be finite")
         object.__setattr__(self, "diagonal", d)
-        object.__setattr__(self, "rho", float(self.rho))
+        object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "z", z)
 
     def as_matrix(self) -> np.ndarray:
@@ -107,7 +110,7 @@ def reduced_hessian(
     be positive. Poles of the curvature raise ValueError.
     """
     order = as_order(order)
-    head = tuple([float(t) for t in interior_weights])
+    head = _as_floats(interior_weights, "interior weights")
     if len(head) < 1:
         raise ValueError("need at least one interior weight")
     tail = 1.0 - _left_sum(head)
@@ -136,6 +139,16 @@ def secular_max_eigenvalue(m: RankOneSymmetric) -> float:
     evaluates the bracket ends, so they are the poles themselves.
     Deflated diagonal entries compete in the final max.
     """
+    return _secular_max_eigenvalue(m, None)
+
+
+def _secular_max_eigenvalue(m: RankOneSymmetric, start: float | None) -> float:
+    """:func:`secular_max_eigenvalue` with Newton started at ``start``.
+
+    The start is used only where it lies strictly inside the bracket; None,
+    NaN or a point on or past a pole starts at the midpoint, as the public
+    function does. Either way the solve runs to adjacent floats.
+    """
     norm2 = _left_sum(v * v for v in m.z)
     if m.rho == 0.0 or norm2 == 0.0:
         return max(m.diagonal)
@@ -163,7 +176,8 @@ def secular_max_eigenvalue(m: RankOneSymmetric) -> float:
         terms = ws / gaps
         return sign + scale * terms.sum(axis=1), scale * (terms / gaps).sum(axis=1)
 
-    root = _bracketed_newton(residual, np.array([lo]), np.array([hi]))
+    seed = None if start is None else np.array([start])
+    root = _bracketed_newton(residual, np.array([lo]), np.array([hi]), start=seed)
     return max([float(root[0])] + deflated)
 
 
@@ -172,9 +186,13 @@ def max_eigenvalue(m: RankOneSymmetric) -> float:
 
     The dense route is ``np.linalg.eigvalsh`` on the materialized matrix,
     refused with ValueError above ``MAX_DENSE_SIZE`` before anything is
-    allocated. The two computations share no code path; a gap beyond
-    ``ROUTE_AGREEMENT`` times max(1, ||A||_2), the norm taken from the
-    dense eigenvalues, raises :class:`EigenvalueMismatchError` instead of
+    allocated. The secular route's Newton starts at the dense value where
+    that lies strictly inside the pole bracket (at the bracket's midpoint
+    otherwise) and still runs to adjacent floats, so the check compares
+    two roots; the dense value only shortens the walk, it is never taken
+    as the secular one. A gap beyond ``ROUTE_AGREEMENT`` times
+    max(1, ||A||_2), the norm taken from the dense eigenvalues, raises
+    :class:`EigenvalueMismatchError` naming both values instead of
     returning either. Otherwise the dense value is returned.
     """
     if len(m.diagonal) > MAX_DENSE_SIZE:
@@ -182,7 +200,7 @@ def max_eigenvalue(m: RankOneSymmetric) -> float:
     eigs = np.linalg.eigvalsh(m.as_matrix())
     dense = float(eigs[-1])
     scale = max(1.0, abs(float(eigs[0])), abs(dense))
-    secular = secular_max_eigenvalue(m)
+    secular = _secular_max_eigenvalue(m, dense)
     if not abs(dense - secular) <= ROUTE_AGREEMENT * scale:  # NaN fails too
         raise EigenvalueMismatchError(
             f"dense route {dense!r} vs secular route {secular!r}"

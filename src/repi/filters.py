@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Order, _left_sum, _positive_int, as_order, entropy_from_power
+from .core import Order, _as_floats, _left_sum, _positive_int, as_order, entropy_from_power
 from .optimizer import bound_report
 
 __all__ = [
@@ -38,7 +38,7 @@ class FilterSpec:
     order: Order
 
     def __post_init__(self) -> None:
-        vals = tuple(abs(float(t)) for t in self.taps)
+        vals = tuple([abs(t) for t in _as_floats(self.taps, "taps")])
         if len(vals) < 1:
             raise ValueError("need at least one tap")
         if any(not math.isfinite(t) or t == 0.0 for t in vals):

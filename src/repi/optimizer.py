@@ -48,6 +48,7 @@ from .core import (
     Order,
     PowerVector,
     SimplexWeights,
+    _as_float,
     _left_sum_array,
     _simplex_rows,
     as_order,
@@ -123,13 +124,29 @@ def _psi(x, c, ac, slope: bool = False, invariants=None):
     return (psi, c * (ac - twice_x) / root) if slope else psi
 
 
-def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
+def _midpoints(lo, hi, wide: bool) -> np.ndarray:
+    """0.5 (lo + hi), taken as 0.5 lo + 0.5 hi where the sum overflows.
+
+    The sum can overflow only when both ends pass 2**1023 in magnitude on
+    one side of 0; ``wide`` says the bracket reaches that far, and only
+    then are the overflowed entries formed again. Halving is exact there,
+    so every midpoint is the rounded true one.
+    """
+    mid = 0.5 * (lo + hi)
+    if wide:
+        mid = np.where(np.isinf(mid), 0.5 * lo + 0.5 * hi, mid)
+    return mid
+
+
+def _bracketed_newton(residual, lo, hi, *params, start=None) -> np.ndarray:
     """Root of an increasing residual in each row's bracket, run to adjacent floats.
 
     ``residual(x, *params)`` returns the residual and its derivative at
     the points x, one per row; ``params`` are per-row arrays that stay
     with their rows as rows close. Each row is safeguarded Newton (rtsafe,
-    Numerical Recipes 9.4) inside [lo, hi], starting at the midpoint and
+    Numerical Recipes 9.4) inside [lo, hi], starting at the row's
+    ``start`` where that lies strictly inside the bracket and at the
+    midpoint otherwise (``start`` None, NaN, or on or past an end), and
     never evaluating either end, so the ends may be poles (the residual
     may overflow next to them): every evaluation moves one end of the
     bracket to x by the residual's sign, and a Newton step that is not
@@ -144,7 +161,8 @@ def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
     the test is made afresh each pass and keeps no state, and
     ``np.nextafter`` runs only on passes where some row walks. A row ends
     when its bracket ends are adjacent floats, or equal at an exact zero,
-    and returns their midpoint (a closed bracket [r, r] returns r
+    and returns their midpoint, which does not overflow even for ends
+    near the float range's edge (a closed bracket [r, r] returns r
     unevaluated, and zero rows an empty array); a row still open after
     MAX_ITERATIONS evaluations raises :class:`RootBracketError`. Rows
     share nothing but the loop, so a row's root does not depend on the
@@ -154,9 +172,13 @@ def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
     if not lo.size:
         return roots
     rows = np.arange(lo.size)
-    x = mid = 0.5 * (lo + hi)
     f = df = np.full(lo.size, np.nan)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # the bracket ends never leave the first bracket, so one test covers every
+        # pass; on Python floats, which for the usual one or few rows is cheapest
+        wide = max(hi.tolist()) >= 2.0**1023 or min(lo.tolist()) <= -(2.0**1023)
+        mid = _midpoints(lo, hi, wide)
+        x = mid if start is None else np.where((lo < start) & (start < hi), start, mid)
         for evaluations in range(MAX_ITERATIONS + 1):
             done = (mid <= lo) | (mid >= hi)
             closed = np.count_nonzero(done)
@@ -181,7 +203,7 @@ def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
             f, df = residual(x, *params)
             lo = np.where(f <= 0.0, x, lo)
             hi = np.where(f >= 0.0, x, hi)
-            mid = 0.5 * (lo + hi)
+            mid = _midpoints(lo, hi, wide)
 
 
 def _weight_rows(pv: PowerVector, orders: Sequence[Order]) -> np.ndarray:
@@ -256,7 +278,7 @@ def two_summand_weight(beta: float, order: Order | float) -> float:
     limit 1/2 at every order.
     """
     order = as_order(order)
-    beta = float(beta)
+    beta = _as_float(beta, "power ratio")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"power ratios must lie in [0, 1], got {beta!r}")
     if beta == 0.0:
@@ -278,7 +300,7 @@ def two_summand_constant(beta: float, order: Order | float) -> float:
     ``sharpened_constant(order, 2)``.
     """
     order = as_order(order)
-    beta = float(beta)
+    beta = _as_float(beta, "power ratio")
     if beta == 0.0:
         return 1.0
     t = two_summand_weight(beta, order)

@@ -28,6 +28,7 @@ from .core import (
     BoundReport,
     Order,
     _as_float,
+    _as_floats,
     _left_sum,
     _named,
     _positive_int,
@@ -200,6 +201,7 @@ def exponential_density(
     gives a one-cell spike instead of an overflow. It is at least half a
     spacing wide, so that spike needs no room above one ulp of ``shift``.
     """
+    rate, shift = _as_float(rate, "rate"), _as_float(shift, "shift")
     if not 0.0 < rate < math.inf:
         raise ValueError(f"rate must be positive and finite, got {rate!r}")
     if not math.isfinite(shift):
@@ -226,6 +228,8 @@ def gaussian_mixture_density(
     The window is at least half a spacing wide, so a std far below one ulp
     of its mean gives the same one-cell spike as at mean 0.
     """
+    weights = _as_floats(weights, "mixture weights")
+    means, stds = _as_floats(means, "means"), _as_floats(stds, "stds")
     if not len(weights) == len(means) == len(stds) or len(weights) == 0:
         raise ValueError("weights, means, stds must have equal positive length")
     for w, m, s in zip(weights, means, stds):

@@ -353,6 +353,39 @@ class TestBoundReport:
             )
 
 
+#: 10**400 fed to each public float parameter outside the order and power rules,
+#: with the name its ValueError gives it
+HUGE = 10**400
+FLOAT_PARAMETERS = [
+    (lambda: repi.curvature(HUGE, 2.0), "curvature argument"),
+    (lambda: repi.reduced_hessian((HUGE,), 2.0), "interior weights"),
+    (lambda: repi.RankOneSymmetric((HUGE,), 1.0, (1.0,)), "diagonal"),
+    (lambda: repi.RankOneSymmetric((1.0,), HUGE, (1.0,)), "rho"),
+    (lambda: repi.RankOneSymmetric((1.0,), 1.0, (HUGE,)), "z"),
+    (lambda: repi.young_constant(HUGE), "exponent"),
+    (lambda: repi.binary_kl(HUGE, 0.5), "arguments"),
+    (lambda: repi.binary_kl(0.5, HUGE), "arguments"),
+    (lambda: repi.two_summand_weight(HUGE, 2.0), "power ratio"),
+    (lambda: repi.two_summand_constant(HUGE, 2.0), "power ratio"),
+    (lambda: repi.gaussian_density(0.0, HUGE), "stds"),
+    (lambda: repi.gaussian_density(HUGE, 1.0), "means"),
+    (lambda: repi.gaussian_mixture_density((HUGE,), (0.0,), (1.0,)), "mixture weights"),
+    (lambda: repi.exponential_density(HUGE), "rate"),
+    (lambda: repi.exponential_density(1.0, HUGE), "shift"),
+    (lambda: repi.FilterSpec((HUGE,), 1, 2.0), "taps"),
+]
+
+
+@pytest.mark.parametrize("call, what", FLOAT_PARAMETERS)
+def test_integer_past_float_range_names_the_parameter(call, what):
+    """An integer with no float is a ValueError naming the parameter and the bit length,
+    never the OverflowError of a bare ``float()``."""
+    with pytest.raises(
+        ValueError, match=f"^{what} must lie within the float range, got an integer of 1329 bits$"
+    ):
+        call()
+
+
 class TestPackageExports:
     MODULES = ("core", "bounds", "optimizer", "diagnostics", "verify", "filters")
 

@@ -56,6 +56,12 @@ class TestCurvature:
         with pytest.raises(ValueError):
             curvature(bad, 2.0)
 
+    def test_value_past_the_float_range_refused(self):
+        """At x = 5e-324 the curvature is about -1/x, past the float range: a ValueError, not -inf."""
+        with pytest.raises(ValueError, match="past the float range"):
+            curvature(5e-324, 2.0)
+        assert curvature(1e-300, 2.0) == pytest.approx(-1e300, rel=1e-15)
+
     def test_limit_order_value(self):
         """At the limit order the conjugate is 1 and q(x) = (2x-1)/(x(1-x))."""
         assert curvature(0.25, math.inf) == pytest.approx(-8.0 / 3.0, rel=1e-14)
@@ -170,16 +176,46 @@ class TestMaxEigenvalue:
         ids=["unit-scale", "weight-1e-6"],
     )
     def test_route_gap_past_the_tolerance_raises(self, monkeypatch, m):
-        """A secular value 1e-12 * max(1, ||A||) off or NaN raises; 1e-14 * max(1, ||A||) off does not."""
+        """A secular value 1e-12 * max(1, ||A||) off or NaN raises, naming both values;
+        1e-14 * max(1, ||A||) off does not. The secular solve is seeded with the dense value."""
         top, scale = route_scale(m)
-        monkeypatch.setattr(diagnostics, "secular_max_eigenvalue", lambda _: top + 1e-12 * scale)
+        starts = []
+
+        def secular(value):
+            def solve(matrix, start):
+                starts.append(start)
+                return value
+
+            return solve
+
+        off = top + 1e-12 * scale
+        monkeypatch.setattr(diagnostics, "_secular_max_eigenvalue", secular(off))
+        with pytest.raises(EigenvalueMismatchError) as raised:
+            max_eigenvalue(m)
+        assert str(raised.value) == f"dense route {top!r} vs secular route {off!r}"
+        monkeypatch.setattr(diagnostics, "_secular_max_eigenvalue", secular(math.nan))
         with pytest.raises(EigenvalueMismatchError):
             max_eigenvalue(m)
-        monkeypatch.setattr(diagnostics, "secular_max_eigenvalue", lambda _: math.nan)
-        with pytest.raises(EigenvalueMismatchError):
-            max_eigenvalue(m)
-        monkeypatch.setattr(diagnostics, "secular_max_eigenvalue", lambda _: top + 1e-14 * scale)
+        monkeypatch.setattr(diagnostics, "_secular_max_eigenvalue", secular(top + 1e-14 * scale))
         assert max_eigenvalue(m) == top
+        assert starts == [top] * 3
+
+    def test_seeded_secular_root_brackets_the_dense_value(self):
+        """Started at LAPACK's value, the secular route still solves to adjacent floats: on
+        200 reduced Hessians and 200 random matrices its root agrees with the unseeded one
+        to the route tolerance, and a start outside the bracket gives the unseeded root."""
+        rng = np.random.default_rng(61)
+        for k in range(400):
+            if k % 2:
+                m = random_rank_one(rng, int(rng.integers(2, 40)))
+            else:
+                weights = rng.dirichlet(np.ones(int(rng.integers(3, 40))))
+                m = reduced_hessian(tuple(weights[:-1]), order_from_conjugate(float(rng.uniform(1.05, 10.0))))
+            top, scale = route_scale(m)
+            unseeded = secular_max_eigenvalue(m)
+            assert abs(diagnostics._secular_max_eigenvalue(m, top) - unseeded) <= 1e-13 * scale
+            for outside in (math.nan, math.inf, -math.inf):
+                assert diagnostics._secular_max_eigenvalue(m, outside) == unseeded
 
 
 class TestSecularMaxEigenvalue:
@@ -239,6 +275,22 @@ class TestSecularMaxEigenvalue:
         assert secular_max_eigenvalue(m) == pytest.approx(1e-24, abs=1e-20)
         m = RankOneSymmetric((-1.0, 0.0), -1e-300, (1.0, 1.0))
         assert secular_max_eigenvalue(m) == pytest.approx(-1e-300, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "diagonal, rho, expected",
+        [
+            ((1e308, 2.0), -1.0, 1e308),
+            ((1e308, 2.0), 1.0, 1e308),
+            ((9e307, 9.5e307), -1.0, 9.5e307),
+            ((-1e308, -9e307), -1.0, math.nextafter(-9e307, -math.inf)),
+        ],
+    )
+    def test_bracket_near_the_float_range_edge(self, diagonal, rho, expected):
+        """Poles past 2**1023 on one side of 0 overflowed the midpoint to inf (and a
+        mismatch error); the root is finite and max_eigenvalue returns LAPACK's value."""
+        m = RankOneSymmetric(diagonal, rho, (1.0, 1.0))
+        assert secular_max_eigenvalue(m) == expected
+        assert max_eigenvalue(m) == route_scale(m)[0]
 
     def test_agreement_with_dense_route(self):
         """Secular and dense routes agree on 500 random factored matrices."""

@@ -19,6 +19,7 @@ from repi import (
     bound_reports,
     bv_asymptotically_tight,
     log_constant,
+    max_eigenvalue,
     optimal_weights,
     optimized_constant,
     reduced_hessian,
@@ -286,6 +287,46 @@ class TestBracketedNewton:
             f, _ = arctan_residual(around, *(p[i] for p in params), -math.inf, math.inf)
             assert f[0] <= 0.0 <= f[1]
 
+    @given(st.lists(st.tuples(bracket_rows(), st.floats()), min_size=1, max_size=5))
+    def test_contract_from_any_start(self, rows):
+        """Started anywhere, even at NaN, inf or a bracket end, no evaluation lands on a
+        bracket end, each root brackets the sign change to adjacent floats, and rows
+        solved together equal rows solved alone."""
+        brackets, starts = zip(*rows)
+        lo, hi, *params = (np.array(c) for c in zip(*brackets))
+        start = np.array(starts)
+        roots = optimizer._bracketed_newton(arctan_residual, lo, hi, *params, lo, hi, start=start)
+        for i, root in enumerate(roots):
+            one = [a[i : i + 1] for a in (lo, hi, *params)]
+            alone = optimizer._bracketed_newton(
+                arctan_residual, *one, *one[:2], start=start[i : i + 1]
+            )
+            assert alone == root
+            assert lo[i] <= root <= hi[i]
+            around = np.array([math.nextafter(root, -math.inf), math.nextafter(root, math.inf)])
+            f, _ = arctan_residual(around, *(p[i] for p in params), -math.inf, math.inf)
+            assert f[0] <= 0.0 <= f[1]
+
+    def test_start_outside_the_bracket_is_the_midpoint(self):
+        """A NaN start, or one on or past an end, is replaced by the midpoint, so the row
+        evaluates neither end and takes the unseeded steps; a start inside is the first x."""
+        lo, hi = np.zeros(7), np.full(7, 2.0)
+        params = (np.full(7, 0.3), np.ones(7), np.ones(7), lo, hi)
+        start = np.array([math.nan, 0.0, 2.0, -1.0, 3.0, math.inf, 0.25])
+        seen = []
+
+        def residual(x, *args):
+            seen.append(x.copy())
+            return arctan_residual(x, *args)
+
+        seeded = optimizer._bracketed_newton(residual, lo, hi, *params, start=start)
+        assert seen[0].tolist() == [1.0] * 6 + [0.25]
+        first = seen.copy()
+        seen.clear()
+        plain = optimizer._bracketed_newton(residual, lo, hi, *params)
+        assert seeded[:6].tolist() == plain[:6].tolist()
+        assert [x[:6].tolist() for x in first[: len(seen)]] == [x[:6].tolist() for x in seen]
+
     def test_zero_rows_return_at_once(self):
         """No rows give an empty float array without a residual call."""
 
@@ -310,12 +351,12 @@ class TestEvaluationCounts:
         calls = []
         solve = optimizer._bracketed_newton
 
-        def counting(residual, lo, hi, *params):
+        def counting(residual, lo, hi, *params, **keywords):
             def counted(x, *args):
                 calls.append(x.size)
                 return residual(x, *args)
 
-            return solve(counted, lo, hi, *params)
+            return solve(counted, lo, hi, *params, **keywords)
 
         monkeypatch.setattr(optimizer, "_bracketed_newton", counting)
         monkeypatch.setattr(diagnostics, "_bracketed_newton", counting)
@@ -355,6 +396,29 @@ class TestEvaluationCounts:
         """Secular equations whose last steps walk one ulp at a time from x."""
         secular_max_eigenvalue(reduced_hessian(interior, alpha))
         assert len(evaluations) == expected
+
+    @pytest.mark.parametrize(
+        "interior, alpha, expected",
+        [
+            ((0.1, 0.2, 0.3, 0.15), 5.0, 2),
+            ((0.05, 0.05, 0.6), 1.1, 3),
+            ((0.4, 0.1, 0.1, 0.1), 1.01, 3),
+        ],
+    )
+    def test_seeded_secular_solves(self, evaluations, interior, alpha, expected):
+        """max_eigenvalue starts the same secular equations at LAPACK's value."""
+        max_eigenvalue(reduced_hessian(interior, alpha))
+        assert len(evaluations) == expected
+
+    def test_seeded_root_next_to_a_pole(self, evaluations):
+        """A root 1e-300 below the pole at 0 is approached by halving from the midpoint,
+        but takes 53 evaluations from the dense value."""
+        m = RankOneSymmetric((-1.0, 0.0), -1e-300, (1.0, 1.0))
+        secular_max_eigenvalue(m)
+        assert len(evaluations) == 1049
+        evaluations.clear()
+        max_eigenvalue(m)
+        assert len(evaluations) == 53
 
 
 class TestOptimalWeights:
