@@ -125,11 +125,12 @@ def _positive_int(value: int, what: str) -> int:
     """``value`` as an int when it is an integer of any type, numpy's too, from 1 to 2**53.
 
     Every caller does float arithmetic with the count, and every integer
-    up to 2**53 is an exact float. A refused integer beyond that range is
-    named by its bit length: its digits may be too many to print.
+    up to 2**53 is an exact float. A bool is a flag, not a count, and is
+    refused. A refused integer beyond that range is named by its bit
+    length: its digits may be too many to print.
     """
     try:
-        n = operator.index(value)
+        n = 0 if isinstance(value, bool) else operator.index(value)
     except TypeError:
         n = 0
     if not 1 <= n <= 2 ** 53:

@@ -89,7 +89,20 @@ class GridDensity:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=float)
+        self._keep(np.array(self.values, dtype=float))
+
+    @classmethod
+    def _adopt(cls, origin: float, spacing: float, values: np.ndarray) -> GridDensity:
+        """``cls(origin, spacing, values)`` without the copy, for a fresh float64
+        array that nothing else holds: every check still runs."""
+        density = object.__new__(cls)
+        object.__setattr__(density, "origin", origin)
+        object.__setattr__(density, "spacing", spacing)
+        density._keep(values)
+        return density
+
+    def _keep(self, v: np.ndarray) -> None:
+        """Freeze ``v``, check it with this density's origin and spacing, and store all three."""
         v.setflags(write=False)
         if v.ndim != 1 or v.size < 2:
             raise ValueError("values must be a 1-d array with at least 2 samples")
@@ -134,14 +147,15 @@ def _grid_cells(lo: float, hi: float, spacing: float) -> float:
 def _renormalized(origin: float, spacing: float, values: np.ndarray) -> GridDensity:
     """The grid density of ``values`` clipped at 0 and scaled to unit trapezoid mass.
 
-    ``values`` must be a fresh array: it is clipped and scaled in place.
+    ``values`` must be a fresh float64 array: it is clipped and scaled in
+    place, and the density keeps it without a copy.
     """
     np.maximum(values, 0.0, out=values)
     mass = float(np.trapezoid(values, dx=spacing))
     if mass <= 0.0:
         raise ValueError("density vanishes on its grid")
     values /= mass
-    return GridDensity(origin, spacing, values)
+    return GridDensity._adopt(origin, spacing, values)
 
 
 def from_function(
@@ -285,11 +299,12 @@ def renyi_entropy(density: GridDensity, order: Order | float) -> float:
         h = log J - log1p(sum q expm1((alpha - 1) log r)) / (alpha - 1).
 
     Since r <= 1 no term overflows at any order, and as alpha -> 1 no
-    mass error of order 1e-16 is divided by alpha - 1. No weight array is
-    built: after the logs, r is scaled in place by the spacing and its two
-    end entries are halved, which makes it w r. The weighted sum of the
-    terms is numpy's pairwise sum, not a BLAS dot, whose rounding would
-    follow the BLAS thread count.
+    mass error of order 1e-16 is divided by alpha - 1. The terms are
+    formed in one array, in place, and no weight array is built: after the
+    logs, r is scaled in place by the spacing and its two end entries are
+    halved, which makes it w r. The weighted sum of the terms is numpy's
+    pairwise sum, not a BLAS dot, whose rounding would follow the BLAS
+    thread count.
     """
     order = as_order(order)
     peak = float(density.values.max())
@@ -298,7 +313,9 @@ def renyi_entropy(density: GridDensity, order: Order | float) -> float:
     r = density.values / peak
     # log 0 = -inf, and (alpha - 1) log r overflows to -inf at huge alpha: expm1 is -1 for both
     with np.errstate(divide="ignore", over="ignore"):
-        terms = np.expm1((order.alpha - 1.0) * np.log(r))
+        terms = np.log(r)
+        terms *= order.alpha - 1.0
+        np.expm1(terms, out=terms)
     r *= density.spacing
     r[[0, -1]] *= 0.5
     mass = float(r.sum())
@@ -350,11 +367,18 @@ def convolve_many(densities: Sequence[GridDensity]) -> GridDensity:
         raise ValueError(f"the sum spans too many grid cells of {spacing!r}: {n} samples")
     size = _transform_length(n)
     spectrum = np.fft.rfft(densities[0].values, size)
+    # one buffer for every scaled summand and one for every forward spectrum
+    scaled = np.empty(max(d.values.size for d in densities[1:]))
+    forward = np.empty_like(spectrum)
     for d in densities[1:]:
         # each product carries one factor of the spacing, so the spectrum
         # keeps the scale of a density whatever the number of summands
-        spectrum *= np.fft.rfft(d.values * spacing, size)
+        summand = np.multiply(d.values, spacing, out=scaled[: d.values.size])
+        spectrum *= np.fft.rfft(summand, size, out=forward)
+    # freed before the inverse transform and the renormalization allocate
+    del scaled, forward
     raw = np.fft.irfft(spectrum, size)[:n]
+    del spectrum
     return _renormalized(_left_sum(d.origin for d in densities), spacing, raw)
 
 
@@ -456,10 +480,10 @@ def random_corpus(
     Each instance draws 2 to 4 summands among Gaussians, uniforms, shifted
     exponentials and two-component Gaussian mixtures, plus an order from
     ``CORPUS_ORDERS``. Identical seeds yield identical instances. ``seed``
-    (an integer from 0 up), ``count`` and ``spacing`` are checked on the
-    call; instances are drawn lazily, one at a time.
+    (an integer from 0 up, not a bool), ``count`` and ``spacing`` are
+    checked on the call; instances are drawn lazily, one at a time.
     """
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {_named(seed)}")
     count = _positive_int(count, "count")
     return _corpus_draws(np.random.default_rng(seed), count, _check_spacing(spacing))

@@ -6,7 +6,10 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import jsonschema
@@ -349,8 +352,78 @@ class TestVerifyCommand:
         assert code == 0
         assert lines[-1] == ",violations,0.0,"
 
+    def test_rows_equal_a_serial_loop(self):
+        """Certifying two instances at a time gives the rows of a serial loop, bit
+        for bit, also when the two threads trade the GIL every microsecond."""
+        serial = []
+        violations = 0
+        for inst in repi.random_corpus(5, 12):
+            cert = repi.certify(inst.densities, inst.order.alpha, slack=1e-4)
+            a, n = inst.order.alpha, len(inst.densities)
+            violations += not cert.ok
+            serial += [(a, "ratio", cert.ratio, n), (a, "margin", min(cert.margins().values()), n)]
+        serial.append((None, "violations", float(violations), None))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = cmd_verify("default", 2.0, 5, 12, 1e-4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [tuple(map(repr, row)) for row in rows] == [tuple(map(repr, row)) for row in serial]
+
+    def test_at_most_two_instances_alive(self, monkeypatch):
+        """Weak references to every drawn instance: at each draw and each
+        certification, no more than two instances' densities are alive."""
+        drawn = []
+        counts = []
+
+        def alive():
+            return sum(ref() is not None for ref in drawn)
+
+        def tracked_corpus(seed, count):
+            for inst in repi.random_corpus(seed, count):
+                drawn.append(weakref.ref(inst.densities[0]))
+                counts.append(alive())
+                yield inst
+
+        def tracked_certify(densities, alpha, slack):
+            counts.append(alive())
+            return repi.certify(densities, alpha, slack=slack)
+
+        monkeypatch.setattr(cli, "random_corpus", tracked_corpus)
+        monkeypatch.setattr(cli, "certify", tracked_certify)
+        cmd_verify("default", 2.0, 5, 12, 1e-4)
+        assert len(drawn) == 12 and len(counts) == 24
+        assert max(counts) <= 2
+
+    def test_first_error_in_instance_order(self, monkeypatch):
+        """When instances 3 and 4 both fail, instance 3's error is raised, as in a
+        serial loop, though 4 fails first; no worker thread outlives the call."""
+        keys = [tuple(d.origin for d in inst.densities) for inst in repi.random_corpus(5, 6)]
+
+        def failing_certify(densities, alpha, slack):
+            i = keys.index(tuple(d.origin for d in densities)) + 1
+            if i == 3:
+                time.sleep(0.05)  # instance 4 fails first
+            if i in (3, 4):
+                raise ValueError(f"instance {i}")
+            return repi.certify(densities, alpha, slack=slack)
+
+        def serial():
+            for inst in repi.random_corpus(5, 6):
+                failing_certify(inst.densities, inst.order.alpha, 1e-4)
+
+        baseline = threading.active_count()
+        monkeypatch.setattr(cli, "certify", failing_certify)
+        with pytest.raises(ValueError, match="^instance 3$") as err:
+            cmd_verify("default", 2.0, 5, 6, 1e-4)
+        assert err.value.__context__ is None
+        assert threading.active_count() == baseline
+        with pytest.raises(ValueError, match="^instance 3$"):
+            serial()
+
     def test_corpus_memory_flat_in_count(self):
-        """Instances are certified one at a time: 12 peak at most 1.25x the memory of 3."""
+        """Instances are certified at most two at a time: 12 peak at most 1.25x the memory of 3."""
 
         def peak(count):
             tracemalloc.start()

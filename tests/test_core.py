@@ -145,9 +145,9 @@ class TestPowerEntropyConversions:
         assert entropy_from_power(3.0, two) == entropy_from_power(3.0, 2)
         assert sharpened_constant(2.0, two) == sharpened_constant(2.0, 2) == 27 / 32
 
-    @pytest.mark.parametrize("bad", [2.0, "2", 0, -1, np.float64(2.0), None])
+    @pytest.mark.parametrize("bad", [2.0, "2", 0, -1, np.float64(2.0), None, True, np.True_])
     def test_non_integers_refused(self, bad):
-        """Floats, strings and counts below 1 stay refused, with the same message."""
+        """Floats, strings, bools and counts below 1 are refused, with the same message."""
         with pytest.raises(ValueError, match="^dimension must be a positive integer"):
             power_from_entropy(0.5, bad)
         with pytest.raises(ValueError, match="^dimension must be a positive integer"):

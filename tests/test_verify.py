@@ -41,7 +41,8 @@ def _direct_reference(parts):
 
 
 def _weight_array_entropy(density, alpha):
-    """Finite-order renyi_entropy with an explicit trapezoid weight array w: the reference.
+    """Finite-order renyi_entropy with an explicit trapezoid weight array w and
+    the terms in one expression: the reference.
 
     Both sums are numpy's pairwise ``sum``, as in ``renyi_entropy``.
     """
@@ -54,6 +55,18 @@ def _weight_array_entropy(density, alpha):
     with np.errstate(divide="ignore", over="ignore"):
         excess = float((wr * np.expm1((alpha - 1.0) * np.log(r))).sum()) / mass
     return math.log(mass) - math.log1p(excess) / (alpha - 1.0)
+
+
+def _plain_spectral_product(parts):
+    """The values of convolve_many with a fresh array at every step: the reference."""
+    spacing = parts[0].spacing
+    n = sum(d.values.size for d in parts) - (len(parts) - 1)
+    size = verify._transform_length(n)
+    spectrum = np.fft.rfft(parts[0].values, size)
+    for d in parts[1:]:
+        spectrum = spectrum * np.fft.rfft(d.values * spacing, size)
+    raw = np.maximum(np.fft.irfft(spectrum, size)[:n], 0.0)
+    return raw / float(np.trapezoid(raw, dx=spacing))
 
 
 def _unevaluated(x):
@@ -96,6 +109,31 @@ class TestGridDensity:
             assert renyi_entropy(scaled, alpha) == pytest.approx(
                 renyi_entropy(d, alpha) + math.log(2.5), abs=1e-12
             )
+
+    def test_constructor_copies_its_values(self):
+        """A writable array and a read-only view of one are both copied: a later
+        write to the array leaves every density built from it unchanged."""
+        values = uniform_density(0.0, 1.0).values.copy()
+        view = values[:]
+        view.setflags(write=False)
+        kept = [GridDensity(0.0, DEFAULT_SPACING, v) for v in (values, view)]
+        expected = values.copy()
+        values *= 3.0
+        for d in kept:
+            assert not d.values.flags.writeable
+            assert np.array_equal(d.values, expected)
+
+    def test_renormalized_keeps_its_array_and_every_check(self):
+        """The private renormalizing path stores its fresh array without a copy,
+        and still refuses what the constructor refuses."""
+        fresh = np.array([0.0, 1.0, 1.0, 0.0])
+        d = verify._renormalized(0.0, 0.5, fresh)
+        assert d.values is fresh and not fresh.flags.writeable
+        assert d.integral() == 1.0
+        with pytest.raises(ValueError, match="^density values must be finite"):
+            verify._renormalized(0.0, 0.5, np.array([math.nan, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="^origin must be finite"):
+            verify._renormalized(math.inf, 0.5, np.array([0.0, 1.0, 1.0]))
 
     def test_infinite_spacing_rejected(self):
         """Zero samples on an infinite pitch have NaN mass, which is not 1."""
@@ -374,7 +412,8 @@ class TestEntropy:
 
     @pytest.mark.parametrize("spacing", [2.0 ** -12, 2.0 ** -9, 0.01, 1e-3 * math.pi])
     def test_weights_applied_in_place_match_weight_array(self, spacing):
-        """Weighting the ratios in place gives the weight-array sum bit for bit."""
+        """Weighting the ratios and forming the terms in place gives the sum of the
+        weight array and the one-line expm1((alpha - 1) log r) bit for bit."""
         for inst in random_corpus(seed=3, count=3, spacing=spacing):
             for d in inst.densities + (convolve_many(inst.densities),):
                 for alpha in (1.1, 2.0, 5.0, 1e6):
@@ -475,6 +514,17 @@ class TestConvolve:
         message = "^the sum spans too many grid cells of 9.5367431640625e-07: 17825810 samples$"
         with pytest.raises(ValueError, match=message):
             convolve_many([wide] * 17)
+
+    def test_buffers_match_the_plain_spectral_product(self):
+        """Reusing one spectrum buffer and one summand buffer changes no bit, at 2, 3 and 4 summands."""
+        by_count = {}
+        for inst in random_corpus(seed=1, count=12, spacing=2.0 ** -9):
+            by_count.setdefault(len(inst.densities), inst.densities)
+        assert sorted(by_count) == [2, 3, 4]
+        for parts in by_count.values():
+            conv = convolve_many(parts)
+            assert conv.origin == verify._left_sum(d.origin for d in parts)
+            assert np.array_equal(conv.values, _plain_spectral_product(parts))
 
     def test_transform_length_is_smallest_5_smooth(self):
         """The transform length is the least 2^a 3^b 5^c at or above n."""
@@ -796,10 +846,10 @@ class TestRandomCorpus:
             with pytest.raises(ValueError, match="^count must be a positive integer"):
                 random_corpus(1, count)
 
-    @pytest.mark.parametrize("seed", [1.5, -1, None])
+    @pytest.mark.parametrize("seed", [1.5, -1, None, True, False])
     def test_seed_validation(self, seed):
-        """A seed that is not an integer from 0 up is refused on the call, by name."""
-        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+        """A seed that is not an integer from 0 up, or is a bool, is refused on the call, by name."""
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed!r}$"):
             random_corpus(seed, 1)
 
     def test_seed_past_printable_digits(self):
