@@ -30,7 +30,7 @@ from .bounds import bc_constant, sharpened_constant
 from .core import Order, _positive_int, as_power_vector, holder_conjugate
 from .filters import FilterSpec, filter_bounds, gaussian_reference
 from .optimizer import bound_reports
-from .verify import certify, gaussian_density, random_corpus, uniform_density
+from .verify import Certification, CorpusInstance, certify, gaussian_density, random_corpus, uniform_density
 
 __all__ = ["SweepSpec", "main", "entry"]
 
@@ -212,41 +212,27 @@ def cmd_filter(taps: tuple[float, ...], dim: int, alpha: float) -> list[Row]:
     return rows
 
 
-def _certified(instance: tuple, slack: float) -> tuple:
-    """(alpha, summand count, certification) of one (densities, alpha) instance."""
-    densities, alpha = instance
-    return alpha, len(densities), certify(densities, alpha, slack=slack)
+def _certifications(instances: Iterable[CorpusInstance], slack: float) -> Iterator[Certification]:
+    """:func:`certify` of each instance, in instance order, at most two at a time.
 
-
-def _certify_in_pairs(instances: Iterable[tuple], slack: float) -> Iterator[tuple]:
-    """:func:`_certified` of each instance, in order, two at a time.
-
-    One worker thread certifies the first of each pair while this thread
-    draws and certifies the second, so at most two instances are alive at
-    once. pocketfft and numpy's large loops release the GIL, and no result
-    depends on which thread computes it. An error surfaces at its
-    instance's place in the order, as in a serial loop: the second's waits
-    for the first's outcome. The worker ends with the call.
+    Two worker threads certify. Once two certifications are pending, this
+    thread waits for the older one and yields it before it draws the next
+    instance, so at most two instances are alive at once. pocketfft and
+    numpy's large loops release the GIL, and no result depends on which
+    thread computes it. Results are read in instance order, so the first
+    error in that order is raised, as in a serial loop. The ``with`` block
+    joins both workers before the call returns or raises.
     """
     from concurrent.futures import ThreadPoolExecutor  # only verify pays for this import
 
-    instances = iter(instances)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        for instance in instances:
-            first = pool.submit(_certified, instance, slack)
-            # rebinding drops this frame's hold on the first instance
-            instance = next(instances, None)
-            second = error = None
-            if instance is not None:
-                try:
-                    second = _certified(instance, slack)
-                except Exception as exc:  # raised once the first is known to succeed
-                    error = exc
-            yield first.result()
-            if error is not None:
-                raise error
-            if second is not None:
-                yield second
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        pending = []
+        for inst in instances:
+            pending.append(pool.submit(certify, inst.densities, inst.order, slack=slack))
+            if len(pending) == 2:
+                yield pending.pop(0).result()
+        for future in pending:
+            yield future.result()
 
 
 def cmd_verify(corpus: str, alpha: float, seed: int, count: int, slack: float) -> list[Row]:
@@ -255,23 +241,22 @@ def cmd_verify(corpus: str, alpha: float, seed: int, count: int, slack: float) -
     Each instance contributes a measured power ratio row and a margin row
     holding the minimum slack across all four checks (margins below
     ``-slack`` are violations). The final row counts violating instances.
-    ``random_corpus`` draws lazily and at most two instances are in flight
-    (:func:`_certify_in_pairs`), so peak memory is flat in ``count``; the
-    rows keep instance order, so the table does not depend on scheduling.
+    ``random_corpus`` draws lazily and :func:`_certifications` keeps at most
+    two instances in flight, on two worker threads, so peak memory is flat
+    in ``count``; the rows keep instance order, so the table does not depend
+    on scheduling.
     """
-    if corpus == "two-uniforms":
-        u = uniform_density(0.0, 1.0)
-        instances = [((u, u), alpha)]
-    elif corpus == "two-gaussians":
-        g = gaussian_density(0.0, 1.0)
-        instances = [((g, g), alpha)]
-    elif corpus == "default":
-        instances = ((inst.densities, inst.order.alpha) for inst in random_corpus(seed, count))
+    if corpus == "default":
+        instances = random_corpus(seed, count)
+    elif corpus in ("two-uniforms", "two-gaussians"):
+        d = uniform_density(0.0, 1.0) if corpus == "two-uniforms" else gaussian_density(0.0, 1.0)
+        instances = [CorpusInstance(corpus, (d, d), Order(alpha))]
     else:
         raise ValueError(f"unknown corpus {corpus!r}")
     rows: list[Row] = []
     violations = 0
-    for a, n, cert in _certify_in_pairs(instances, slack):
+    for cert in _certifications(instances, slack):
+        a, n = cert.report.order.alpha, len(cert.report.powers)
         if not cert.ok:
             violations += 1
         rows.append((a, "ratio", cert.ratio, n))

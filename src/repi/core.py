@@ -8,6 +8,7 @@ here so that every other module agrees on the conventions.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -71,15 +72,16 @@ def as_order(order: Order | float) -> Order:
 def power_from_entropy(entropy: float, dim: int = 1) -> float:
     """Entropy power exp(2 h / d) of a d-dimensional vector with entropy h.
 
-    ``entropy = -inf`` maps to power 0; NaN, +inf or an overflowing power is a ``ValueError``.
+    ``entropy = -inf``, and any entropy whose power underflows, maps to power 0;
+    NaN, +inf or an overflowing power is a ``ValueError``.
     """
     dim = _positive_int(dim, "dimension")
     try:
-        power = math.exp(2.0 * entropy / dim)
-    except OverflowError:
-        power = math.inf
+        power = math.exp(2.0 * float(entropy) / dim)
+    except OverflowError:  # the exponent, or an integer entropy, past the float range
+        power = 0.0 if entropy < 0 else math.inf
     if not power < math.inf:
-        raise ValueError(f"entropy {entropy!r} has no finite entropy power in dimension {dim}")
+        raise ValueError(f"entropy {_named(entropy)} has no finite entropy power in dimension {dim}")
     return power
 
 
@@ -136,6 +138,16 @@ def _positive_int(value: int, what: str) -> int:
     if not 1 <= n <= 2 ** 53:
         raise ValueError(f"{what} must be a positive integer up to 2**53, got {_named(value)}")
     return n
+
+
+def _seed(value: int) -> int:
+    """``value`` as an int when it is an integer of any type, numpy's too, from 0 up.
+
+    A bool is a flag, not a seed, and is refused.
+    """
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {_named(value)}")
+    return operator.index(value)
 
 
 def _named(value) -> str:

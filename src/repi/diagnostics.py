@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Order, _as_float, _as_floats, _left_sum, _positive_int, as_order
+from .core import Order, _as_float, _as_floats, _left_sum, _positive_int, _seed, as_order
 from .optimizer import _bracketed_newton
 
 __all__ = [
@@ -241,7 +241,8 @@ def concavity_slacks(
       coordinates sum below 1 - a'/2 (n up to 6).
 
     All three minima are positive exactly when the concavity argument goes
-    through; tests assert that. Above 2**20 ``samples`` are refused.
+    through; tests assert that. Above 2**20 ``samples`` are refused, and so
+    is a ``seed`` that is not an integer from 0 up, or is a bool.
     """
     samples = _positive_int(samples, "samples")
     if samples > 2**20:
@@ -253,7 +254,7 @@ def concavity_slacks(
     hi = 1.0 - ac / 2.0
     if hi <= 2.0 * DOMAIN_MARGIN:
         raise ValueError(f"domain (0, {hi!r}) too thin for margin {DOMAIN_MARGIN!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
 
     def inv_q(x: float) -> float:
         return 1.0 / curvature(x, order)

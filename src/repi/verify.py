@@ -17,7 +17,6 @@ is the analytic machinery feeding those constants.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -30,8 +29,8 @@ from .core import (
     _as_float,
     _as_floats,
     _left_sum,
-    _named,
     _positive_int,
+    _seed,
     as_order,
     power_from_entropy,
 )
@@ -429,6 +428,7 @@ def certify(
     non-finite slack is rejected: NaN or inf would pass every check.
     """
     order = as_order(order)
+    slack = _as_float(slack, "slack")
     if not math.isfinite(slack):
         raise ValueError(f"slack must be finite, got {slack!r}")
     total = convolve_many(densities)
@@ -447,6 +447,7 @@ def collision_bound(p_x: float, p_y: float, dim: int) -> float:
     which improves on the n-free constant 2/e; independent Gaussians attain
     coefficient 1, so 27/32 measures how far the bound is from optimal.
     """
+    p_x, p_y = _as_floats((p_x, p_y), "collision probabilities")
     if not 0.0 < p_x <= 1.0 or not 0.0 < p_y <= 1.0:
         raise ValueError(f"collision probabilities must lie in (0, 1], got {p_x!r}, {p_y!r}")
     dim = _positive_int(dim, "dimension")
@@ -483,8 +484,7 @@ def random_corpus(
     (an integer from 0 up, not a bool), ``count`` and ``spacing`` are
     checked on the call; instances are drawn lazily, one at a time.
     """
-    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {_named(seed)}")
+    seed = _seed(seed)
     count = _positive_int(count, "count")
     return _corpus_draws(np.random.default_rng(seed), count, _check_spacing(spacing))
 

@@ -435,6 +435,30 @@ class TestVerifyCommand:
 
         assert peak(12) <= 1.25 * peak(3)
 
+    @pytest.mark.parametrize("count, overlap", [(1, 1), (2, 2), (3, 2), (12, 2)])
+    def test_two_certifications_overlap(self, monkeypatch, count, overlap):
+        """Certifications really run two at a time, also while an odd count drains
+        its last instance, and never more than two."""
+        lock = threading.Lock()
+        running = peak = 0
+
+        def slow_certify(densities, alpha, slack):
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
+            try:
+                time.sleep(0.02)
+                return repi.certify(densities, alpha, slack=slack)
+            finally:
+                with lock:
+                    running -= 1
+
+        monkeypatch.setattr(cli, "certify", slow_certify)
+        rows = cmd_verify("default", 2.0, 5, count, 1e-4)
+        assert len(rows) == 2 * count + 1
+        assert peak == overlap
+
     def test_violation_exit_code(self, capsys):
         """An impossible tolerance turns into exit code 1."""
         code, lines = run_lines(

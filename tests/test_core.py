@@ -127,6 +127,22 @@ class TestPowerEntropyConversions:
         with pytest.raises(ValueError, match=re.escape(repr(entropy))):
             power_from_entropy(entropy)
 
+    def test_underflowing_power_is_zero(self):
+        """An entropy whose power underflows, an integer past the float range
+        included, has power 0, as -inf does, and a numpy float raises no overflow warning."""
+        for entropy in (-10**400, -1e308, -4000.0, np.float64(-1e308)):
+            assert power_from_entropy(entropy) == 0.0
+            assert power_from_entropy(entropy, 3) == 0.0
+
+    def test_integer_entropy_past_float_range_rejected(self):
+        """A positive integer entropy past the float range is named by its bit length,
+        not by its 401 digits."""
+        with pytest.raises(
+            ValueError,
+            match="^entropy an integer of 1329 bits has no finite entropy power in dimension 1$",
+        ):
+            power_from_entropy(10**400)
+
     def test_largest_finite_power(self):
         """Just below the overflow edge the power is finite; dimension divides the exponent."""
         assert power_from_entropy(354.0) == math.exp(708.0)
@@ -373,6 +389,9 @@ FLOAT_PARAMETERS = [
     (lambda: repi.exponential_density(HUGE), "rate"),
     (lambda: repi.exponential_density(1.0, HUGE), "shift"),
     (lambda: repi.FilterSpec((HUGE,), 1, 2.0), "taps"),
+    (lambda: repi.certify((repi.uniform_density(0.0, 1.0),) * 2, 2.0, slack=HUGE), "slack"),
+    (lambda: repi.collision_bound(HUGE, 0.5, 1), "collision probabilities"),
+    (lambda: repi.collision_bound(0.5, HUGE, 1), "collision probabilities"),
 ]
 
 

@@ -13,6 +13,7 @@ from repi import (
     bound_report,
     certify,
     collision_bound,
+    concavity_slacks,
     convolve_many,
     entropy_power,
     exponential_density,
@@ -848,9 +849,13 @@ class TestRandomCorpus:
 
     @pytest.mark.parametrize("seed", [1.5, -1, None, True, False])
     def test_seed_validation(self, seed):
-        """A seed that is not an integer from 0 up, or is a bool, is refused on the call, by name."""
-        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed!r}$"):
+        """A seed that is not an integer from 0 up, or is a bool, is refused on the call, by
+        name, by the corpus and by the concavity probe alike."""
+        message = f"^seed must be a non-negative integer, got {seed!r}$"
+        with pytest.raises(ValueError, match=message):
             random_corpus(seed, 1)
+        with pytest.raises(ValueError, match=message):
+            concavity_slacks(3.0, seed=seed)
 
     def test_seed_past_printable_digits(self):
         """A negative seed of 5001 digits is refused and named by its bit length."""
