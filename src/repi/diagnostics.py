@@ -9,9 +9,9 @@ with q the second derivative of the per-summand kernel. Structure of that
 form has fully understood spectra: the eigenvalues interlace the diagonal
 and shift by nonnegative multiples of rho summing to rho * ||z||^2. This
 module checks concavity numerically through two eigenvalue routes
-(LAPACK's dense symmetric eigensolver, and the secular equation solved to
-adjacent floats by the weight solver's bracketed Newton, started at the
-dense value), which must agree to a tolerance relative to the matrix norm,
+(LAPACK's dense symmetric eigensolver, and the secular equation, whose
+residual's sign at the dense value plus and minus the tolerance places
+its root), which must agree to a tolerance relative to the matrix norm,
 and exposes the reciprocal-curvature quantities whose positivity underlies
 the concavity proof for conjugates below 2.
 """
@@ -120,6 +120,42 @@ def reduced_hessian(
     return RankOneSymmetric(diag, curvature(tail, order), (1.0,) * len(head))
 
 
+def _secular_setup(m: RankOneSymmetric):
+    """``(top, residual, lo, hi)`` of :func:`secular_max_eigenvalue`: the largest deflated
+    entry (-inf for none), sign(rho) W with W', and W's bracket; a closed form r gives
+    (top, None, r, r)."""
+    norm2 = _left_sum(v * v for v in m.z)
+    if m.rho == 0.0 or norm2 == 0.0:
+        top = max(m.diagonal)
+        return top, None, top, top
+    merged: dict[float, float] = {}
+    deflated: list[float] = []
+    for dj, zj in zip(m.diagonal, m.z):
+        if zj == 0.0:
+            deflated.append(dj)
+        elif dj in merged:
+            merged[dj] += zj * zj
+            deflated.append(dj)
+        else:
+            merged[dj] = zj * zj
+    ds, ws = np.array(sorted(merged.items())).T
+    rho, top = m.rho, max(deflated, default=-math.inf)
+    if ds.size == 1:
+        root = float(ds[0] + rho * ws[0])
+        return top, None, root, root
+    # sign * W rises through its root: from -inf to 1 across (d_max, inf)
+    # for rho > 0, from -inf to inf across (d_{r-1}, d_r) for rho < 0
+    sign, scale = math.copysign(1.0, rho), abs(rho)
+    lo, hi = (ds[-1], ds[-1] + rho * norm2) if rho > 0.0 else (ds[-2], ds[-1])
+
+    def residual(lam):
+        gaps = ds - lam[:, None]
+        terms = ws / gaps
+        return sign + scale * terms.sum(axis=1), scale * (terms / gaps).sum(axis=1)
+
+    return top, residual, float(lo), float(hi)
+
+
 def secular_max_eigenvalue(m: RankOneSymmetric) -> float:
     """Largest eigenvalue of diag(d) + rho z z^T from the secular equation.
 
@@ -139,46 +175,8 @@ def secular_max_eigenvalue(m: RankOneSymmetric) -> float:
     evaluates the bracket ends, so they are the poles themselves.
     Deflated diagonal entries compete in the final max.
     """
-    return _secular_max_eigenvalue(m, None)
-
-
-def _secular_max_eigenvalue(m: RankOneSymmetric, start: float | None) -> float:
-    """:func:`secular_max_eigenvalue` with Newton started at ``start``.
-
-    The start is used only where it lies strictly inside the bracket; None,
-    NaN or a point on or past a pole starts at the midpoint, as the public
-    function does. Either way the solve runs to adjacent floats.
-    """
-    norm2 = _left_sum(v * v for v in m.z)
-    if m.rho == 0.0 or norm2 == 0.0:
-        return max(m.diagonal)
-    merged: dict[float, float] = {}
-    deflated: list[float] = []
-    for dj, zj in zip(m.diagonal, m.z):
-        if zj == 0.0:
-            deflated.append(dj)
-        elif dj in merged:
-            merged[dj] += zj * zj
-            deflated.append(dj)
-        else:
-            merged[dj] = zj * zj
-    ds, ws = np.array(sorted(merged.items())).T
-    rho = m.rho
-    if ds.size == 1:
-        return max([float(ds[0] + rho * ws[0])] + deflated)
-    # sign * W rises through its root: from -inf to 1 across (d_max, inf)
-    # for rho > 0, from -inf to inf across (d_{r-1}, d_r) for rho < 0
-    sign, scale = math.copysign(1.0, rho), abs(rho)
-    lo, hi = (ds[-1], ds[-1] + rho * norm2) if rho > 0.0 else (ds[-2], ds[-1])
-
-    def residual(lam):
-        gaps = ds - lam[:, None]
-        terms = ws / gaps
-        return sign + scale * terms.sum(axis=1), scale * (terms / gaps).sum(axis=1)
-
-    seed = None if start is None else np.array([start])
-    root = _bracketed_newton(residual, np.array([lo]), np.array([hi]), start=seed)
-    return max([float(root[0])] + deflated)
+    top, residual, lo, hi = _secular_setup(m)
+    return max(float(_bracketed_newton(residual, np.array([lo]), np.array([hi]))[0]), top)
 
 
 def max_eigenvalue(m: RankOneSymmetric) -> float:
@@ -186,24 +184,27 @@ def max_eigenvalue(m: RankOneSymmetric) -> float:
 
     The dense route is ``np.linalg.eigvalsh`` on the materialized matrix,
     refused with ValueError above ``MAX_DENSE_SIZE`` before anything is
-    allocated. The secular route's Newton starts at the dense value where
-    that lies strictly inside the pole bracket (at the bracket's midpoint
-    otherwise) and still runs to adjacent floats, so the check compares
-    two roots; the dense value only shortens the walk, it is never taken
-    as the secular one. A gap beyond ``ROUTE_AGREEMENT`` times
-    max(1, ||A||_2), the norm taken from the dense eigenvalues, raises
-    :class:`EigenvalueMismatchError` naming both values instead of
-    returning either. Otherwise the dense value is returned.
+    allocated. It is returned if the secular value lies within tol =
+    ``ROUTE_AGREEMENT`` max(1, ||A||_2) of it, which needs no solve: the
+    residual's signs at dense -/+ tol, from one evaluation, or the bracket
+    end a point is past, place the root, and deflated entries are compared
+    directly; a NaN fails. Otherwise :class:`EigenvalueMismatchError` names
+    the dense value and :func:`secular_max_eigenvalue`.
     """
     if len(m.diagonal) > MAX_DENSE_SIZE:
         raise ValueError(f"dense route limited to size {MAX_DENSE_SIZE}, got {len(m.diagonal)}")
     eigs = np.linalg.eigvalsh(m.as_matrix())
     dense = float(eigs[-1])
-    scale = max(1.0, abs(float(eigs[0])), abs(dense))
-    secular = _secular_max_eigenvalue(m, dense)
-    if not abs(dense - secular) <= ROUTE_AGREEMENT * scale:  # NaN fails too
+    tol = ROUTE_AGREEMENT * max(1.0, abs(float(eigs[0])), abs(dense))
+    below, above = dense - tol, dense + tol
+    top, residual, lo, hi = _secular_setup(m)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        f = residual(np.array([below, above]))[0].tolist() if residual else [math.nan] * 2
+    at_most = above >= hi or (lo < above and f[1] >= 0.0)
+    at_least = below <= lo or (below < hi and f[0] <= 0.0)
+    if not (top <= above and at_most and (at_least or top >= below)):
         raise EigenvalueMismatchError(
-            f"dense route {dense!r} vs secular route {secular!r}"
+            f"dense route {dense!r} vs secular route {secular_max_eigenvalue(m)!r}"
         )
     return dense
 
@@ -252,7 +253,7 @@ def concavity_slacks(
     if not 1.0 < ac < 2.0:
         raise ValueError(f"conjugate must lie strictly in (1, 2), got {ac!r}")
     hi = 1.0 - ac / 2.0
-    if hi <= 2.0 * DOMAIN_MARGIN:
+    if hi <= 6.0 * DOMAIN_MARGIN:
         raise ValueError(f"domain (0, {hi!r}) too thin for margin {DOMAIN_MARGIN!r}")
     rng = np.random.default_rng(_seed(seed))
 

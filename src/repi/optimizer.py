@@ -138,15 +138,13 @@ def _midpoints(lo, hi, wide: bool) -> np.ndarray:
     return mid
 
 
-def _bracketed_newton(residual, lo, hi, *params, start=None) -> np.ndarray:
+def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
     """Root of an increasing residual in each row's bracket, run to adjacent floats.
 
     ``residual(x, *params)`` returns the residual and its derivative at
     the points x, one per row; ``params`` are per-row arrays that stay
     with their rows as rows close. Each row is safeguarded Newton (rtsafe,
-    Numerical Recipes 9.4) inside [lo, hi], starting at the row's
-    ``start`` where that lies strictly inside the bracket and at the
-    midpoint otherwise (``start`` None, NaN, or on or past an end), and
+    Numerical Recipes 9.4) inside [lo, hi], starting at the midpoint and
     never evaluating either end, so the ends may be poles (the residual
     may overflow next to them): every evaluation moves one end of the
     bracket to x by the residual's sign, and a Newton step that is not
@@ -177,8 +175,7 @@ def _bracketed_newton(residual, lo, hi, *params, start=None) -> np.ndarray:
         # the bracket ends never leave the first bracket, so one test covers every
         # pass; on Python floats, which for the usual one or few rows is cheapest
         wide = max(hi.tolist()) >= 2.0**1023 or min(lo.tolist()) <= -(2.0**1023)
-        mid = _midpoints(lo, hi, wide)
-        x = mid if start is None else np.where((lo < start) & (start < hi), start, mid)
+        x = mid = _midpoints(lo, hi, wide)
         for evaluations in range(MAX_ITERATIONS + 1):
             done = (mid <= lo) | (mid >= hi)
             closed = np.count_nonzero(done)

@@ -118,6 +118,36 @@ class TestReducedHessian:
             reduced_hessian((), 2.0)
 
 
+def rank_one_family(rng, family):
+    """A matrix of one family: reduced Hessians, with a 1e-9 weight among them, random
+    matrices with zero z entries and either sign of rho, and integer diagonals that merge."""
+    size = int(rng.integers(2, 30))
+    if family in ("reduced", "weight-1e-9"):
+        weights = rng.dirichlet(np.ones(size + 1))
+        if family == "weight-1e-9":
+            weights = np.insert(weights * (1.0 - 1e-9), rng.integers(size + 2), 1e-9)
+        conjugate = float(rng.uniform(1.05, 10.0))
+        return reduced_hessian(tuple(weights[:-1]), order_from_conjugate(conjugate))
+    if family == "zero-z":
+        m = random_rank_one(rng, size)
+        z = np.where(rng.random(size) < 0.3, 0.0, m.z)
+        return RankOneSymmetric(m.diagonal, m.rho, tuple(z.tolist()))
+    diag = rng.integers(-3, 4, size=size).astype(float)
+    z = rng.uniform(-1.5, 1.5, size=size)
+    return RankOneSymmetric(tuple(diag.tolist()), float(rng.uniform(-2, 2)), tuple(z.tolist()))
+
+
+def shifted_eigvalsh(offset, eigvalsh=np.linalg.eigvalsh):
+    """np.linalg.eigvalsh with the top eigenvalue moved by ``offset()``."""
+
+    def shifted(a):
+        eigs = eigvalsh(a)
+        eigs[-1] += offset()
+        return eigs
+
+    return shifted
+
+
 def route_scale(m):
     """LAPACK's top eigenvalue of m and max(1, ||m||_2) from the same spectrum."""
     eigs = np.linalg.eigvalsh(m.as_matrix())
@@ -176,46 +206,45 @@ class TestMaxEigenvalue:
         ids=["unit-scale", "weight-1e-6"],
     )
     def test_route_gap_past_the_tolerance_raises(self, monkeypatch, m):
-        """A secular value 1e-12 * max(1, ||A||) off or NaN raises, naming both values;
-        1e-14 * max(1, ||A||) off does not. The secular solve is seeded with the dense value."""
+        """A dense value 1e-12 * max(1, ||A||) off or NaN raises, naming it and the full
+        secular solve; 1e-14 * max(1, ||A||) off is returned."""
         top, scale = route_scale(m)
-        starts = []
-
-        def secular(value):
-            def solve(matrix, start):
-                starts.append(start)
-                return value
-
-            return solve
-
-        off = top + 1e-12 * scale
-        monkeypatch.setattr(diagnostics, "_secular_max_eigenvalue", secular(off))
+        secular = secular_max_eigenvalue(m)
+        monkeypatch.setattr(np.linalg, "eigvalsh", shifted_eigvalsh(lambda: offset))
+        offset = 1e-12 * scale
         with pytest.raises(EigenvalueMismatchError) as raised:
             max_eigenvalue(m)
-        assert str(raised.value) == f"dense route {top!r} vs secular route {off!r}"
-        monkeypatch.setattr(diagnostics, "_secular_max_eigenvalue", secular(math.nan))
+        assert str(raised.value) == f"dense route {top + offset!r} vs secular route {secular!r}"
+        offset = math.nan
         with pytest.raises(EigenvalueMismatchError):
             max_eigenvalue(m)
-        monkeypatch.setattr(diagnostics, "_secular_max_eigenvalue", secular(top + 1e-14 * scale))
-        assert max_eigenvalue(m) == top
-        assert starts == [top] * 3
+        offset = 1e-14 * scale
+        assert max_eigenvalue(m) == top + offset
 
-    def test_seeded_secular_root_brackets_the_dense_value(self):
-        """Started at LAPACK's value, the secular route still solves to adjacent floats: on
-        200 reduced Hessians and 200 random matrices its root agrees with the unseeded one
-        to the route tolerance, and a start outside the bracket gives the unseeded root."""
+    @pytest.mark.parametrize("family", ["reduced", "weight-1e-9", "zero-z", "merging"])
+    def test_two_point_verdict_equals_the_full_solve(self, monkeypatch, family):
+        """With LAPACK's value moved by 0, +-0.8, +-1.2 or +-3 times the tolerance,
+        max_eigenvalue raises exactly where the full secular solve is farther than the
+        tolerance from it, and returns the moved value otherwise."""
         rng = np.random.default_rng(61)
-        for k in range(400):
-            if k % 2:
-                m = random_rank_one(rng, int(rng.integers(2, 40)))
-            else:
-                weights = rng.dirichlet(np.ones(int(rng.integers(3, 40))))
-                m = reduced_hessian(tuple(weights[:-1]), order_from_conjugate(float(rng.uniform(1.05, 10.0))))
-            top, scale = route_scale(m)
-            unseeded = secular_max_eigenvalue(m)
-            assert abs(diagnostics._secular_max_eigenvalue(m, top) - unseeded) <= 1e-13 * scale
-            for outside in (math.nan, math.inf, -math.inf):
-                assert diagnostics._secular_max_eigenvalue(m, outside) == unseeded
+        monkeypatch.setattr(np.linalg, "eigvalsh", shifted_eigvalsh(lambda: shift))
+        verdicts = set()
+        for _ in range(150):
+            m = rank_one_family(rng, family)
+            secular = secular_max_eigenvalue(m)
+            shift = 0.0
+            tol = diagnostics.ROUTE_AGREEMENT * route_scale(m)[1]
+            for k in (0.0, 0.8, -0.8, 1.2, -1.2, 3.0, -3.0):
+                shift = k * tol
+                dense, scale = route_scale(m)
+                agree = abs(dense - secular) <= diagnostics.ROUTE_AGREEMENT * scale
+                verdicts.add(agree)
+                if agree:
+                    assert max_eigenvalue(m) == dense
+                else:
+                    with pytest.raises(EigenvalueMismatchError):
+                        max_eigenvalue(m)
+        assert verdicts == {True, False}
 
 
 class TestSecularMaxEigenvalue:
@@ -418,6 +447,11 @@ class TestConcavity:
             concavity_slacks(2.5, samples=samples)
 
     def test_thin_domain_rejected(self):
-        """A conjugate so close to 2 that the margin cannot fit is rejected."""
+        """A conjugate so close to 2 that the margin cannot fit is rejected: the chain
+        draw needs three margins (it failed inside numpy at 2.0006) and a six-part
+        partition six (its heads fell inside the margin at 2.001)."""
         with pytest.raises(ValueError):
             concavity_slacks(2.0002)
+        for alpha in (2.0006, 2.001):
+            with pytest.raises(ValueError, match="too thin"):
+                concavity_slacks(alpha)
