@@ -171,8 +171,8 @@ def secular_max_eigenvalue(m: RankOneSymmetric) -> float:
     monotone: above the top diagonal entry and at most rho ||z||^2 past it
     for rho > 0, between the top two for rho < 0. The solver's bracketed
     Newton (:func:`repi.optimizer._bracketed_newton`) runs on W, or on -W
-    for rho < 0, from the bracket's midpoint to adjacent floats; it never
-    evaluates the bracket ends, so they are the poles themselves.
+    for rho < 0, from the bracket's midpoint to adjacent floats with at most
+    64 bisection steps, never evaluating the bracket ends: they are the poles.
     Deflated diagonal entries compete in the final max.
     """
     top, residual, lo, hi = _secular_setup(m)

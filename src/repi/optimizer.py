@@ -27,8 +27,9 @@ On any pass where a Newton step rounds to no move, the row steps one ulp
 towards the sign change instead; the step keeps no state between passes.
 A row ends when its bracket ends are adjacent floats, and the root is
 their midpoint, so it is exact to one ulp. One call solves a whole grid
-of orders as the rows of an (orders x ratios) array; an alpha = inf
-endpoint row is the closed bracket [1, 1], which returns 1 unevaluated,
+of orders as the rows of an (orders x ratios) array; an order whose
+conjugate rounds to 1 (alpha above about 1e16) is solved as alpha = inf,
+an endpoint row is the closed bracket [1, 1], which returns 1 unevaluated,
 and an empty grid returns at once. :func:`bound_reports` and its
 one-order call :func:`bound_report` read every weight and constant from
 the solver; the one other public caller is :func:`optimal_weights`,
@@ -67,9 +68,10 @@ __all__ = [
     "bound_reports",
 ]
 
-#: residual evaluations allowed per root: room for plain bisection of any
-#: finite bracket down to adjacent floats (2^1025 / 2^-1074 takes 2099 halvings)
-MAX_ITERATIONS = 2200
+#: residual evaluations allowed per root: a bisection step halves the count of
+#: floats in the bracket, so at most 64 of them close any finite bracket, and
+#: the rest is room for Newton and one-ulp steps
+MAX_ITERATIONS = 200
 
 
 class DegeneratePowersError(ValueError):
@@ -124,18 +126,9 @@ def _psi(x, c, ac, slope: bool = False, invariants=None):
     return (psi, c * (ac - twice_x) / root) if slope else psi
 
 
-def _midpoints(lo, hi, wide: bool) -> np.ndarray:
-    """0.5 (lo + hi), taken as 0.5 lo + 0.5 hi where the sum overflows.
-
-    The sum can overflow only when both ends pass 2**1023 in magnitude on
-    one side of 0; ``wide`` says the bracket reaches that far, and only
-    then are the overflowed entries formed again. Halving is exact there,
-    so every midpoint is the rounded true one.
-    """
-    mid = 0.5 * (lo + hi)
-    if wide:
-        mid = np.where(np.isinf(mid), 0.5 * lo + 0.5 * hi, mid)
-    return mid
+def _order_keys(bits):
+    """int64 float bit patterns as keys in the floats' order (both zeros 0), and back."""
+    return np.where(bits < 0, -(2**63) - bits, bits)
 
 
 def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
@@ -156,15 +149,17 @@ def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
     bisection of a bracket whose far end is still where Newton started. On
     any pass where a Newton step with a finite derivative rounds to no
     move, the row steps one ulp from x towards the sign change instead;
-    the test is made afresh each pass and keeps no state, and
-    ``np.nextafter`` runs only on passes where some row walks. A row ends
-    when its bracket ends are adjacent floats, or equal at an exact zero,
-    and returns their midpoint, which does not overflow even for ends
-    near the float range's edge (a closed bracket [r, r] returns r
-    unevaluated, and zero rows an empty array); a row still open after
-    MAX_ITERATIONS evaluations raises :class:`RootBracketError`. Rows
-    share nothing but the loop, so a row's root does not depend on the
-    others.
+    the test is made afresh each pass and keeps no state. A bisection step
+    goes to the overflow-free midpoint of the ends' :func:`_order_keys`,
+    halving the count of floats in the bracket, so at most 64 close any
+    finite bracket; the one-ulp steps and the keys are formed only on
+    passes where some row walks or bisects. A row ends when its bracket
+    ends are adjacent floats, or equal at an exact zero, and returns the
+    midpoint 0.5 lo + 0.5 hi, kept in the bracket where halving a
+    subnormal rounds (a closed bracket [r, r] returns r unevaluated, and
+    zero rows an empty array); a row still open after MAX_ITERATIONS
+    evaluations raises :class:`RootBracketError`. Rows share nothing but
+    the loop, so a row's root does not depend on the others.
     """
     roots = np.empty(lo.size)
     if not lo.size:
@@ -172,35 +167,35 @@ def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
     rows = np.arange(lo.size)
     f = df = np.full(lo.size, np.nan)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # the bracket ends never leave the first bracket, so one test covers every
-        # pass; on Python floats, which for the usual one or few rows is cheapest
-        wide = max(hi.tolist()) >= 2.0**1023 or min(lo.tolist()) <= -(2.0**1023)
-        x = mid = _midpoints(lo, hi, wide)
+        x = 0.5 * lo + 0.5 * hi
         for evaluations in range(MAX_ITERATIONS + 1):
-            done = (mid <= lo) | (mid >= hi)
+            done = np.nextafter(lo, hi) >= hi
             closed = np.count_nonzero(done)
             if closed:
-                roots[rows[done]] = mid[done]
+                roots[rows[done]] = np.minimum(np.maximum(0.5 * lo + 0.5 * hi, lo), hi)[done]
                 if closed == done.size:
                     return roots
                 keep = ~done
-                rows, x, f, df, lo, hi, mid, *params = (
-                    a[keep] for a in (rows, x, f, df, lo, hi, mid, *params)
+                rows, x, f, df, lo, hi, *params = (
+                    a[keep] for a in (rows, x, f, df, lo, hi, *params)
                 )
             if evaluations == MAX_ITERATIONS:
                 raise RootBracketError(float(lo[0]), float(hi[0]), float(f[0]))
             if evaluations:
-                newton = x - f / df
-                step = np.where((lo < newton) & (newton < hi), newton, mid)
-                walking = newton == x
+                step = x - f / df
+                walking = step == x
                 if np.count_nonzero(walking):
                     walking &= np.isfinite(df)
                     step = np.where(walking, np.nextafter(x, np.where(f < 0.0, hi, lo)), step)
+                inside = (lo < step) & (step < hi)
+                if not inside.all():
+                    a, b = _order_keys(lo.view(np.int64)), _order_keys(hi.view(np.int64))
+                    middle = _order_keys((a >> 1) + (b >> 1) + (a & b & 1)).view(np.float64)
+                    step = np.where(inside, step, middle)
                 x = step
             f, df = residual(x, *params)
             lo = np.where(f <= 0.0, x, lo)
             hi = np.where(f >= 0.0, x, hi)
-            mid = _midpoints(lo, hi, wide)
 
 
 def _weight_rows(pv: PowerVector, orders: Sequence[Order]) -> np.ndarray:
@@ -208,16 +203,16 @@ def _weight_rows(pv: PowerVector, orders: Sequence[Order]) -> np.ndarray:
 
     Zero ratios have psi = 0 and drop out of the root problem. Every order
     is one row of :func:`_bracketed_newton`, with residual W(x) - 1 at
-    conjugate ac, or at alpha = inf the factored residual
-    sum_k psi(x, c_k) / (1 - x) - 1; Newton never evaluates an endpoint,
-    so the division by 1 - x is safe. The residual is W(x) - 1 on every
-    row, and only a grid that holds alpha = inf overwrites those rows with
-    the factored form. The x-free terms of psi (:func:`_psi_invariants`)
-    are formed once per call and travel with their rows. The bracket is
-    [0, 1], except at alpha = inf when the ratios sum to at most 1 and none
-    is 1: the limit is then the endpoint x = 1, and the closed bracket
-    [1, 1] returns it before any evaluation. With no positive ratio the
-    lead takes weight 1.
+    conjugate ac, or at ac = 1 (alpha = inf, or a conjugate that rounds
+    to 1) the factored residual sum_k psi(x, c_k) / (1 - x) - 1; Newton
+    never evaluates an endpoint, so the division by 1 - x is safe. The
+    residual is W(x) - 1 on every row, and only a grid that holds ac = 1
+    overwrites those rows with the factored form. The x-free terms of psi
+    (:func:`_psi_invariants`) are formed once per call and travel with
+    their rows. The bracket is [0, 1], except at ac = 1 when the ratios
+    sum to at most 1 and none is 1: the limit is then the endpoint x = 1,
+    and the closed bracket [1, 1] returns it before any evaluation. With
+    no positive ratio the lead takes weight 1.
     """
     lead, cs = _leading_ratios(pv)
     ac = np.array([o.alpha_conj for o in orders])[:, None]
@@ -225,7 +220,7 @@ def _weight_rows(pv: PowerVector, orders: Sequence[Order]) -> np.ndarray:
     if positive.size == 0:
         x = np.ones(ac.size)
     else:
-        infinite = np.array([o.is_infinite for o in orders], dtype=bool)
+        infinite = ac[:, 0] == 1.0
         has_infinite = bool(infinite.any())
         endpoint = infinite & (has_infinite and _max_power_tight(cs) and positive.max() < 1.0)
         fixed, twice_c = _psi_invariants(positive, ac)

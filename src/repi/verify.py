@@ -239,7 +239,8 @@ def gaussian_mixture_density(
     """Convex mixture of Gaussians, each cut where its tail falls below TRUNCATION_LEVEL.
 
     The window is at least half a spacing wide, so a std far below one ulp
-    of its mean gives the same one-cell spike as at mean 0.
+    of its mean gives the same one-cell spike as at mean 0, and so does a
+    std below about 1e-308, whose density is formed in logarithms.
     """
     weights = _as_floats(weights, "mixture weights")
     means, stds = _as_floats(means, "means"), _as_floats(stds, "stds")
@@ -254,18 +255,20 @@ def gaussian_mixture_density(
     if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"mixture weights must sum to 1, got {total!r}")
     log_peak_cut = -math.log(TRUNCATION_LEVEL * math.sqrt(2.0 * math.pi))
-    halves = [
-        s * math.sqrt(2.0 * max(log_peak_cut + math.log(w) - math.log(s), 1.0))
-        for w, s in zip(weights, stds)
-    ]
+    cuts = [max(log_peak_cut + math.log(w) - math.log(s), 1.0) for w, s in zip(weights, stds)]
+    halves = [s * math.sqrt(2.0 * cut) for s, cut in zip(stds, cuts)]
     lo = min(m - h for m, h in zip(means, halves))
     hi = max(max(m + h for m, h in zip(means, halves)), lo + 0.5 * spacing)
 
     def fn(x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
         with np.errstate(over="ignore"):  # a std far below the spacing: exp(-inf) = 0 is right
-            for w, m, s in zip(weights, means, stds):
-                out += w * np.exp(-0.5 * ((x - m) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
+            for w, m, s, cut in zip(weights, means, stds, cuts):
+                exponent = -0.5 * ((x - m) / s) ** 2
+                if math.exp(-cut) > 0.0:
+                    out += w * np.exp(exponent) / (s * math.sqrt(2.0 * math.pi))
+                else:  # std below about 1e-308: exp(-cut) underflows, so the peak joins it
+                    out += w * np.exp(exponent - math.log(s) - 0.5 * math.log(2.0 * math.pi))
         return out
 
     return from_function(fn, lo, hi, spacing)

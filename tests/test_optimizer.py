@@ -2,11 +2,12 @@
 
 import decimal
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repi import (
     DegeneratePowersError,
@@ -211,6 +212,16 @@ class TestSolveLeadingWeight:
         root = leading_weight((c, c), math.inf)
         assert abs(root - expected) <= 4 * math.ulp(expected)
 
+    @pytest.mark.parametrize("powers", [(2.0, 1.0, 1.0), (1.0, 0.5, 0.25), (1.0, 0.9, 0.8), (3.0, 1.0)])
+    def test_conjugate_rounding_to_one_is_the_limit_order(self, powers):
+        """An order whose conjugate rounds to 1 takes the alpha = inf weights, and its bound is
+        at least the max-power bound (alpha = 1e300 gave 0.49999999999999983 for (2, 1, 1))."""
+        limit = tuple(optimal_weights(powers, math.inf))
+        for alpha in (1e16, 1e17, 1e300):
+            report = bound_report(powers, alpha)
+            assert tuple(report.weights) == limit
+            assert report.optimized * math.fsum(powers) >= report.bv
+
     def test_ratio_domain(self):
         """Powers whose ratios would leave [0, 1] are rejected before solving."""
         with pytest.raises(ValueError):
@@ -265,6 +276,15 @@ def bracket_rows(draw):
     return lo, hi, s, slope, scale
 
 
+def raw_floats():
+    """Finite floats from raw 64-bit patterns, with the zeros, the smallest subnormals and
+    +-1.7e308 mixed in."""
+    return st.one_of(
+        st.integers(0, 2**64 - 1).map(lambda u: struct.unpack("<d", u.to_bytes(8, "little"))[0]),
+        st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323, 1.7e308, -1.7e308)),
+    ).filter(math.isfinite)
+
+
 def arctan_residual(x, s, slope, scale, lo, hi):
     """Increasing residual with one sign change, at s; asserts no bracket end is evaluated."""
     assert np.all((lo < x) & (x < hi))
@@ -286,6 +306,36 @@ class TestBracketedNewton:
             around = np.array([math.nextafter(root, -math.inf), math.nextafter(root, math.inf)])
             f, _ = arctan_residual(around, *(p[i] for p in params), -math.inf, math.inf)
             assert f[0] <= 0.0 <= f[1]
+
+    @settings(derandomize=True)
+    @given(st.lists(raw_floats(), min_size=3, max_size=3))
+    def test_bisection_closes_any_bracket(self, points):
+        """With derivative 0 every step after the first bisects, and any finite bracket,
+        across both zeros, subnormals and +-1.7e308, closes around the sign change in at
+        most 65 evaluations (plain halving took up to about 2100)."""
+        lo, s, hi = sorted(points)
+        assume(lo < hi)
+        calls = []
+
+        def flat(x):
+            assert np.all((lo < x) & (x < hi))
+            calls.append(x.size)
+            return np.sign(x - s), np.zeros_like(x)
+
+        root = float(optimizer._bracketed_newton(flat, np.array([lo]), np.array([hi]))[0])
+        assert len(calls) <= 65
+        assert lo <= root <= hi
+        assert math.nextafter(root, -math.inf) <= s <= math.nextafter(root, math.inf)
+
+    @pytest.mark.parametrize("r", [1.0, 0.0, 1.5e-323, -1.5e-323])
+    def test_closed_bracket_returns_its_end(self, r):
+        """[r, r] returns r unevaluated, also at an odd subnormal, where 0.5 r + 0.5 r
+        rounds to a neighbour."""
+
+        def residual(x):
+            raise AssertionError("residual called")
+
+        assert optimizer._bracketed_newton(residual, np.array([r]), np.array([r]))[0] == r
 
     def test_zero_rows_return_at_once(self):
         """No rows give an empty float array without a residual call."""
@@ -330,7 +380,7 @@ class TestEvaluationCounts:
             ((1.0, 0.9, 0.8), math.inf, 5),
             ((3.0, 1.0), 5.0, 6),
             ((1.0, 0.5, 0.25, 0.125), 1e6, 8),
-            (tuple(range(1, 21)), 5.0, 8),
+            (tuple(range(1, 21)), 5.0, 6),
             (tuple(range(1, 101)), math.inf, 5),
         ],
     )
@@ -348,7 +398,7 @@ class TestEvaluationCounts:
         "interior, alpha, expected",
         [
             ((0.1, 0.2, 0.3, 0.15), 5.0, 7),
-            ((0.05, 0.05, 0.6), 1.1, 13),
+            ((0.05, 0.05, 0.6), 1.1, 8),
             ((0.4, 0.1, 0.1, 0.1), 1.01, 9),
         ],
     )
@@ -378,9 +428,24 @@ class TestEvaluationCounts:
         assert max_eigenvalue(m) == float(np.linalg.eigvalsh(m.as_matrix())[-1])
 
     def test_seeded_root_next_to_a_pole(self, evaluations):
-        """A root 1e-300 below the pole at 0 is approached by halving from the midpoint."""
+        """A root 1e-300 below the pole at 0 is approached by bisection in the floats' order."""
         secular_max_eigenvalue(RankOneSymmetric((-1.0, 0.0), -1e-300, (1.0, 1.0)))
-        assert len(evaluations) == 1049
+        assert len(evaluations) == 63
+
+    @pytest.mark.parametrize(
+        "m, root",
+        [
+            (RankOneSymmetric((-1.0, 0.0), -1e-300, (1.0, 1.0)), -9.999999999999999e-301),
+            (RankOneSymmetric((-1.0, 0.0), -1.0, (1.0, 1e-200)), 0.0),
+        ],
+        ids=["1e-300-below-the-pole", "at-the-pole"],
+    )
+    def test_roots_many_binades_from_the_middle(self, evaluations, m, root):
+        """Roots next to the pole at 0 of the bracket (-1, 0), where Newton leaves the
+        bracket at every step: plain halving took 1049 and 1074 evaluations to the same
+        roots (the second one as -0.0), bisection in the floats' order takes 63."""
+        assert secular_max_eigenvalue(m) == root
+        assert len(evaluations) == 63
 
 
 class TestOptimalWeights:

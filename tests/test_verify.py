@@ -228,6 +228,22 @@ class TestConstructors:
         assert np.array_equal(tiny.values, gaussian_density(0.0, 1e-6).values)
         assert tiny.integral() == 1.0
 
+    @pytest.mark.parametrize("std", [9e-309, 1e-310, 5e-324])
+    def test_subnormal_std_is_the_same_spike(self, std):
+        """A std below about 1e-308, whose density underflows at its cut, gives the spike of
+        1e-300 too, alone and as a mixture component (it raised "density vanishes")."""
+        spike = gaussian_density(0.0, 1e-300).values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = gaussian_density(0.0, std)
+            pair = gaussian_mixture_density((0.25, 0.75), (0.0, 0.0), (std, std))
+            beside = gaussian_mixture_density((0.5, 0.5), (-1.0, 0.0), (std, 1.0))
+        assert np.array_equal(alone.values, spike)
+        assert np.array_equal(pair.values, spike)
+        assert -1e-300 < alone.origin < 0.0
+        reference = gaussian_mixture_density((0.5, 0.5), (-1.0, 0.0), (1e-308, 1.0))
+        assert np.array_equal(beside.values, reference.values)
+
     @pytest.mark.parametrize(
         "build, centre",
         [
