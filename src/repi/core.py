@@ -280,7 +280,7 @@ class SimplexWeights:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(float(t) for t in self.weights)
+        vals = _as_floats(self.weights, "weights")
         _check_simplex(np.array([vals]))
         object.__setattr__(self, "weights", vals)
 

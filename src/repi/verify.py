@@ -238,9 +238,9 @@ def gaussian_mixture_density(
 ) -> GridDensity:
     """Convex mixture of Gaussians, each cut where its tail falls below TRUNCATION_LEVEL.
 
-    The window is at least half a spacing wide, so a std far below one ulp
-    of its mean gives the same one-cell spike as at mean 0, and so does a
-    std below about 1e-308, whose density is formed in logarithms.
+    The window is at least half a spacing wide, so a std far below one ulp of its mean gives
+    the same one-cell spike as at mean 0, and so does a std below about 1e-308, whose weighted
+    density is TRUNCATION_LEVEL exp(exponent + cut), capped at the cut level (no overflow).
     """
     weights = _as_floats(weights, "mixture weights")
     means, stds = _as_floats(means, "means"), _as_floats(stds, "stds")
@@ -267,8 +267,8 @@ def gaussian_mixture_density(
                 exponent = -0.5 * ((x - m) / s) ** 2
                 if math.exp(-cut) > 0.0:
                     out += w * np.exp(exponent) / (s * math.sqrt(2.0 * math.pi))
-                else:  # std below about 1e-308: exp(-cut) underflows, so the peak joins it
-                    out += w * np.exp(exponent - math.log(s) - 0.5 * math.log(2.0 * math.pi))
+                else:  # std below about 1e-308: exp(-cut) underflows, so start at the cut level
+                    out += TRUNCATION_LEVEL * np.exp(np.minimum(exponent + cut, 0.0))
         return out
 
     return from_function(fn, lo, hi, spacing)

@@ -392,6 +392,8 @@ FLOAT_PARAMETERS = [
     (lambda: repi.certify((repi.uniform_density(0.0, 1.0),) * 2, 2.0, slack=HUGE), "slack"),
     (lambda: repi.collision_bound(HUGE, 0.5, 1), "collision probabilities"),
     (lambda: repi.collision_bound(0.5, HUGE, 1), "collision probabilities"),
+    (lambda: repi.log_constant((HUGE, 1.0), (0.5, 0.5), 2.0), "weights"),
+    (lambda: repi.SimplexWeights((HUGE, 1)), "weights"),
 ]
 
 

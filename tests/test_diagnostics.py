@@ -421,6 +421,25 @@ class TestConcavity:
             assert report.all_positive
             assert report.points == 400
 
+    @pytest.mark.parametrize("ac", [1.2, 1.5, 1.9])
+    def test_partition_probe_reaches_the_interior(self, ac):
+        """The partition heads sum anywhere below 1 - a'/2, so the probe reaches heads near 0,
+        whose slack is at most that of the two-part point (0.01, 0.99) (about 1.04 at a' = 1.5);
+        heads summing to exactly the top of the domain read 1799 to 4512."""
+        order = order_from_conjugate(ac)
+        corner = 1.0 / curvature(0.01, order) + 1.0 / curvature(0.99, order)
+        assert concavity_slacks(order).partition_min <= corner
+
+    @pytest.mark.parametrize("ac", [1.2, 1.5, 1.9])
+    def test_pair_min_is_the_curvature_loop(self, ac):
+        """The array formula x (a' - x) / (2x - a') gives the pair minimum of 1/curvature over
+        the same grid to a few ulp (b / a in place of 1 / (a / b))."""
+        order = order_from_conjugate(ac)
+        margin = diagnostics.DOMAIN_MARGIN
+        grid = np.linspace(margin, 1.0 - order.alpha_conj / 2.0 - margin, 300).tolist()
+        loop = min(1.0 / curvature(x, order) + 1.0 / curvature(1.0 - x, order) for x in grid)
+        assert concavity_slacks(order, samples=300).pair_min == pytest.approx(loop, rel=1e-14)
+
     def test_slack_report_deterministic(self):
         """Identical seeds reproduce identical minima."""
         a = concavity_slacks(3.0, samples=200, seed=5)

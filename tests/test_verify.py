@@ -231,14 +231,19 @@ class TestConstructors:
     @pytest.mark.parametrize("std", [9e-309, 1e-310, 5e-324])
     def test_subnormal_std_is_the_same_spike(self, std):
         """A std below about 1e-308, whose density underflows at its cut, gives the spike of
-        1e-300 too, alone and as a mixture component (it raised "density vanishes")."""
+        1e-300 too, alone and as a mixture component (it raised "density vanishes"), and so
+        does one whose mean is a grid knot (its peak overflowed to inf)."""
         spike = gaussian_density(0.0, 1e-300).values
+        means = (0.3, 1.0, 1e6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             alone = gaussian_density(0.0, std)
+            on_knots = [gaussian_density(mean, std) for mean in means]
             pair = gaussian_mixture_density((0.25, 0.75), (0.0, 0.0), (std, std))
             beside = gaussian_mixture_density((0.5, 0.5), (-1.0, 0.0), (std, 1.0))
         assert np.array_equal(alone.values, spike)
+        for mean, density in zip(means, on_knots):
+            assert np.array_equal(density.values, spike) and density.origin == mean
         assert np.array_equal(pair.values, spike)
         assert -1e-300 < alone.origin < 0.0
         reference = gaussian_mixture_density((0.5, 0.5), (-1.0, 0.0), (1e-308, 1.0))
