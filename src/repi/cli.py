@@ -215,24 +215,73 @@ def cmd_filter(taps: tuple[float, ...], dim: int, alpha: float) -> list[Row]:
 def _certifications(instances: Iterable[CorpusInstance], slack: float) -> Iterator[Certification]:
     """:func:`certify` of each instance, in instance order, at most two at a time.
 
-    Two worker threads certify. Once two certifications are pending, this
-    thread waits for the older one and yields it before it draws the next
-    instance, so at most two instances are alive at once. pocketfft and
-    numpy's large loops release the GIL, and no result depends on which
-    thread computes it. Results are read in instance order, so the first
-    error in that order is raised, as in a serial loop. The ``with`` block
-    joins both workers before the call returns or raises.
-    """
-    from concurrent.futures import ThreadPoolExecutor  # only verify pays for this import
+    Two worker threads pull the work. Each draws the next instance and its
+    index under one lock, certifies it outside the lock, and files the
+    certification, or the exception, under that index. A worker drops its
+    instance before it draws again, so at most two instances are alive, and
+    a slow instance holds up only its own worker: the other keeps drawing.
+    Only finished certifications wait to be yielded. pocketfft and numpy's
+    large loops release the GIL, and no result depends on which thread
+    computes it.
 
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        pending = []
-        for inst in instances:
-            pending.append(pool.submit(certify, inst.densities, inst.order, slack=slack))
-            if len(pending) == 2:
-                yield pending.pop(0).result()
-        for future in pending:
-            yield future.result()
+    Results are yielded in instance order, so the first error in that order
+    is raised, as in a serial loop. Once an instance has failed, the corpus
+    has ended or the generator is closed, the workers draw nothing more;
+    both are joined before the call returns or raises.
+    """
+    import threading  # only verify pays for this import
+
+    source = iter(instances)
+    filed = threading.Condition()
+    # index -> (certification, None) or (None, error); (None, None) ends the corpus
+    results: dict[int, tuple[Certification | None, BaseException | None]] = {}
+    drawn = 0
+    stopped = False
+
+    def work() -> None:
+        nonlocal drawn, stopped
+        while True:
+            try:
+                with filed:
+                    if stopped:
+                        return
+                    index, drawn = drawn, drawn + 1
+                    inst = next(source)
+            except StopIteration:
+                result = (None, None)
+            except BaseException as exc:  # filed, then raised in instance order
+                result = (None, exc)
+            else:
+                try:
+                    result = (certify(inst.densities, inst.order, slack=slack), None)
+                except BaseException as exc:
+                    result = (None, exc)
+                del inst  # before the next draw, so at most two instances are alive
+            with filed:
+                results[index] = result
+                stopped = stopped or result[0] is None
+                filed.notify_all()
+
+    workers = [threading.Thread(target=work) for _ in range(2)]
+    for worker in workers:
+        worker.start()
+    try:
+        index = 0
+        while True:
+            with filed:
+                filed.wait_for(lambda: index in results)
+                cert, error = results.pop(index)
+            if error is not None:
+                raise error
+            if cert is None:
+                return
+            yield cert
+            index += 1
+    finally:
+        with filed:
+            stopped = True
+        for worker in workers:
+            worker.join()
 
 
 def cmd_verify(corpus: str, alpha: float, seed: int, count: int, slack: float) -> list[Row]:
@@ -241,10 +290,11 @@ def cmd_verify(corpus: str, alpha: float, seed: int, count: int, slack: float) -
     Each instance contributes a measured power ratio row and a margin row
     holding the minimum slack across all four checks (margins below
     ``-slack`` are violations). The final row counts violating instances.
-    ``random_corpus`` draws lazily and :func:`_certifications` keeps at most
-    two instances in flight, on two worker threads, so peak memory is flat
-    in ``count``; the rows keep instance order, so the table does not depend
-    on scheduling.
+    ``random_corpus`` draws lazily and :func:`_certifications` certifies on
+    two worker threads that each draw their next instance as soon as they
+    are free, with at most two instances alive, so peak memory is flat in
+    ``count``; the rows keep instance order, so the table does not depend on
+    scheduling.
     """
     if corpus == "default":
         instances = random_corpus(seed, count)

@@ -44,6 +44,25 @@ def module_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
+def scripted_corpus(monkeypatch, count, action):
+    """Stand in ``count`` placeholder instances for ``cli.random_corpus``, each holding
+    its index as its densities, and for ``cli.certify`` a call of ``action(index)``
+    that returns the certification of two standard Gaussians."""
+    g = repi.gaussian_density(0.0, 1.0)
+    cert = repi.certify((g, g), 2.0)
+
+    def placeholders(seed, n):
+        for i in range(n):
+            yield repi.CorpusInstance(str(i), (i,), repi.Order(2.0))
+
+    def scripted_certify(densities, order, slack):
+        action(densities[0])
+        return cert
+
+    monkeypatch.setattr(cli, "random_corpus", placeholders)
+    monkeypatch.setattr(cli, "certify", scripted_certify)
+
+
 def reference_json(rows, command):
     """The JSON document as ``json.dump(doc, indent=2)`` spells it, plus the final newline."""
     doc = {
@@ -141,6 +160,11 @@ class TestSweepSpec:
             SweepSpec(alphas=(0.5, 2.0))
         with pytest.raises(ValueError):
             SweepSpec(alphas=(2.0,), ns=(0,))
+
+    def test_repeated_order_refused(self):
+        """A grid that repeats an order is not strictly increasing."""
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SweepSpec(alphas=(2.0, 2.0))
 
     def test_orders_built_once(self, monkeypatch):
         """cmd_compare's reports hold the very Orders of ``spec.orders``, which repr and == ignore."""
@@ -422,8 +446,21 @@ class TestVerifyCommand:
         with pytest.raises(ValueError, match="^instance 3$"):
             serial()
 
-    def test_corpus_memory_flat_in_count(self):
-        """Instances are certified at most two at a time: 12 peak at most 1.25x the memory of 3."""
+    def test_corpus_memory_flat_in_count(self, monkeypatch):
+        """Instances are certified at most two at a time: 12 peak at most 1.25x the memory of 3.
+
+        Every instance is a fresh copy of one three-summand shape, so the peak
+        does not depend on which two instances the threads happen to overlap.
+        """
+
+        def same_shape(seed, count):
+            for _ in range(count):
+                parts = (
+                    repi.gaussian_density(0.0, 1.6),
+                    repi.exponential_density(0.7),
+                    repi.gaussian_density(1.0, 1.2),
+                )
+                yield repi.CorpusInstance("gauss+expo+gauss", parts, repi.Order(2.0))
 
         def peak(count):
             tracemalloc.start()
@@ -433,6 +470,7 @@ class TestVerifyCommand:
             finally:
                 tracemalloc.stop()
 
+        monkeypatch.setattr(cli, "random_corpus", same_shape)
         assert peak(12) <= 1.25 * peak(3)
 
     @pytest.mark.parametrize("count, overlap", [(1, 1), (2, 2), (3, 2), (12, 2)])
@@ -458,6 +496,45 @@ class TestVerifyCommand:
         rows = cmd_verify("default", 2.0, 5, count, 1e-4)
         assert len(rows) == 2 * count + 1
         assert peak == overlap
+
+    def test_slow_instance_does_not_hold_up_the_other_worker(self, monkeypatch):
+        """While instance 1 takes 0.3 s, the other worker certifies at least 5 of the
+        instances after it, instead of waiting for instance 1 to be yielded (the
+        two-deep window started 1)."""
+        lock = threading.Lock()
+        events = []
+
+        def timed(i):
+            with lock:
+                events.append(("start", i))
+            time.sleep(0.3 if i == 1 else 0.01)
+            with lock:
+                events.append(("end", i))
+
+        scripted_corpus(monkeypatch, 12, timed)
+        rows = cmd_verify("default", 2.0, 5, 12, 1e-4)
+        assert len(rows) == 25
+        during = events[events.index(("start", 1)) : events.index(("end", 1))]
+        assert sum(kind == "start" for kind, _ in during) - 1 >= 5
+
+    def test_failure_stops_the_draws(self, monkeypatch):
+        """Once instance 2 fails, no worker draws past the instance it already holds,
+        though the corpus has 1000, and no worker thread outlives the call."""
+        calls = []
+
+        def failing(i):
+            calls.append(i)
+            if i == 2:
+                raise ValueError("instance 2")
+            time.sleep(0.01)
+
+        baseline = threading.active_count()
+        scripted_corpus(monkeypatch, 1000, failing)
+        with pytest.raises(ValueError, match="^instance 2$") as err:
+            cmd_verify("default", 2.0, 5, 1000, 1e-4)
+        assert err.value.__context__ is None
+        assert threading.active_count() == baseline
+        assert 3 <= len(calls) <= 4
 
     def test_violation_exit_code(self, capsys):
         """An impossible tolerance turns into exit code 1."""

@@ -250,6 +250,26 @@ class TestConstructors:
         assert np.array_equal(beside.values, reference.values)
 
     @pytest.mark.parametrize(
+        "mean, spacing",
+        [(0.0, DEFAULT_SPACING), (0.3, DEFAULT_SPACING), (1.0, DEFAULT_SPACING), (1e6, 0.5)],
+    )
+    @pytest.mark.parametrize(
+        "std", [5e-324, 1e-300, 1e-12, 1e-5, 3e-5, 1e-4, 4.9e-4, 9.7e-4, 0.1, 1.0]
+    )
+    def test_narrow_component_keeps_its_weight(self, mean, spacing, std):
+        """Half of the mixture lies within max(10 std, 2 spacings) of the narrow component's
+        mean, to 1e-9, at every std; it used to keep 0.0007 of its 0.5 below about spacing / 16.
+        The wide N(0, 1) half, known at each knot, is subtracted; a window reaching 1e6 holds
+        more than MAX_GRID_SAMPLES knots at the default spacing, so it is checked at 0.5."""
+        d = gaussian_mixture_density((0.5, 0.5), (mean, 0.0), (std, 1.0), spacing)
+        xs = d.xs()
+        trapezoid = np.full(xs.size, spacing)
+        trapezoid[[0, -1]] = 0.5 * spacing
+        narrow = (d.values - 0.5 * np.exp(-0.5 * xs**2) / math.sqrt(2.0 * math.pi)) * trapezoid
+        near = np.abs(xs - mean) <= max(10.0 * std, 2.0 * spacing)
+        assert float(narrow[near].sum()) == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize(
         "build, centre",
         [
             (lambda: gaussian_density(0.5, 1e-300), 0.5),
