@@ -213,75 +213,57 @@ def cmd_filter(taps: tuple[float, ...], dim: int, alpha: float) -> list[Row]:
 
 
 def _certifications(instances: Iterable[CorpusInstance], slack: float) -> Iterator[Certification]:
-    """:func:`certify` of each instance, in instance order, at most two at a time.
+    """:func:`certify` of each instance, in instance order, on two worker threads.
 
-    Two worker threads pull the work. Each draws the next instance and its
-    index under one lock, certifies it outside the lock, and files the
-    certification, or the exception, under that index. A worker drops its
-    instance before it draws again, so at most two instances are alive, and
-    a slow instance holds up only its own worker: the other keeps drawing.
-    Only finished certifications wait to be yielded. pocketfft and numpy's
-    large loops release the GIL, and no result depends on which thread
-    computes it.
+    Each worker loops: under one lock it queues a future and draws the next
+    instance, then it certifies the instance outside the lock and drops it
+    before it draws again. So the queue is in instance order, at most two
+    instances are alive, and a slow instance holds up only its own worker;
+    the certifications that finish behind it wait in their futures. The
+    corpus' end resolves a future to None. pocketfft and numpy's large
+    loops release the GIL, and no result depends on which thread computes
+    it.
 
-    Results are yielded in instance order, so the first error in that order
-    is raised, as in a serial loop. Once an instance has failed, the corpus
-    has ended or the generator is closed, the workers draw nothing more;
-    both are joined before the call returns or raises.
+    The futures are read in queue order, so the first error in instance
+    order is raised, as in a serial loop. Once an instance has failed, the
+    corpus has ended or the call returns or raises, the workers stop
+    drawing; the ``with`` block joins both before the call returns or
+    raises.
     """
-    import threading  # only verify pays for this import
+    import queue  # only verify pays for these imports
+    import threading
+    from concurrent.futures import Future, ThreadPoolExecutor
 
+    lock = threading.Lock()
+    stop = threading.Event()
+    drawn: queue.SimpleQueue[Future[Certification | None]] = queue.SimpleQueue()
     source = iter(instances)
-    filed = threading.Condition()
-    # index -> (certification, None) or (None, error); (None, None) ends the corpus
-    results: dict[int, tuple[Certification | None, BaseException | None]] = {}
-    drawn = 0
-    stopped = False
 
     def work() -> None:
-        nonlocal drawn, stopped
-        while True:
+        while not stop.is_set():
+            future: Future[Certification | None] = Future()
             try:
-                with filed:
-                    if stopped:
-                        return
-                    index, drawn = drawn, drawn + 1
-                    inst = next(source)
-            except StopIteration:
-                result = (None, None)
-            except BaseException as exc:  # filed, then raised in instance order
-                result = (None, exc)
-            else:
-                try:
-                    result = (certify(inst.densities, inst.order, slack=slack), None)
-                except BaseException as exc:
-                    result = (None, exc)
-                del inst  # before the next draw, so at most two instances are alive
-            with filed:
-                results[index] = result
-                stopped = stopped or result[0] is None
-                filed.notify_all()
+                with lock:
+                    drawn.put(future)
+                    inst = next(source, None)
+                if inst is None:
+                    stop.set()
+                    future.set_result(None)
+                else:
+                    future.set_result(certify(inst.densities, inst.order, slack=slack))
+                    del inst  # before the next draw
+            except BaseException as exc:
+                stop.set()
+                future.set_exception(exc)
 
-    workers = [threading.Thread(target=work) for _ in range(2)]
-    for worker in workers:
-        worker.start()
-    try:
-        index = 0
-        while True:
-            with filed:
-                filed.wait_for(lambda: index in results)
-                cert, error = results.pop(index)
-            if error is not None:
-                raise error
-            if cert is None:
-                return
-            yield cert
-            index += 1
-    finally:
-        with filed:
-            stopped = True
-        for worker in workers:
-            worker.join()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        try:
+            for _ in range(2):
+                pool.submit(work)
+            while (cert := drawn.get().result()) is not None:
+                yield cert
+        finally:
+            stop.set()
 
 
 def cmd_verify(corpus: str, alpha: float, seed: int, count: int, slack: float) -> list[Row]:

@@ -17,6 +17,7 @@ is the analytic machinery feeding those constants.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -134,6 +135,10 @@ def _check_spacing(spacing: float) -> float:
     spacing = _as_float(spacing, "spacing")
     if not 0.0 < spacing < math.inf:
         raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
+    if spacing < sys.float_info.min:  # a cell's mass over a subnormal spacing can overflow
+        raise ValueError(
+            f"spacing must be a normal float, at least {sys.float_info.min!r}, got {spacing!r}"
+        )
     return spacing
 
 
@@ -250,9 +255,7 @@ def gaussian_mixture_density(
     is integrated: each knot gets the component's probability over its cell, Phi(b) - Phi(a),
     divided by the knot's trapezoid weight, so the component keeps its mixture weight however
     narrow it is or wherever its mean falls between knots. The window is at least half a
-    spacing wide, so a std far below the spacing gives the one-cell spike at any mean. A std
-    below about 1e-308 on a grid finer than that, whose weighted density underflows at its cut,
-    is sampled as TRUNCATION_LEVEL exp(exponent + cut), capped at the cut level (no overflow).
+    spacing wide, so a std far below the spacing gives the one-cell spike at any mean.
     """
     weights = _as_floats(weights, "mixture weights")
     means, stds = _as_floats(means, "means"), _as_floats(stds, "stds")
@@ -275,16 +278,13 @@ def gaussian_mixture_density(
 
     def fn(x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
-        for w, m, s, cut, half in zip(weights, means, stds, cuts, halves):
+        for w, m, s, half in zip(weights, means, stds, halves):
             if s < _CELL_MASS_STDS * spacing:
                 _add_cell_masses(out, x, spacing, w, m, s, half)
-                continue
-            # |x - m| / s < 2^23 on a window of at most MAX_GRID_SAMPLES knots: no overflow
-            exponent = -0.5 * ((x - m) / s) ** 2
-            if math.exp(-cut) > 0.0:
-                out += w * np.exp(exponent) / (s * math.sqrt(2.0 * math.pi))
-            else:  # std below about 1e-308: exp(-cut) underflows, so start at the cut level
-                out += TRUNCATION_LEVEL * np.exp(np.minimum(exponent + cut, 0.0))
+            else:
+                # |x - m| / s < 2^23 on a window of at most MAX_GRID_SAMPLES knots: no overflow;
+                # s is at least two normal spacings, so the peak w / (s sqrt(2 pi)) is finite
+                out += w * np.exp(-0.5 * ((x - m) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
         return out
 
     return from_function(fn, lo, hi, spacing)

@@ -518,15 +518,16 @@ class TestVerifyCommand:
         assert sum(kind == "start" for kind, _ in during) - 1 >= 5
 
     def test_failure_stops_the_draws(self, monkeypatch):
-        """Once instance 2 fails, no worker draws past the instance it already holds,
-        though the corpus has 1000, and no worker thread outlives the call."""
+        """Once instance 2 fails, nothing past the instances already drawn is drawn,
+        though instance 1 runs 0.2 s more and the corpus has 1000, and no worker
+        thread outlives the call."""
         calls = []
 
         def failing(i):
             calls.append(i)
             if i == 2:
                 raise ValueError("instance 2")
-            time.sleep(0.01)
+            time.sleep(0.2 if i == 1 else 0.01)
 
         baseline = threading.active_count()
         scripted_corpus(monkeypatch, 1000, failing)
@@ -535,6 +536,23 @@ class TestVerifyCommand:
         assert err.value.__context__ is None
         assert threading.active_count() == baseline
         assert 3 <= len(calls) <= 4
+
+    def test_closing_early_stops_the_draws(self, monkeypatch):
+        """A certification stream closed after its first item draws at most the
+        instances its workers already hold, of 1000, and leaves no thread behind."""
+        calls = []
+
+        def counted(i):
+            calls.append(i)
+            time.sleep(0.01)
+
+        baseline = threading.active_count()
+        scripted_corpus(monkeypatch, 1000, counted)
+        stream = cli._certifications(cli.random_corpus(5, 1000), 1e-4)
+        next(stream)
+        stream.close()
+        assert threading.active_count() == baseline
+        assert 1 <= len(calls) <= 3
 
     def test_violation_exit_code(self, capsys):
         """An impossible tolerance turns into exit code 1."""

@@ -2,6 +2,7 @@
 
 import bisect
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -365,6 +366,33 @@ class TestConstructors:
         """Zero, negative, NaN and infinite pitches are a clear ValueError."""
         with pytest.raises(ValueError, match="spacing must be positive and finite"):
             build(spacing)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda s: gaussian_density(0.0, 1e-313, spacing=s),
+            lambda s: gaussian_mixture_density((0.5, 0.5), (0.0, 1e-312), (1e-320, 1e-311), s),
+            lambda s: uniform_density(0.0, 1e-310, s),
+            lambda s: random_corpus(1, 1, s),
+        ],
+        ids=["gaussian", "mixture", "uniform", "random_corpus"],
+    )
+    @pytest.mark.parametrize("spacing", [5e-324, 4e-316, 2.2e-308])
+    def test_subnormal_spacing_rejected(self, build, spacing):
+        """A subnormal pitch is refused by name. Over it a cell's mass can overflow and a
+        trapezoid mass underflow; gaussian_density(0, 1e-313, spacing=4e-316) said "density
+        vanishes on its grid", and other subnormal grids warned of overflow."""
+        with pytest.raises(ValueError, match="spacing must be a normal float"):
+            build(spacing)
+
+    @pytest.mark.parametrize("std", [3e-308, 1e-306])
+    def test_smallest_normal_spacing_accepted(self, std):
+        """At the smallest normal pitch a cell-mass component (std below two spacings) and a
+        sampled one both build a finite density of unit mass."""
+        d = gaussian_density(0.0, std, spacing=sys.float_info.min)
+        assert d.spacing == sys.float_info.min
+        assert np.isfinite(d.values).all()
+        assert d.integral() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308)]
