@@ -88,6 +88,7 @@ def power_from_entropy(entropy: float, dim: int = 1) -> float:
 def entropy_from_power(power: float, dim: int = 1) -> float:
     """Inverse of :func:`power_from_entropy`; power 0 maps to -inf, and inf is a ``ValueError``."""
     dim = _positive_int(dim, "dimension")
+    power = _as_float(power, "entropy power")
     if not 0.0 <= power < math.inf:
         raise ValueError(f"entropy power must be finite and >= 0, got {power!r}")
     if power == 0.0:
@@ -178,13 +179,15 @@ def _as_float(value, what: str) -> float:
 
 
 def _as_floats(values, what: str) -> tuple[float, ...]:
-    """:func:`_as_float` of each value, as a tuple.
+    """:func:`_as_float` of each value, as a tuple; a ``str`` or ``bytes`` is a TypeError.
 
     Each value takes one plain ``float`` call unless some value is past the
     float range. The tuple is built from a list: ``tuple()`` of a generator
     starts at 10 entries and resizes, which in a long loop of calls strands
     megabytes of tuples on CPython's per-size free lists.
     """
+    if isinstance(values, (str, bytes, bytearray)):
+        raise TypeError(f"{what} must be a sequence of numbers, not a string")
     raw = tuple(values)
     try:
         return tuple([*map(float, raw)])
@@ -264,7 +267,7 @@ class PowerVector:
 
 
 def as_power_vector(powers: PowerVector | Sequence[float]) -> PowerVector:
-    return powers if isinstance(powers, PowerVector) else PowerVector(tuple(powers))
+    return powers if isinstance(powers, PowerVector) else PowerVector(powers)
 
 
 #: slack accepted on the simplex constraints; the weight solver lands well
@@ -324,7 +327,7 @@ def _simplex_rows(weights: np.ndarray) -> list[SimplexWeights]:
 
 
 def as_simplex_weights(weights: SimplexWeights | Sequence[float]) -> SimplexWeights:
-    return weights if isinstance(weights, SimplexWeights) else SimplexWeights(tuple(weights))
+    return weights if isinstance(weights, SimplexWeights) else SimplexWeights(weights)
 
 
 @dataclass(frozen=True)

@@ -21,19 +21,16 @@ sum(c_k) - 1 >= 0 as x -> 1. A second largest power (c_k = 1) makes it
 vanish on all of [1/2, 1), and the solver stops at its first point 1/2,
 the finite-order weight of two equal powers.
 
-The root is found by bracketed Newton on [0, 1] from the midpoint 1/2,
-falling back to bisection whenever a Newton step would leave the bracket.
-On any pass where a Newton step rounds to no move, the row steps one ulp
-towards the sign change instead; the step keeps no state between passes.
-A row ends when its bracket ends are adjacent floats, and the root is
-their midpoint, so it is exact to one ulp. One call solves a whole grid
-of orders as the rows of an (orders x ratios) array; an order whose
-conjugate rounds to 1 (alpha above about 1e16) is solved as alpha = inf,
-an endpoint row is the closed bracket [1, 1], which returns 1 unevaluated,
-and an empty grid returns at once. :func:`bound_reports` and its
-one-order call :func:`bound_report` read every weight and constant from
-the solver; the one other public caller is :func:`optimal_weights`,
-which returns the weights alone.
+The root is found by :func:`_bracketed_newton`, safeguarded Newton on
+[0, 1] from the midpoint 1/2 run to adjacent floats, so it is exact to
+one ulp. One call solves a whole grid of orders as the rows of an
+(orders x ratios) array; an order whose conjugate rounds to 1 (alpha
+above about 1e16) is solved as alpha = inf. A row whose limit is the
+endpoint x = 1 is the closed bracket [1, 1], which returns 1 unevaluated,
+and an empty grid closes on the loop's first pass. :func:`bound_reports`
+and its one-order call :func:`bound_report` read every weight and
+constant from the solver; the one other public caller is
+:func:`optimal_weights`, which returns the weights alone.
 """
 
 from __future__ import annotations
@@ -162,23 +159,20 @@ def _bracketed_newton(residual, lo, hi, *params) -> np.ndarray:
     the loop, so a row's root does not depend on the others.
     """
     roots = np.empty(lo.size)
-    if not lo.size:
-        return roots
     rows = np.arange(lo.size)
     f = df = np.full(lo.size, np.nan)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = 0.5 * lo + 0.5 * hi
         for evaluations in range(MAX_ITERATIONS + 1):
             done = np.nextafter(lo, hi) >= hi
-            closed = np.count_nonzero(done)
-            if closed:
+            if np.count_nonzero(done):
                 roots[rows[done]] = np.minimum(np.maximum(0.5 * lo + 0.5 * hi, lo), hi)[done]
-                if closed == done.size:
-                    return roots
                 keep = ~done
-                rows, x, f, df, lo, hi, *params = (
-                    a[keep] for a in (rows, x, f, df, lo, hi, *params)
-                )
+                rows = rows[keep]
+                if rows.size:  # the rest travel with their rows; the last pass moves none
+                    x, f, df, lo, hi, *params = (a[keep] for a in (x, f, df, lo, hi, *params))
+            if not rows.size:
+                return roots
             if evaluations == MAX_ITERATIONS:
                 raise RootBracketError(float(lo[0]), float(hi[0]), float(f[0]))
             if evaluations:
@@ -204,38 +198,35 @@ def _weight_rows(pv: PowerVector, orders: Sequence[Order]) -> np.ndarray:
     Zero ratios have psi = 0 and drop out of the root problem. Every order
     is one row of :func:`_bracketed_newton`, with residual W(x) - 1 at
     conjugate ac, or at ac = 1 (alpha = inf, or a conjugate that rounds
-    to 1) the factored residual sum_k psi(x, c_k) / (1 - x) - 1; Newton
-    never evaluates an endpoint, so the division by 1 - x is safe. The
-    residual is W(x) - 1 on every row, and only a grid that holds ac = 1
-    overwrites those rows with the factored form. The x-free terms of psi
+    to 1) the factored residual sum_k psi(x, c_k) / (1 - x) - 1, which
+    only a grid holding ac = 1 computes; Newton never evaluates an
+    endpoint, so the division by 1 - x is safe. The x-free terms of psi
     (:func:`_psi_invariants`) are formed once per call and travel with
-    their rows. The bracket is [0, 1], except at ac = 1 when the ratios
-    sum to at most 1 and none is 1: the limit is then the endpoint x = 1,
-    and the closed bracket [1, 1] returns it before any evaluation. With
-    no positive ratio the lead takes weight 1.
+    their rows. The bracket is [0, 1], except where the limit is the
+    endpoint x = 1: at ac = 1 when the ratios sum to at most 1 and none is
+    1, and at every order when no ratio is positive, as W(x) = x. The
+    closed bracket [1, 1] returns it before any evaluation.
     """
     lead, cs = _leading_ratios(pv)
     ac = np.array([o.alpha_conj for o in orders])[:, None]
     positive = cs[cs > 0.0]
-    if positive.size == 0:
-        x = np.ones(ac.size)
-    else:
-        infinite = ac[:, 0] == 1.0
-        has_infinite = bool(infinite.any())
-        endpoint = infinite & (has_infinite and _max_power_tight(cs) and positive.max() < 1.0)
-        fixed, twice_c = _psi_invariants(positive, ac)
+    infinite = ac[:, 0] == 1.0
+    has_infinite = bool(infinite.any())
+    endpoint = infinite & (has_infinite and _max_power_tight(cs) and positive.max(initial=0.0) < 1.0)
+    endpoint |= not positive.size
+    fixed, twice_c = _psi_invariants(positive, ac)
 
-        def residual(x, ac, fixed, infinite):
-            psi, slope = _psi(x[:, None], positive, ac, slope=True, invariants=(fixed, twice_c))
-            total, dtotal = np.add.reduce(psi, axis=1), np.add.reduce(slope, axis=1)
-            f, df = x + total - 1.0, 1.0 + dtotal
-            if has_infinite:
-                gap, inf_total = 1.0 - x[infinite], total[infinite]
-                f[infinite] = inf_total / gap - 1.0
-                df[infinite] = (dtotal[infinite] + inf_total / gap) / gap
-            return f, df
+    def residual(x, ac, fixed, infinite):
+        psi, slope = _psi(x[:, None], positive, ac, slope=True, invariants=(fixed, twice_c))
+        total, dtotal = np.add.reduce(psi, axis=1), np.add.reduce(slope, axis=1)
+        f, df = x + total - 1.0, 1.0 + dtotal
+        if has_infinite:
+            gap, inf_total = 1.0 - x[infinite], total[infinite]
+            f[infinite] = inf_total / gap - 1.0
+            df[infinite] = (dtotal[infinite] + inf_total / gap) / gap
+        return f, df
 
-        x = _bracketed_newton(residual, endpoint.astype(float), np.ones(ac.size), ac, fixed, infinite)
+    x = _bracketed_newton(residual, endpoint.astype(float), np.ones(ac.size), ac, fixed, infinite)
     psi = _psi(x[:, None], cs, ac)
     rows = np.empty((x.size, cs.size + 1))
     rows[:, :lead], rows[:, lead], rows[:, lead + 1:] = psi[:, :lead], x, psi[:, lead:]

@@ -144,7 +144,6 @@ def _check_spacing(spacing: float) -> float:
 
 def _grid_cells(lo: float, hi: float, spacing: float) -> float:
     """(hi - lo) / spacing for a finite window of at most MAX_GRID_SAMPLES samples."""
-    spacing = _check_spacing(spacing)
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"need finite hi > lo, got [{lo!r}, {hi!r}]")
     cells = (hi - lo) / spacing
@@ -175,7 +174,7 @@ def from_function(
 ) -> GridDensity:
     """Sample an analytic density on [lo, hi] and renormalize to mass 1.
 
-    ``fn`` is read at the knots only, so a feature narrower than a cell is
+    ``fn`` returns one sample per knot, so a feature narrower than a cell is
     sampled, not integrated: it can fall between knots and lose its mass.
 
     The knots lo + k h must be exact to h / 256: a window where one ulp of
@@ -183,15 +182,19 @@ def from_function(
     describe another shape. At the default spacing that accepts |x| < 2^34.
     """
     lo, hi = _as_float(lo, "window ends"), _as_float(hi, "window ends")
+    spacing = _check_spacing(spacing)
     far = max(abs(lo), abs(hi))
-    if math.isfinite(far) and math.ulp(far) > _check_spacing(spacing) / 256:
+    if math.isfinite(far) and math.ulp(far) > spacing / 256:
         raise ValueError(
             f"[{lo!r}, {hi!r}] is too far from 0 for grid cells of {spacing!r}:"
             " its knots would round by more than 1/256 of a cell"
         )
     n = int(math.ceil(_grid_cells(lo, hi, spacing)))
     xs = lo + spacing * np.arange(n + 1)
-    return _renormalized(lo, spacing, np.array(fn(xs), dtype=float))
+    values = np.array(fn(xs), dtype=float)
+    if values.shape != xs.shape:
+        raise ValueError(f"fn must return one sample per knot, shape {xs.shape}, got {values.shape}")
+    return _renormalized(lo, spacing, values)
 
 
 def gaussian_density(mean: float, std: float, spacing: float = DEFAULT_SPACING) -> GridDensity:
@@ -211,6 +214,7 @@ def uniform_density(lo: float, hi: float, spacing: float = DEFAULT_SPACING) -> G
     such uniforms is the exact density of their sum at its knots.
     """
     lo, hi = _as_float(lo, "window ends"), _as_float(hi, "window ends")
+    spacing = _check_spacing(spacing)
     n = max(int(round(_grid_cells(lo, hi, spacing))), 1)
     values = np.zeros(n + 2)
     values[1:-1] = 1.0 / (n * spacing)
@@ -232,9 +236,8 @@ def exponential_density(
         raise ValueError(f"rate must be positive and finite, got {rate!r}")
     if not math.isfinite(shift):
         raise ValueError(f"shift must be finite, got {shift!r}")
+    spacing = _check_spacing(spacing)
     tail = max(math.log(rate) - math.log(TRUNCATION_LEVEL), 1.0) / rate
-    # a tail below one ulp of shift would collapse the window to a point;
-    # from_function rounds half a spacing up to one grid cell
     hi = max(shift + tail, shift + 0.5 * spacing)
 
     def fn(x: np.ndarray) -> np.ndarray:
@@ -322,6 +325,7 @@ def gaussian_renyi_entropy(order: Order | float, dim: int, det_cov: float) -> fl
     """
     order = as_order(order)
     dim = _positive_int(dim, "dimension")
+    det_cov = _as_float(det_cov, "covariance determinant")
     if not 0.0 < det_cov < math.inf:
         raise ValueError(f"covariance determinant must be positive and finite, got {det_cov!r}")
     return 0.5 * dim * order.log_alpha_slope + 0.5 * (

@@ -10,6 +10,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import jsonschema
@@ -539,15 +540,29 @@ class TestVerifyCommand:
 
     def test_closing_early_stops_the_draws(self, monkeypatch):
         """A certification stream closed after its first item draws at most the
-        instances its workers already hold, of 1000, and leaves no thread behind."""
-        calls = []
+        instances its workers already hold, of 1000, and leaves no thread behind.
 
-        def counted(i):
+        Every certification after instance 0's waits on a gate that opens only
+        when ``close()`` shuts the pool down, after it has set the stop event, so
+        no worker can finish and draw again before the stop (with a 10 ms sleep
+        in its place both workers sometimes did, on one busy core). The 10 s
+        timeout only keeps a broken stream from hanging the test."""
+        calls = []
+        gate = threading.Event()
+        shutdown = ThreadPoolExecutor.shutdown
+
+        def gated(i):
             calls.append(i)
-            time.sleep(0.01)
+            if i:
+                gate.wait(10.0)
+
+        def opening_shutdown(pool, *args, **kwargs):
+            gate.set()
+            return shutdown(pool, *args, **kwargs)
 
         baseline = threading.active_count()
-        scripted_corpus(monkeypatch, 1000, counted)
+        scripted_corpus(monkeypatch, 1000, gated)
+        monkeypatch.setattr(ThreadPoolExecutor, "shutdown", opening_shutdown)
         stream = cli._certifications(cli.random_corpus(5, 1000), 1e-4)
         next(stream)
         stream.close()

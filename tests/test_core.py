@@ -388,6 +388,9 @@ FLOAT_PARAMETERS = [
     (lambda: repi.gaussian_mixture_density((HUGE,), (0.0,), (1.0,)), "mixture weights"),
     (lambda: repi.exponential_density(HUGE), "rate"),
     (lambda: repi.exponential_density(1.0, HUGE), "shift"),
+    (lambda: repi.exponential_density(1.0, 0.0, HUGE), "spacing"),
+    (lambda: repi.gaussian_renyi_entropy(2.0, 1, HUGE), "covariance determinant"),
+    (lambda: entropy_from_power(HUGE), "entropy power"),
     (lambda: repi.FilterSpec((HUGE,), 1, 2.0), "taps"),
     (lambda: repi.certify((repi.uniform_density(0.0, 1.0),) * 2, 2.0, slack=HUGE), "slack"),
     (lambda: repi.collision_bound(HUGE, 0.5, 1), "collision probabilities"),
@@ -405,6 +408,31 @@ def test_integer_past_float_range_names_the_parameter(call, what):
         ValueError, match=f"^{what} must lie within the float range, got an integer of 1329 bits$"
     ):
         call()
+
+
+#: a string where a sequence of numbers is expected, which its characters used to fill
+#: silently, and the name its TypeError gives it
+STRING_SEQUENCES = [
+    (lambda: bound_report("12", 2.0), "entropy powers"),  # was the bound for powers (1.0, 2.0)
+    (lambda: repi.FilterSpec("21", 1, 2.0), "taps"),  # had taps (2.0, 1.0)
+    (lambda: repi.gaussian_mixture_density("1", "0", "1"), "mixture weights"),  # built N(0, 1)
+    (lambda: PowerVector(b"12"), "entropy powers"),
+    (lambda: as_simplex_weights("1"), "weights"),
+]
+
+
+@pytest.mark.parametrize("call, what", STRING_SEQUENCES)
+def test_string_is_not_a_sequence_of_numbers(call, what):
+    """A str or bytes given for a sequence of numbers is a TypeError naming the parameter."""
+    with pytest.raises(TypeError, match=f"^{what} must be a sequence of numbers, not a string$"):
+        call()
+
+
+def test_numeric_string_as_one_number_is_a_float():
+    """A numeric string given for one number is read by ``float``, as every public float is."""
+    assert entropy_from_power("2") == entropy_from_power(2.0)
+    assert repi.gaussian_renyi_entropy(2.0, 1, "1") == repi.gaussian_renyi_entropy(2.0, 1, 1.0)
+    assert bound_report((1.0, 2.0), "2") == bound_report((1.0, 2.0), 2.0)
 
 
 class TestPackageExports:

@@ -440,6 +440,16 @@ class TestConcavity:
         loop = min(1.0 / curvature(x, order) + 1.0 / curvature(1.0 - x, order) for x in grid)
         assert concavity_slacks(order, samples=300).pair_min == pytest.approx(loop, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "ac, expected",
+        [(1.2, 0.25168319623391394), (1.5, 1.006874773621708), (1.9, 9.076273207601295)],
+    )
+    def test_partition_min_pinned(self, ac, expected):
+        """The partition heads keep the margin from 0: 2000 seeded samples give these
+        minima; heads shifted by -DOMAIN_MARGIN read 0.25156, 1.00606 and 9.0398."""
+        report = concavity_slacks(order_from_conjugate(ac), 2000, 0)
+        assert report.partition_min == pytest.approx(expected, rel=1e-9)
+
     def test_slack_report_deterministic(self):
         """Identical seeds reproduce identical minima."""
         a = concavity_slacks(3.0, samples=200, seed=5)

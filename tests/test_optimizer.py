@@ -838,6 +838,25 @@ class TestInfinityDichotomy:
         assert calls == [False]
         assert tuple(report.weights) == (0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("powers", [(3.0, 0.0, 0.0), (3.0,)])
+    def test_lead_only_runs_no_residual(self, monkeypatch, powers):
+        """With no positive ratio every order is the closed bracket [1, 1]: psi runs once,
+        for the companion weights, and the lead takes weight 1."""
+        calls = []
+        psi = optimizer._psi
+
+        def counting_psi(*args, **kwargs):
+            calls.append(kwargs.get("slope", False))
+            return psi(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "_psi", counting_psi)
+        lead_only = (1.0,) + (0.0,) * (len(powers) - 1)
+        assert tuple(bound_report(powers, 2.0).weights) == lead_only
+        assert calls == [False]
+        reports = bound_reports(powers, (1.01, 2.0, 1e17, math.inf))
+        assert [tuple(r.weights) for r in reports] == [lead_only] * 4
+        assert calls == [False, False]
+
     def test_all_zero_powers(self):
         """All-zero powers count as tight, as the max-power rule reads them."""
         assert bv_asymptotically_tight((0.0, 0.0))

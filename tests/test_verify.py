@@ -395,6 +395,36 @@ class TestConstructors:
         assert d.integral() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
+        "build",
+        [
+            lambda s: uniform_density(0.0, 1.0, s),
+            lambda s: from_function(lambda x: 1.0 + x, 0.0, 1.0, s),
+            lambda s: exponential_density(1.0, 0.0, s),
+            lambda s: gaussian_density(0.0, 1.0, s),
+        ],
+        ids=["uniform", "from_function", "exponential", "gaussian"],
+    )
+    def test_numeric_string_spacing_is_a_float(self, build):
+        """Each constructor reads its spacing once, as a float: "0.25" builds the grid of 0.25."""
+        a, b = build("0.25"), build(0.25)
+        assert (a.origin, a.spacing) == (b.origin, b.spacing)
+        assert np.array_equal(a.values, b.values)
+
+    def test_exponential_refuses_rate_before_spacing(self):
+        """A bad rate is named even when the spacing is bad too."""
+        with pytest.raises(ValueError, match="^rate must be positive"):
+            exponential_density(-1, 0, 0)
+
+    @pytest.mark.parametrize(
+        "fn", [lambda x: x[:2], lambda x: 1.0, lambda x: np.stack((x, x))], ids=["short", "scalar", "2-d"]
+    )
+    def test_from_function_needs_one_sample_per_knot(self, fn):
+        """Samples that are not one per knot are a ValueError: a short array used to give a
+        2-sample density on a 5-knot window, a scalar an IndexError, a 2-d array a TypeError."""
+        with pytest.raises(ValueError, match=r"^fn must return one sample per knot, shape \(5,\)"):
+            from_function(fn, 0.0, 1.0, 0.25)
+
+    @pytest.mark.parametrize(
         "lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308)]
     )
     def test_non_finite_window_rejected(self, lo, hi):
