@@ -270,8 +270,9 @@ def cmd_verify(corpus: str, alpha: float, seed: int, count: int, slack: float) -
     """Certification sweep.
 
     Each instance contributes a measured power ratio row and a margin row
-    holding the minimum slack across all four checks (margins below
-    ``-slack`` are violations). The final row counts violating instances.
+    holding the least of its four margins, each a share of the summed powers
+    (ratio - constant); an instance violates when that row is not >= -slack.
+    The final row counts violating instances.
     ``random_corpus`` draws lazily and :func:`_certifications` certifies on
     two worker threads that each draw their next instance as soon as they
     are free, with at most two instances alive, so peak memory is flat in
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="2", help="order for the two-summand corpora")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--count", type=int, default=200)
-    p.add_argument("--slack", type=float, default=1e-4, help="tolerance on every check")
+    p.add_argument("--slack", type=float, default=1e-4, help="tolerance on every check, a share of sum N_k")
     add_io(p)
 
     return parser

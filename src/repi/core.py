@@ -332,12 +332,14 @@ def as_simplex_weights(weights: SimplexWeights | Sequence[float]) -> SimplexWeig
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All four lower bounds for one instance, in entropy power units.
+    """All four lower bounds for one instance, each with a constant on the summed powers.
 
-    ``bc`` <= ``sharpened`` <= ``optimized`` <= 1 always holds for the
-    constants, and the optimized bound dominates ``bv``. At alpha = inf the
-    constants are limit values: each is the pointwise limit of the
-    finite-alpha constant, and the reported bounds are valid by continuity.
+    ``bc``, ``sharpened`` and ``optimized`` are constants c in N_alpha(sum) >= c * sum_k
+    N_alpha(X_k); ``bv`` is the largest power, and its constant is its share of the sum.
+    ``bc`` <= ``sharpened`` <= ``optimized`` <= 1 always holds, and the
+    optimized constant dominates that share. At alpha = inf the constants
+    are limit values: each is the pointwise limit of the finite-alpha
+    constant, and the reported bounds are valid by continuity.
     """
 
     order: Order
@@ -356,16 +358,16 @@ class BoundReport:
             raise ValueError("constant ordering violated: sharpened > optimized")
         if not (self.optimized <= 1.0 + tol):
             raise ValueError("optimized constant exceeds 1")
-        total = self.powers.total
-        if self.optimized * total < self.bv - tol * max(1.0, self.bv):
+        if not (self.optimized >= self._constants()["bv"] - tol):
             raise ValueError("optimized bound fell below the max-power bound")
+
+    def _constants(self) -> dict[str, float]:
+        """Each bound's constant on sum_k N_alpha(X_k), in :meth:`lower_bounds` order."""
+        share = self.bv / self.powers.total
+        return {"bc": self.bc, "sharpened": self.sharpened, "optimized": self.optimized, "bv": share}
 
     def lower_bounds(self) -> dict[str, float]:
         """Lower bounds on the entropy power of the sum, by method."""
         total = self.powers.total
-        return {
-            "bc": self.bc * total,
-            "sharpened": self.sharpened * total,
-            "optimized": self.optimized * total,
-            "bv": self.bv,
-        }
+        # bv is the largest power itself, not its share times the total
+        return {**{name: c * total for name, c in self._constants().items()}, "bv": self.bv}

@@ -430,8 +430,9 @@ def convolve_many(densities: Sequence[GridDensity]) -> GridDensity:
 class Certification:
     """Measured entropy power of a sum against the bounds in its ``report``.
 
-    ``ratio`` is N_alpha(sum) / sum_k N_alpha(X_k). Constants are checked as
-    ratio >= constant - slack, the max-power bound as conv_power >= bv - slack.
+    ``ratio`` is N_alpha(sum) / sum_k N_alpha(X_k). Every margin is ratio - constant, with
+    the share max_k N_alpha(X_k) / sum_k N_alpha(X_k) as the max-power bound's
+    constant, so ``slack`` is one share of the summed powers for all four checks.
     """
 
     report: BoundReport
@@ -442,23 +443,17 @@ class Certification:
     def ratio(self) -> float:
         return self.conv_power / self.report.powers.total
 
-    def _checks(self) -> dict[str, tuple[float, float]]:
-        """Each check as (measured, bound): the ratio per constant, conv_power for bv."""
-        r, ratio = self.report, self.ratio
-        checks = {name: (ratio, getattr(r, name)) for name in ("bc", "sharpened", "optimized")}
-        return {**checks, "bv": (self.conv_power, r.bv)}
-
     @property
     def violations(self) -> tuple[str, ...]:
-        """Names of the checks that fail by more than the slack."""
-        return tuple(name for name, (x, b) in self._checks().items() if x < b - self.slack)
+        """Names of the checks whose margin is not >= -slack; a NaN fails."""
+        return tuple(name for name, m in self.margins().items() if not m >= -self.slack)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
     def margins(self) -> dict[str, float]:
-        return {name: x - b for name, (x, b) in self._checks().items()}
+        return {name: self.ratio - c for name, c in self.report._constants().items()}
 
 
 def certify(

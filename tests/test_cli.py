@@ -337,13 +337,24 @@ class TestVerifyCommand:
 
         Cell-average uniforms convolve to the exact peak of the sum, so the
         ratio is 1/2 to rounding. The spectral product leaves the sum's power
-        4 ulp below 1, and that is the tightest margin, on bv.
+        4 ulp below 1, so the ratio is 4 ulp below 1/2, and the margin is
+        ratio - 1/2 for sharpened, optimized and bv alike: bv's constant is
+        the largest power's share of the sum, 1/2.
         """
         code, lines = run_lines(["verify", "--corpus", "two-uniforms", "--alpha", "inf"], capsys)
         assert code == 0
         assert "inf,ratio,0.4999999999999998,2" in lines
-        assert "inf,margin,-4.440892098500626e-16,2" in lines
+        assert "inf,margin,-2.220446049250313e-16,2" in lines
+        assert 0.4999999999999998 - 0.5 == -2.220446049250313e-16
         assert lines[-1] == ",violations,0.0,"
+
+    @pytest.mark.parametrize("slack", [-1.0, 0.0, 1e-16, 1e-4])
+    def test_violations_count_the_margin_rows_below_slack(self, slack):
+        """An instance violates exactly when its printed margin row is not >= -slack."""
+        rows = cmd_verify("default", 2.0, 5, 12, slack)
+        margins = [value for _, method, value, _ in rows if method == "margin"]
+        assert len(margins) == 12
+        assert rows[-1] == (None, "violations", float(sum(not m >= -slack for m in margins)), None)
 
     def test_stdout_does_not_follow_the_blas_thread_count(self, capsys):
         """A corpus run prints the same bytes with one BLAS thread as in process with

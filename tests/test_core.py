@@ -355,6 +355,45 @@ class TestBoundReport:
                 weights=SimplexWeights((0.5, 0.5)),
             )
 
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_max_power_share_checked_at_every_scale(self, scale):
+        """An optimized constant below the largest power's share of the sum is refused
+        whatever the scale of the powers: the check reads the share, not a power."""
+        with pytest.raises(ValueError, match="below the max-power bound"):
+            BoundReport(
+                order=Order(2.0),
+                powers=PowerVector((scale, 2.0 * scale)),
+                bc=0.05,
+                sharpened=0.05,
+                optimized=0.1,
+                bv=2.0 * scale,
+                weights=SimplexWeights((0.5, 0.5)),
+            )
+
+    def test_max_power_share_edge(self):
+        """An optimized constant exactly at share - 1e-9 is accepted, one ulp lower is refused."""
+        edge = 0.5 - 1e-9
+
+        def report(optimized):
+            return BoundReport(
+                order=Order(2.0),
+                powers=PowerVector((1.0, 1.0)),
+                bc=0.3,
+                sharpened=0.4,
+                optimized=optimized,
+                bv=1.0,
+                weights=SimplexWeights((0.5, 0.5)),
+            )
+
+        assert report(edge).optimized == edge
+        with pytest.raises(ValueError, match="below the max-power bound"):
+            report(math.nextafter(edge, 0.0))
+
+    def test_nan_max_power_rejected(self):
+        """A NaN max-power bound is refused, not passed by a comparison that reads False."""
+        with pytest.raises(ValueError, match="below the max-power bound"):
+            dataclasses.replace(bound_report((1.0, 2.0), 2.0), bv=math.nan)
+
     def test_excess_constant_rejected(self):
         """Constants above 1 cannot be constructed."""
         with pytest.raises(ValueError):

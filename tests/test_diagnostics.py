@@ -221,6 +221,20 @@ class TestMaxEigenvalue:
         offset = 1e-14 * scale
         assert max_eigenvalue(m) == top + offset
 
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_deflated_top_on_the_tolerance_edge(self, monkeypatch, side):
+        """A deflated top eigenvalue exactly tol from LAPACK's value agrees with it, and one
+        ulp farther it does not: the tolerance interval is closed at both ends."""
+        dense = 1.0
+        tol = diagnostics.ROUTE_AGREEMENT * max(1.0, 0.1, dense)
+        edge = dense + side * tol
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([0.1, dense]))
+        # diag(0, t) + 0.1 e1 e1^T: t has no z weight, deflates, and is the top eigenvalue
+        assert max_eigenvalue(RankOneSymmetric((0.0, edge), 0.1, (1.0, 0.0))) == dense
+        past = math.nextafter(edge, side * math.inf)
+        with pytest.raises(EigenvalueMismatchError):
+            max_eigenvalue(RankOneSymmetric((0.0, past), 0.1, (1.0, 0.0)))
+
     @pytest.mark.parametrize("family", ["reduced", "weight-1e-9", "zero-z", "merging"])
     def test_two_point_verdict_equals_the_full_solve(self, monkeypatch, family):
         """With LAPACK's value moved by 0, +-0.8, +-1.2 or +-3 times the tolerance,

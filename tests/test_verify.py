@@ -650,7 +650,8 @@ class TestCertify:
         assert set(cert.margins()) == {"bc", "sharpened", "optimized", "bv"}
 
     def test_holds_the_bound_report(self):
-        """The certificate carries the report of the summand powers, and reads every check from it."""
+        """The certificate carries the report of the summand powers, and every margin is
+        the ratio less a constant on the summed powers, bv's share of them included."""
         u, g = uniform_density(0.0, 1.0), gaussian_density(0.5, 0.7)
         cert = certify((u, g), 2.0)
         report = bound_report((entropy_power(u, 2.0), entropy_power(g, 2.0)), 2.0)
@@ -660,18 +661,67 @@ class TestCertify:
             "bc": cert.ratio - report.bc,
             "sharpened": cert.ratio - report.sharpened,
             "optimized": cert.ratio - report.optimized,
-            "bv": cert.conv_power - report.bv,
+            "bv": cert.ratio - report.bv / report.powers.total,
         }
 
     def test_verdicts_compare_against_bound_minus_slack(self):
-        """A check fails exactly when the measured value is below bound - slack."""
+        """A check fails exactly when its margin, a share of the summed powers, is below -slack."""
         report = bound_report((1.0, 1.0), 2.0)
         total = report.powers.total
         on_edge = Certification(report, (report.optimized - 0.25) * total, 0.25)
         assert on_edge.ratio == report.optimized - 0.25
         assert on_edge.ok
-        below = Certification(report, math.nextafter(report.bv - 0.5, 0.0), 0.5)
+        share = report.bv / total
+        assert share == 0.5
+        # ratios within a factor 2 of the share subtract exactly, so one ulp shows
+        bv_edge = Certification(report, (share - 0.125) * total, 0.125)
+        assert bv_edge.margins()["bv"] == -0.125
+        assert "bv" not in bv_edge.violations
+        below = Certification(report, math.nextafter((share - 0.125) * total, 0.0), 0.125)
+        assert below.margins()["bv"] < -0.125
         assert below.violations[-1] == "bv" and not below.ok
+
+    @pytest.mark.parametrize(
+        "hi, spacing",
+        [(236234.67176712624, 86.43786014164883), (29260676.189544488, 23597.319507697168)],
+    )
+    def test_wide_uniform_pairs_certify_at_limit_order(self, hi, spacing):
+        """Wide uniform pairs sit on the tight share 1/2 at alpha = inf; the bv check
+        reads that share to rounding, not the sum's power less an absolute slack."""
+        u = uniform_density(0.0, hi, spacing=spacing)
+        cert = certify((u, u), math.inf)
+        assert cert.violations == ()
+        assert abs(cert.margins()["bv"]) < 1e-12
+
+    @pytest.mark.parametrize("conv_power, slack", [(math.nan, 1e-4), (1.0, math.nan)])
+    def test_nan_fails_every_check(self, conv_power, slack):
+        """A NaN measurement or slack is a violation of all four checks, not a pass."""
+        cert = Certification(bound_report((1.0, 2.0), 2.0), conv_power, slack)
+        assert not cert.ok
+        assert cert.violations == ("bc", "sharpened", "optimized", "bv")
+
+    @pytest.mark.parametrize(
+        "make, alpha",
+        [
+            (lambda s, h: uniform_density(0.0, s, h), math.inf),
+            # sampled on +-9 std, so the window scales with the std; gaussian_density
+            # cuts at a fixed density level, which is not scale-free
+            (lambda s, h: from_function(lambda x: np.exp(-0.5 * (x / s) ** 2), -9.0 * s, 9.0 * s, h), 2.0),
+        ],
+    )
+    def test_verdict_does_not_depend_on_scale(self, make, alpha):
+        """Scaling a pair and its spacing by 2^k leaves every margin and the verdict as they are."""
+
+        def certified(k):
+            d = make(2.0 ** k, DEFAULT_SPACING * 2.0 ** k)
+            return certify((d, d), alpha)
+
+        unit = certified(0)
+        for k in range(-30, 31):
+            cert = certified(k)
+            assert cert.violations == unit.violations, k
+            for name, margin in cert.margins().items():
+                assert margin == pytest.approx(unit.margins()[name], abs=1e-12), (k, name)
 
     def test_two_gaussians_attain_one(self):
         """Gaussians are additive: the measured ratio is 1 to high accuracy."""
