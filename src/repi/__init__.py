@@ -12,7 +12,7 @@ plus the max-power bound, for orders alpha > 1 including alpha = inf:
 
 ``bound_report`` assembles all four bounds for one power vector, and every
 other consumer reads them from it. ``repi.verify`` certifies the bounds
-numerically on grid densities, ``repi.filters.filter_bounds`` turns them
+on histogram densities, ``repi.filters.filter_bounds`` turns them
 into linear filter output entropies, and ``repi.diagnostics`` checks the
 curvature structure behind the optimizer. The package namespace is exactly
 the union of the modules' ``__all__`` lists.

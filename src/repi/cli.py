@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     add_io(p)
 
-    p = sub.add_parser("verify", help="numerical certification on grid densities")
+    p = sub.add_parser("verify", help="certification on histogram densities")
     p.add_argument("--corpus", choices=("default", "two-uniforms", "two-gaussians"), default="default")
     p.add_argument("--alpha", default="2", help="order for the two-summand corpora")
     p.add_argument("--seed", type=int, default=1)

@@ -1,13 +1,13 @@
 """Numerical certification of the bounds on one-dimensional densities.
 
-Densities live on uniform grids; integrals are trapezoidal. With the
-trapezoid weights w the discrete Renyi entropy is
-(1/(1-alpha)) log sum_i w_i f_i^alpha, which inherits the exact
-monotonicity in alpha of the continuous quantity, so order-related sanity
-checks hold to roundoff rather than to quadrature accuracy. Sums of
-independent summands are formed by discrete convolution and the measured
-entropy power ratio is compared against every constant the package
-computes.
+Every density is a histogram on a uniform grid of cells of width h, so its
+Renyi entropy (1/(1-alpha)) log sum_i h f_i^alpha is exact and monotone in
+alpha. A sum of n independent summands is measured as the histogram of the
+convolved cell masses, which the exact sum smooths by n - 1 one-cell
+uniforms; by Young's inequality ||f * g||_alpha <= ||f||_alpha ||g||_1 that
+cannot lower an order-alpha entropy power. So the measured ratio, compared
+against every constant the package computes, is a lower bound for the
+histograms themselves at any spacing.
 
 Certification here is deliberately one-dimensional. The constants are
 dimension free, so d > 1 adds no new content to them; what the grids check
@@ -56,37 +56,38 @@ __all__ = [
     "random_corpus",
 ]
 
-#: grid pitch used by every built-in constructor. The error is second order
-#: in it; at 2^-11 the closed-form oracles measure at most 1.5e-6 abs in the
-#: ratio for U + U, 8.7e-6 rel for Gamma(2, rate), 1.1e-7 nats for
-#: Irwin-Hall n = 3, 4 at alpha = 2, and 1e-15 nats for Gaussian mixtures
-DEFAULT_SPACING = 2.0 ** -11
+#: grid pitch used by every built-in constructor: a cost knob, since every check
+#: holds for the histograms at any pitch. Their distance from the sampled families
+#: is second order in it; at 2^-8 the closed-form oracles measure at most 8.1e-5
+#: abs in the ratio for U + U, 8.8e-5 rel for Gamma(2, rate) at finite alpha,
+#: 7.1e-6 nats for Irwin-Hall n = 3, 4 at alpha = 2, and 1e-15 nats for mixtures
+DEFAULT_SPACING = 2.0 ** -8
 
-#: analytic tails are cut where the density falls below this, then the grid
-#: is renormalized
+#: analytic tails are cut where a density (each mixture component) falls to this
+#: share of its peak, at +-8.58 std or 36.8 means, then the grid is renormalized
 TRUNCATION_LEVEL = 1e-16
 
-#: integral-of-one tolerance enforced on construction
+#: tolerance on the unit mass, spacing * sum(values), enforced on construction
 MASS_TOL = 1e-6
 
 #: most samples a constructor or a convolution puts on one grid (128 MiB of float64)
 MAX_GRID_SAMPLES = 2 ** 24
 
 #: a mixture component with a std below this many spacings is integrated over
-#: the grid cells, not sampled: sampled, its trapezoid mass is off by up to
+#: the grid cells, not sampled: sampled, its mass is off by up to
 #: 2 exp(-2 pi^2 (std / spacing)^2), 5e-9 at one spacing and 1e-34 at two
 _CELL_MASS_STDS = 2.0
 
 
 @dataclass(frozen=True, eq=False)
 class GridDensity:
-    """A probability density sampled on a uniform grid.
+    """A probability density on a uniform grid: the histogram of its values.
 
-    ``values[i]`` belongs to the knot ``origin + i * spacing``: the density
-    there for the smooth constructors, and the average of the density over
-    the cell of width ``spacing`` centred there for :func:`uniform_density`.
-    Values are nonnegative, origin and spacing are finite, and the
-    trapezoid integral is 1 within ``MASS_TOL``.
+    ``values[i]`` is the height on the cell of width ``spacing`` centred at the
+    knot ``origin + i * spacing``: the density there for the smooth constructors,
+    and its average over the cell for :func:`uniform_density`. Values are
+    nonnegative, origin and spacing are finite, and the mass
+    ``spacing * values.sum()`` is 1 within ``MASS_TOL``.
     """
 
     origin: float
@@ -117,7 +118,7 @@ class GridDensity:
         origin = _as_float(self.origin, "origin")
         if not math.isfinite(origin):
             raise ValueError(f"origin must be finite, got {origin!r}")
-        mass = float(np.trapezoid(v, dx=spacing))
+        mass = spacing * float(v.sum())
         if not abs(mass - 1.0) <= MASS_TOL:
             raise ValueError(f"density must integrate to 1, got {mass!r}")
         object.__setattr__(self, "origin", origin)
@@ -128,7 +129,7 @@ class GridDensity:
         return self.origin + self.spacing * np.arange(self.values.size)
 
     def integral(self) -> float:
-        return float(np.trapezoid(self.values, dx=self.spacing))
+        return self.spacing * float(self.values.sum())
 
 
 def _check_spacing(spacing: float) -> float:
@@ -153,13 +154,13 @@ def _grid_cells(lo: float, hi: float, spacing: float) -> float:
 
 
 def _renormalized(origin: float, spacing: float, values: np.ndarray) -> GridDensity:
-    """The grid density of ``values`` clipped at 0 and scaled to unit trapezoid mass.
+    """The grid density of ``values`` clipped at 0 and scaled to unit mass.
 
     ``values`` must be a fresh float64 array: it is clipped and scaled in
     place, and the density keeps it without a copy.
     """
     np.maximum(values, 0.0, out=values)
-    mass = float(np.trapezoid(values, dx=spacing))
+    mass = spacing * float(values.sum())
     if mass <= 0.0:
         raise ValueError("density vanishes on its grid")
     values /= mass
@@ -179,7 +180,7 @@ def from_function(
 
     The knots lo + k h must be exact to h / 256: a window where one ulp of
     its ends is larger is refused before ``fn`` runs, since rounded knots
-    describe another shape. At the default spacing that accepts |x| < 2^34.
+    describe another shape. At the default spacing that accepts |x| < 2^37.
     """
     lo, hi = _as_float(lo, "window ends"), _as_float(hi, "window ends")
     spacing = _check_spacing(spacing)
@@ -198,7 +199,7 @@ def from_function(
 
 
 def gaussian_density(mean: float, std: float, spacing: float = DEFAULT_SPACING) -> GridDensity:
-    """Gaussian sampled out to where the tail drops below TRUNCATION_LEVEL."""
+    """Gaussian sampled out to where it falls to TRUNCATION_LEVEL times its peak."""
     return gaussian_mixture_density((1.0,), (mean,), (std,), spacing)
 
 
@@ -209,9 +210,9 @@ def uniform_density(lo: float, hi: float, spacing: float = DEFAULT_SPACING) -> G
     the grid stays convolvable with every other density at the same spacing.
     The values are [0, 1/(n h), ..., 1/(n h), 0] at origin lo - h/2: each
     cell's average at the cell's centre, padded by a zero on each side, so
-    both jumps fall midway between samples. The trapezoid mass and the
-    summand's own entropy are exact, and the discrete convolution of two
-    such uniforms is the exact density of their sum at its knots.
+    both jumps fall midway between samples. The histogram is the uniform
+    itself, and the convolved cell masses of two such uniforms are the exact
+    density of their sum at its knots, times the spacing.
     """
     lo, hi = _as_float(lo, "window ends"), _as_float(hi, "window ends")
     spacing = _check_spacing(spacing)
@@ -226,10 +227,10 @@ def exponential_density(
 ) -> GridDensity:
     """Exponential with the given rate, support starting at ``shift``.
 
-    The window ends where the density falls to TRUNCATION_LEVEL, at least
-    one mean past ``shift``; it is formed from logarithms, so a huge rate
-    gives a one-cell spike instead of an overflow. It is at least half a
-    spacing wide, so that spike needs no room above one ulp of ``shift``.
+    The window ends where the density falls to TRUNCATION_LEVEL times its
+    peak, -log(TRUNCATION_LEVEL) means past ``shift`` at every rate. It is at
+    least half a spacing wide, so a huge rate gives a one-cell spike that
+    needs no room above one ulp of ``shift``.
     """
     rate, shift = _as_float(rate, "rate"), _as_float(shift, "shift")
     if not 0.0 < rate < math.inf:
@@ -237,8 +238,7 @@ def exponential_density(
     if not math.isfinite(shift):
         raise ValueError(f"shift must be finite, got {shift!r}")
     spacing = _check_spacing(spacing)
-    tail = max(math.log(rate) - math.log(TRUNCATION_LEVEL), 1.0) / rate
-    hi = max(shift + tail, shift + 0.5 * spacing)
+    hi = max(shift - math.log(TRUNCATION_LEVEL) / rate, shift + 0.5 * spacing)
 
     def fn(x: np.ndarray) -> np.ndarray:
         return rate * np.exp(-rate * (x - shift))
@@ -252,11 +252,11 @@ def gaussian_mixture_density(
     stds: Sequence[float],
     spacing: float = DEFAULT_SPACING,
 ) -> GridDensity:
-    """Convex mixture of Gaussians, each cut where its tail falls below TRUNCATION_LEVEL.
+    """Convex mixture of Gaussians, each cut where it falls to TRUNCATION_LEVEL times its own peak.
 
     A component with a std of at least two spacings is sampled at the knots. A narrower one
     is integrated: each knot gets the component's probability over its cell, Phi(b) - Phi(a),
-    divided by the knot's trapezoid weight, so the component keeps its mixture weight however
+    divided by the spacing, so the component keeps its mixture weight however
     narrow it is or wherever its mean falls between knots. The window is at least half a
     spacing wide, so a std far below the spacing gives the one-cell spike at any mean.
     """
@@ -273,9 +273,7 @@ def gaussian_mixture_density(
     if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"mixture weights must sum to 1, got {total!r}")
     spacing = _check_spacing(spacing)
-    log_peak_cut = -math.log(TRUNCATION_LEVEL * math.sqrt(2.0 * math.pi))
-    cuts = [max(log_peak_cut + math.log(w) - math.log(s), 1.0) for w, s in zip(weights, stds)]
-    halves = [s * math.sqrt(2.0 * cut) for s, cut in zip(stds, cuts)]
+    halves = [s * math.sqrt(-2.0 * math.log(TRUNCATION_LEVEL)) for s in stds]
     lo = min(m - h for m, h in zip(means, halves))
     hi = max(max(m + h for m, h in zip(means, halves)), lo + 0.5 * spacing)
 
@@ -297,8 +295,7 @@ def _add_cell_masses(
     out: np.ndarray, xs: np.ndarray, spacing: float, weight: float, mean: float, std: float, half: float
 ) -> None:
     """Add ``weight`` times the N(mean, std) probability of each cell that meets
-    [mean - half, mean + half] to ``out`` at its knot, divided by the knot's trapezoid
-    weight (the spacing, or half of it at either end of ``xs``).
+    [mean - half, mean + half] to ``out`` at its knot, divided by the spacing.
 
     Knot k's cell is [xs[k] - spacing/2, xs[k] + spacing/2], and neighbouring cells
     share one computed edge, so no mass falls between them. Each probability is the
@@ -312,7 +309,7 @@ def _add_cell_masses(
         if a > 0.0:  # right of the mean: mirror the cell to the left, where the tails are small
             a, b = -b, -a
         mass = 0.5 * (math.erfc(-b / root2) - math.erfc(-a / root2))
-        out[k] += weight * mass / (spacing if 0 < k < xs.size - 1 else 0.5 * spacing)
+        out[k] += weight * mass / spacing
 
 
 def gaussian_renyi_entropy(order: Order | float, dim: int, det_cov: float) -> float:
@@ -334,21 +331,20 @@ def gaussian_renyi_entropy(order: Order | float, dim: int, det_cov: float) -> fl
 
 
 def renyi_entropy(density: GridDensity, order: Order | float) -> float:
-    """Renyi entropy of a grid density, in nats.
+    """Renyi entropy of a grid density's histogram, in nats: exact for it.
 
     alpha = inf is minus the log of the grid maximum m. Finite alpha takes
-    the entropy of the grid density renormalized to unit trapezoid mass:
-    with r = f/m, trapezoid weights w, J = sum w r and q = w r / J,
+    the entropy of the histogram renormalized to unit mass: with r = f/m,
+    cell width w, J = sum w r and q = w r / J,
 
         h = log J - log1p(sum q expm1((alpha - 1) log r)) / (alpha - 1).
 
     Since r <= 1 no term overflows at any order, and as alpha -> 1 no
     mass error of order 1e-16 is divided by alpha - 1. The terms are
-    formed in one array, in place, and no weight array is built: after the
-    logs, r is scaled in place by the spacing and its two end entries are
-    halved, which makes it w r. The weighted sum of the terms is numpy's
-    pairwise sum, not a BLAS dot, whose rounding would follow the BLAS
-    thread count.
+    formed in one array, in place: after the logs, r is scaled in place
+    by the spacing, which makes it w r. The weighted sum of the terms is
+    numpy's pairwise sum, not a BLAS dot, whose rounding would follow the
+    BLAS thread count.
     """
     order = as_order(order)
     peak = float(density.values.max())
@@ -361,7 +357,6 @@ def renyi_entropy(density: GridDensity, order: Order | float) -> float:
         terms *= order.alpha - 1.0
         np.expm1(terms, out=terms)
     r *= density.spacing
-    r[[0, -1]] *= 0.5
     mass = float(r.sum())
     terms *= r
     excess = float(terms.sum()) / mass
@@ -390,15 +385,18 @@ def _transform_length(n: int) -> int:
 
 
 def convolve_many(densities: Sequence[GridDensity]) -> GridDensity:
-    """Density of the sum of two or more independent summands on one grid.
+    """Histogram of the convolved cell masses of two or more independent summands.
 
-    Each summand is transformed once by the real FFT, zero-padded to the
-    smallest 5-smooth length that holds the full linear convolution; the
-    spectra are multiplied and inverted once. Transform roundoff is clipped
-    at 0 and the output is renormalized to mass 1, absorbing the mass lost
-    to tail truncation of the inputs. Fewer than two summands, summands on
-    different spacings, or a sum of more than MAX_GRID_SAMPLES samples are
-    refused before any transform.
+    The exact density of the sum of n histograms is this histogram plus
+    n - 1 independent uniforms on one cell, which by Young's inequality
+    cannot lower an order-alpha entropy power: the power of the result is
+    a lower bound on the sum's. Each summand is transformed once by the
+    real FFT, zero-padded to the smallest 5-smooth length that holds the
+    full linear convolution; the spectra are multiplied and inverted once.
+    Transform roundoff is clipped at 0 and the output is renormalized to
+    mass 1, absorbing the mass lost to tail truncation of the inputs. Fewer
+    than two summands, summands on different spacings, or a sum of more
+    than MAX_GRID_SAMPLES samples are refused before any transform.
     """
     if len(densities) < 2:
         raise ValueError("need at least two densities")
@@ -463,6 +461,8 @@ def certify(
 ) -> Certification:
     """Convolve the densities and measure every bound on the result.
 
+    Summand powers are exact for the histograms and the sum's is a lower bound
+    (:func:`convolve_many`), so a check passing at slack 0 holds for them.
     :func:`convolve_many` runs first, so fewer than two summands or
     mismatched spacings are refused before any entropy is computed. A
     non-finite slack is rejected: NaN or inf would pass every check.

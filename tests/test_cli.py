@@ -335,17 +335,15 @@ class TestVerifyCommand:
     def test_tight_two_summand_case(self, capsys):
         """The uniform pair at the limit order sits on the tight constant 1/2.
 
-        Cell-average uniforms convolve to the exact peak of the sum, so the
-        ratio is 1/2 to rounding. The spectral product leaves the sum's power
-        4 ulp below 1, so the ratio is 4 ulp below 1/2, and the margin is
-        ratio - 1/2 for sharpened, optimized and bv alike: bv's constant is
+        The convolved cell masses of two uniform histograms peak at exactly the
+        summands' own height, so the ratio is 1/2, and the margin is
+        ratio - 1/2 = 0 for sharpened, optimized and bv alike: bv's constant is
         the largest power's share of the sum, 1/2.
         """
         code, lines = run_lines(["verify", "--corpus", "two-uniforms", "--alpha", "inf"], capsys)
         assert code == 0
-        assert "inf,ratio,0.4999999999999998,2" in lines
-        assert "inf,margin,-2.220446049250313e-16,2" in lines
-        assert 0.4999999999999998 - 0.5 == -2.220446049250313e-16
+        assert "inf,ratio,0.5,2" in lines
+        assert "inf,margin,0.0,2" in lines
         assert lines[-1] == ",violations,0.0,"
 
     @pytest.mark.parametrize("slack", [-1.0, 0.0, 1e-16, 1e-4])
@@ -463,14 +461,15 @@ class TestVerifyCommand:
 
         Every instance is a fresh copy of one three-summand shape, so the peak
         does not depend on which two instances the threads happen to overlap.
+        Its grids are at 2^-11, where the instances' arrays dominate the peak.
         """
 
         def same_shape(seed, count):
             for _ in range(count):
                 parts = (
-                    repi.gaussian_density(0.0, 1.6),
-                    repi.exponential_density(0.7),
-                    repi.gaussian_density(1.0, 1.2),
+                    repi.gaussian_density(0.0, 1.6, 2.0 ** -11),
+                    repi.exponential_density(0.7, 0.0, 2.0 ** -11),
+                    repi.gaussian_density(1.0, 1.2, 2.0 ** -11),
                 )
                 yield repi.CorpusInstance("gauss+expo+gauss", parts, repi.Order(2.0))
 

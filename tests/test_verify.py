@@ -33,25 +33,24 @@ ORDERS = (1.1, 1.5, 2.0, 5.0, math.inf)
 
 
 def _direct_reference(parts):
-    """Convolution by direct summation, renormalized to trapezoid mass 1."""
+    """Convolution by direct summation, renormalized to mass 1."""
     spacing = parts[0].spacing
     raw = parts[0].values
     for d in parts[1:]:
         raw = np.convolve(raw, d.values) * spacing
-    raw = raw / np.trapezoid(raw, dx=spacing)
+    raw = raw / (spacing * raw.sum())
     return GridDensity(sum(d.origin for d in parts), spacing, raw)
 
 
 def _weight_array_entropy(density, alpha):
-    """Finite-order renyi_entropy with an explicit trapezoid weight array w and
-    the terms in one expression: the reference.
+    """Finite-order renyi_entropy with an explicit weight array w, every cell's
+    width, and the terms in one expression: the reference.
 
     Both sums are numpy's pairwise ``sum``, as in ``renyi_entropy``.
     """
     peak = float(density.values.max())
     r = density.values / peak
     w = np.full(r.size, density.spacing)
-    w[0] = w[-1] = 0.5 * density.spacing
     wr = w * r
     mass = float(wr.sum())
     with np.errstate(divide="ignore", over="ignore"):
@@ -68,7 +67,7 @@ def _plain_spectral_product(parts):
     for d in parts[1:]:
         spectrum = spectrum * np.fft.rfft(d.values * spacing, size)
     raw = np.maximum(np.fft.irfft(spectrum, size)[:n], 0.0)
-    return raw / float(np.trapezoid(raw, dx=spacing))
+    return raw / (spacing * float(raw.sum()))
 
 
 def _unevaluated(x):
@@ -78,7 +77,7 @@ def _unevaluated(x):
 
 class TestGridDensity:
     def test_axis_and_mass(self):
-        """xs spans origin + i * spacing, half a cell past each end of a uniform; the trapezoid mass is 1."""
+        """xs spans origin + i * spacing, half a cell past each end of a uniform; the mass is 1."""
         d = uniform_density(0.0, 1.0)
         assert d.xs()[0] == -0.5 * DEFAULT_SPACING
         assert d.xs()[-1] == pytest.approx(1.0 + 0.5 * DEFAULT_SPACING, abs=1e-12)
@@ -252,7 +251,7 @@ class TestConstructors:
 
     @pytest.mark.parametrize(
         "mean, spacing",
-        [(0.0, DEFAULT_SPACING), (0.3, DEFAULT_SPACING), (1.0, DEFAULT_SPACING), (1e6, 0.5)],
+        [(0.0, 2.0 ** -11), (0.3, 2.0 ** -11), (1.0, 2.0 ** -11), (1e6, 0.5), (-20.0, 2.0 ** -11)],
     )
     @pytest.mark.parametrize(
         "std", [5e-324, 1e-300, 1e-12, 1e-5, 3e-5, 1e-4, 4.9e-4, 9.7e-4, 0.1, 1.0]
@@ -260,13 +259,14 @@ class TestConstructors:
     def test_narrow_component_keeps_its_weight(self, mean, spacing, std):
         """Half of the mixture lies within max(10 std, 2 spacings) of the narrow component's
         mean, to 1e-9, at every std; it used to keep 0.0007 of its 0.5 below about spacing / 16.
+        The stds are set against the spacing 2^-11 (4.9e-4 and 9.7e-4 are one and two cells).
         The wide N(0, 1) half, known at each knot, is subtracted; a window reaching 1e6 holds
-        more than MAX_GRID_SAMPLES knots at the default spacing, so it is checked at 0.5."""
+        more than MAX_GRID_SAMPLES knots at 2^-11, so it is checked at 0.5. At -20 a narrow
+        component sets the window's left end, and its mass lies in the end cell, as wide as
+        every other."""
         d = gaussian_mixture_density((0.5, 0.5), (mean, 0.0), (std, 1.0), spacing)
         xs = d.xs()
-        trapezoid = np.full(xs.size, spacing)
-        trapezoid[[0, -1]] = 0.5 * spacing
-        narrow = (d.values - 0.5 * np.exp(-0.5 * xs**2) / math.sqrt(2.0 * math.pi)) * trapezoid
+        narrow = (d.values - 0.5 * np.exp(-0.5 * xs**2) / math.sqrt(2.0 * math.pi)) * spacing
         near = np.abs(xs - mean) <= max(10.0 * std, 2.0 * spacing)
         assert float(narrow[near].sum()) == pytest.approx(0.5, abs=1e-9)
 
@@ -324,17 +324,17 @@ class TestConstructors:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda c: gaussian_density(c, 1.0),
-            lambda c: exponential_density(1.0, c),
-            lambda c: gaussian_mixture_density((0.4, 0.6), (c - 1.0, c + 1.0), (0.5, 1.0)),
-            lambda c: from_function(_unevaluated, c, c + 10.0),
+            lambda c, h: gaussian_density(c, 1.0, h),
+            lambda c, h: exponential_density(1.0, c, h),
+            lambda c, h: gaussian_mixture_density((0.4, 0.6), (c - 1.0, c + 1.0), (0.5, 1.0), h),
+            lambda c, h: from_function(_unevaluated, c, c + 10.0, h),
         ],
         ids=["gaussian", "exponential", "mixture", "from_function"],
     )
     def test_far_window_refused(self, build, centre):
         """Where one ulp of the window exceeds spacing / 256 the knots round, so it is refused before fn runs."""
         with pytest.raises(ValueError, match=r"too far from 0 for grid cells of 0\.00048828125"):
-            build(centre)
+            build(centre, 2.0 ** -11)
 
     @pytest.mark.parametrize("centre", [1e10, -1e10])
     @pytest.mark.parametrize(
@@ -351,6 +351,37 @@ class TestConstructors:
         far, near = build(centre), build(0.0)
         for alpha in ORDERS:
             assert renyi_entropy(far, alpha) == pytest.approx(renyi_entropy(near, alpha), abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_gaussian_cut_is_scale_free(self, alpha):
+        """At spacing 2^-11 std, a Gaussian's entropy misses its closed form by the same
+        amount, to rounding, for every std from 2^-40 to 2^60: each window keeps +-8.58
+        std. Cut at the absolute density 1e-16, the window kept +-1.59 std at 2^50,
+        and the order-2 entropy was 0.21 nats low."""
+        errors = []
+        for k in range(-40, 61, 10):
+            std = 2.0 ** k
+            d = gaussian_density(0.0, std, 2.0 ** -11 * std)
+            errors.append(renyi_entropy(d, alpha) - gaussian_renyi_entropy(alpha, 1, std * std))
+        assert max(errors) - min(errors) <= 2e-14
+        assert max(map(abs, errors)) <= 1e-8
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_exponential_cut_is_scale_free(self, alpha):
+        """At spacing 2^-11 / rate, an exponential's entropy misses its closed form
+        log(alpha) / (alpha - 1) - log(rate) by the same amount, to rounding, for every
+        rate from 1e-30 to 1e10: each window keeps 36.8 means. At alpha = inf the
+        histogram's first cell lowers the peak by a factor (1 - q) / (rate h) with
+        q = exp(-rate h), a first-order miss below rate h / 2 = 2^-12 nats. Cut at the
+        absolute density 1e-16, rate 1e-16 kept one mean and lost 0.77 nats at order 2."""
+        errors = []
+        for k in range(-30, 11, 5):
+            rate = 10.0 ** k
+            d = exponential_density(rate, 0.0, 2.0 ** -11 / rate)
+            exact = (0.0 if math.isinf(alpha) else math.log(alpha) / (alpha - 1.0)) - math.log(rate)
+            errors.append(renyi_entropy(d, alpha) - exact)
+        assert max(errors) - min(errors) <= 2e-14
+        assert max(map(abs, errors)) <= (2.0 ** -12 if math.isinf(alpha) else 1e-7)
 
     @pytest.mark.parametrize(
         "build",
@@ -465,8 +496,8 @@ class TestEntropy:
             assert renyi_entropy(d, alpha) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_gaussian_matches_closed_form(self):
-        """Grid entropies track the closed-form Gaussian values."""
-        d = gaussian_density(0.0, 1.0)
+        """Grid entropies track the closed-form Gaussian values at 2^-11."""
+        d = gaussian_density(0.0, 1.0, 2.0 ** -11)
         for alpha in (1.1, 2.0, 10.0, math.inf):
             assert renyi_entropy(d, alpha) == pytest.approx(
                 gaussian_renyi_entropy(alpha, 1, 1.0), abs=1e-6
@@ -545,10 +576,10 @@ class TestConvolve:
         )
 
     def test_two_sample_pair(self):
-        """Two flat two-sample grids convolve to the triangle [1/3, 2/3, 1/3] / spacing."""
-        pair = GridDensity(0.0, 2.0 ** -12, np.array([2.0 ** 12, 2.0 ** 12]))
+        """Two flat two-cell histograms convolve to the cell masses [1/4, 1/2, 1/4]."""
+        pair = GridDensity(0.0, 2.0 ** -12, np.array([2.0 ** 11, 2.0 ** 11]))
         conv = convolve_many((pair, pair))
-        assert conv.values == pytest.approx(np.array([1.0, 2.0, 1.0]) / 3.0 * 2.0 ** 12, rel=1e-15)
+        assert conv.values == pytest.approx(np.array([1.0, 2.0, 1.0]) / 4.0 * 2.0 ** 12, rel=1e-15)
 
     def test_gaussian_sum_is_gaussian(self):
         """Two standard Gaussians convolve to the variance-2 Gaussian pointwise."""
@@ -704,9 +735,7 @@ class TestCertify:
         "make, alpha",
         [
             (lambda s, h: uniform_density(0.0, s, h), math.inf),
-            # sampled on +-9 std, so the window scales with the std; gaussian_density
-            # cuts at a fixed density level, which is not scale-free
-            (lambda s, h: from_function(lambda x: np.exp(-0.5 * (x / s) ** 2), -9.0 * s, 9.0 * s, h), 2.0),
+            (lambda s, h: gaussian_density(0.0, s, h), 2.0),
         ],
     )
     def test_verdict_does_not_depend_on_scale(self, make, alpha):
@@ -724,11 +753,12 @@ class TestCertify:
                 assert margin == pytest.approx(unit.margins()[name], abs=1e-12), (k, name)
 
     def test_two_gaussians_attain_one(self):
-        """Gaussians are additive: the measured ratio is 1 to high accuracy."""
+        """Gaussians are additive: the measured ratio is 1 to 1e-12 (1.6e-15 measured), since
+        a Gaussian's cell heights sum like its integral to far below rounding at the default spacing."""
         g = gaussian_density(0.0, 1.0)
         for alpha in (1.1, 2.0, 10.0):
             cert = certify((g, g), alpha)
-            assert cert.ratio == pytest.approx(1.0, abs=1e-6)
+            assert cert.ratio == pytest.approx(1.0, abs=1e-12)
             assert cert.ok
 
     @pytest.mark.parametrize("alpha", [2000.0, 1e6])
@@ -819,6 +849,23 @@ def _gamma_relative_error(rate, alpha, spacing):
     return (certify((e, e), alpha).ratio - exact) / exact
 
 
+def _geometric_pair_ratio_at_inf(rate, spacing):
+    """The alpha = inf ratio of the sum of two copies of the sampled exponential histogram.
+
+    Its cell masses are c q^k for k = 0..K, with q = exp(-rate h) and
+    c = (1 - q) / (1 - q^(K + 1)); the masses of the pair's sum are
+    c^2 (k + 1) q^k up to k = K and smaller past it. So the ratio of the
+    summands' peak c to the sum's is 1 / (2 c^2 max_k ((k + 1) q^k)^2).
+    A histogram misses the jump of Exp(rate) at first order, so this, not
+    Gamma(2, rate), is the exact value at inf.
+    """
+    size = exponential_density(rate, spacing=spacing).values.size
+    c = -math.expm1(-rate * spacing) / -math.expm1(-rate * spacing * size)
+    k = np.arange(size)
+    peak = float(np.max((k + 1) * np.exp(-rate * spacing * k)))
+    return 1.0 / (2.0 * (c * peak) ** 2)
+
+
 def _irwin_hall_square_integral(n):
     """int f^2 for the sum of n unit uniforms, exactly.
 
@@ -839,8 +886,11 @@ def _irwin_hall_error(n, spacing):
 class TestClosedForms:
     """Measured ratios of sums against their exact Renyi entropies.
 
-    The bounds of test_two_uniforms and test_two_exponentials hold at 2^-12;
-    at DEFAULT_SPACING every oracle is within 2.5e-5 in the ratio.
+    Each summand is its histogram, and the measured sum is the histogram of
+    the convolved cell masses. The bounds of test_two_uniforms and
+    test_two_exponentials hold at 2^-12; at 2^-11, the spacing the
+    ``*_at_default_spacing`` tests and test_irwin_hall[default] name, every
+    oracle is within 2.5e-5 in the ratio.
     """
 
     @pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.5, 1.0), (0.75, 2.0), (1.25, 3.0)])
@@ -858,27 +908,34 @@ class TestClosedForms:
     def test_two_exponentials(self, rate):
         """Exp(rate) + Exp(rate) is Gamma(2, rate):
         int f^alpha = rate^(alpha - 1) Gamma(alpha + 1) / alpha^(alpha + 1) and
-        max f = rate / e; one summand has rate^(alpha - 1) / alpha and rate."""
+        max f = rate / e; one summand has rate^(alpha - 1) / alpha and rate.
+        At alpha = inf the ratio is the sampled geometric histogram's, to rounding."""
         e = exponential_density(rate, spacing=2.0 ** -12)
-        for alpha in (1.1, 2.0, 5.0, math.inf):
+        for alpha in (1.1, 2.0, 5.0):
             total = _exact_power(
                 alpha, lambda s: rate ** (s - 1.0) * math.gamma(s + 1.0) / s ** (s + 1.0), rate / math.e
             )
             one = _exact_power(alpha, lambda s: rate ** (s - 1.0) / s, rate)
             assert certify((e, e), alpha).ratio == pytest.approx(total / (2.0 * one), rel=1e-5)
+        exact = _geometric_pair_ratio_at_inf(rate, 2.0 ** -12)
+        assert certify((e, e), math.inf).ratio == pytest.approx(exact, rel=1e-14)
 
     @pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.5, 1.0), (0.75, 2.0), (1.25, 3.0)])
     def test_two_uniforms_at_default_spacing(self, a, b):
-        """test_two_uniforms at DEFAULT_SPACING = 2^-11: 1.46e-6 measured at worst, stated as 4e-6."""
+        """test_two_uniforms at 2^-11: 1.46e-6 measured at worst, stated as 4e-6."""
         for alpha in (1.1, 2.0, 5.0, math.inf):
             tol = 1e-14 if math.isinf(alpha) else 4e-6
-            assert abs(_two_uniforms_error(a, b, alpha, DEFAULT_SPACING)) <= tol
+            assert abs(_two_uniforms_error(a, b, alpha, 2.0 ** -11)) <= tol
 
     @pytest.mark.parametrize("rate", [0.7, 2.5])
     def test_two_exponentials_at_default_spacing(self, rate):
-        """test_two_exponentials at DEFAULT_SPACING = 2^-11: 8.7e-6 measured at worst, stated as 2e-5."""
-        for alpha in (1.1, 2.0, 5.0, math.inf):
-            assert abs(_gamma_relative_error(rate, alpha, DEFAULT_SPACING)) <= 2e-5
+        """test_two_exponentials at 2^-11: 1.7e-6 measured at worst, stated as 2e-5; at
+        alpha = inf the sampled geometric histogram's ratio, to rounding."""
+        for alpha in (1.1, 2.0, 5.0):
+            assert abs(_gamma_relative_error(rate, alpha, 2.0 ** -11)) <= 2e-5
+        e = exponential_density(rate, spacing=2.0 ** -11)
+        exact = _geometric_pair_ratio_at_inf(rate, 2.0 ** -11)
+        assert certify((e, e), math.inf).ratio == pytest.approx(exact, rel=1e-14)
 
     def test_irwin_hall_square_integrals(self):
         """The exact sums behind the Irwin-Hall oracle."""
@@ -887,15 +944,15 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize(
-        "spacing, tol", [(2.0 ** -12, 6e-8), (DEFAULT_SPACING, 2.5e-7)], ids=["2^-12", "default"]
+        "spacing, tol", [(2.0 ** -12, 6e-8), (2.0 ** -11, 2.5e-7)], ids=["2^-12", "default"]
     )
     def test_irwin_hall(self, n, spacing, tol):
-        """n unit uniforms at alpha = 2: 2.7e-8 nats measured at 2^-12 and 1.1e-7 at 2^-11,
+        """n unit uniforms at alpha = 2: 2.8e-8 nats measured at 2^-12 and 1.1e-7 at 2^-11,
         that is 2.4e-7 in the ratio at 2^-11."""
         assert abs(_irwin_hall_error(n, spacing)) <= tol
 
     def test_second_order_convergence(self):
-        """Halving the spacing divides the error by about 4 (measured 3.7 to 4.0): a first-order
+        """Halving the spacing divides the error by about 4 (measured 3.8 to 4.0): a first-order
         error, such as point-sampled uniform jumps, would divide it by about 2."""
         coarse, fine = 2.0 ** -11, 2.0 ** -12
         for alpha in (1.1, 2.0, 5.0):
@@ -938,6 +995,76 @@ class TestClosedForms:
             for v, n, t in pairs
         )
         assert renyi_entropy(total, 2.0) == pytest.approx(-math.log(integral), abs=1e-12)
+
+
+def _exact_pair_power(f, g, alpha):
+    """Entropy power of the exact density of the sum of the histograms f and g.
+
+    The sum is sum_j M_j delta(z_j), M the convolved cell masses, convolved with
+    the triangle of two cells: the line through M_j / h at each knot z_j, down to
+    0 one cell past either end. On a piece of width h from a down to b = t a,
+    int f^alpha = h a^alpha (1 - t^(alpha + 1)) / ((alpha + 1) (1 - t)), whose
+    quotient is formed as expm1((alpha + 1) log t) / expm1(log t), alpha + 1 at t = 1.
+    """
+    h = f.spacing
+    masses = np.convolve(f.values, g.values)
+    heights = np.concatenate(([0.0], masses / (h * masses.sum()), [0.0]))
+    peak = float(heights.max())
+    if math.isinf(alpha):
+        return peak ** -2.0
+    r = heights / peak
+    top, low = np.maximum(r[:-1], r[1:]), np.minimum(r[:-1], r[1:])
+    with np.errstate(divide="ignore"):
+        log_t = np.log(np.divide(low, top, out=np.zeros_like(low), where=top > 0.0))
+    flat = log_t == 0.0
+    quotient = np.expm1((alpha + 1.0) * log_t) / np.expm1(np.where(flat, 1.0, log_t))
+    quotient[flat] = alpha + 1.0
+    integral = h * float((top ** alpha * quotient).sum()) / (alpha + 1.0)
+    return math.exp(2.0 * (math.log(integral) + alpha * math.log(peak)) / (1.0 - alpha))
+
+
+class TestHistogramSum:
+    """The measured power of a sum is the power of the histogram of the convolved cell
+    masses. The exact sum of n histograms adds n - 1 independent cell uniforms to it,
+    which by Young's inequality cannot lower an order-alpha power: for n = 2 the exact
+    density is piecewise linear, and these tests compare against its closed form."""
+
+    @pytest.mark.parametrize("alpha", [1.1, 2.0, 5.0, math.inf])
+    def test_measured_power_is_a_lower_bound(self, alpha):
+        """On seeded random histograms, of 2 to 40 cells with about a third of them
+        empty, at spacings from 2^-12 to 8: the measured power is at most the exact
+        one (to 1e-13), and equal to it at alpha = inf (to 1e-14)."""
+        rng = np.random.default_rng(20)
+
+        def histogram(h):
+            v = rng.exponential(size=int(rng.integers(2, 41)))
+            v[rng.uniform(size=v.size) < 1.0 / 3.0] = 0.0
+            v[int(rng.integers(v.size))] += 1.0
+            return GridDensity(float(rng.uniform(-5.0, 5.0)), h, v / (h * v.sum()))
+
+        for _ in range(60):
+            h = 2.0 ** float(rng.uniform(-12.0, 3.0))
+            f, g = histogram(h), histogram(h)
+            measured = entropy_power(convolve_many((f, g)), alpha)
+            exact = _exact_pair_power(f, g, alpha)
+            if math.isinf(alpha):
+                assert measured == pytest.approx(exact, rel=1e-14)
+            else:
+                assert measured <= exact * (1.0 + 1e-13)
+
+    @pytest.mark.parametrize("alpha", [1.1, 2.0, 5.0, math.inf])
+    def test_gap_is_second_order(self, alpha):
+        """For the first two summands of seeded corpus instances, whose histograms sample
+        smooth or piecewise smooth families, the relative gap (exact - measured) / exact
+        lies in [0, 5 h^2] at h = 2^-6 and 2^-8 (3.9 h^2 measured at worst, at alpha = 1.1),
+        and is rounding at alpha = inf."""
+        for h in (2.0 ** -6, 2.0 ** -8):
+            for inst in random_corpus(seed=7, count=12, spacing=h):
+                f, g = inst.densities[:2]
+                exact = _exact_pair_power(f, g, alpha)
+                gap = (exact - entropy_power(convolve_many((f, g)), alpha)) / exact
+                bound = 1e-14 if math.isinf(alpha) else 5.0 * h * h
+                assert -1e-14 <= gap <= bound, (h, inst.label)
 
 
 class TestCollisionBound:
