@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .bounds import bc_constant, sharpened_constant
 from .core import Order, _positive_int, as_power_vector, holder_conjugate
 from .filters import FilterSpec, filter_bounds, gaussian_reference
 from .optimizer import bound_reports
-from .verify import Certification, CorpusInstance, certify, gaussian_density, random_corpus, uniform_density
+from .verify import CorpusInstance, certify, gaussian_density, random_corpus, uniform_density
 
 __all__ = ["SweepSpec", "main", "entry"]
 
@@ -212,60 +212,6 @@ def cmd_filter(taps: tuple[float, ...], dim: int, alpha: float) -> list[Row]:
     return rows
 
 
-def _certifications(instances: Iterable[CorpusInstance], slack: float) -> Iterator[Certification]:
-    """:func:`certify` of each instance, in instance order, on two worker threads.
-
-    Each worker loops: under one lock it queues a future and draws the next
-    instance, then it certifies the instance outside the lock and drops it
-    before it draws again. So the queue is in instance order, at most two
-    instances are alive, and a slow instance holds up only its own worker;
-    the certifications that finish behind it wait in their futures. The
-    corpus' end resolves a future to None. pocketfft and numpy's large
-    loops release the GIL, and no result depends on which thread computes
-    it.
-
-    The futures are read in queue order, so the first error in instance
-    order is raised, as in a serial loop. Once an instance has failed, the
-    corpus has ended or the call returns or raises, the workers stop
-    drawing; the ``with`` block joins both before the call returns or
-    raises.
-    """
-    import queue  # only verify pays for these imports
-    import threading
-    from concurrent.futures import Future, ThreadPoolExecutor
-
-    lock = threading.Lock()
-    stop = threading.Event()
-    drawn: queue.SimpleQueue[Future[Certification | None]] = queue.SimpleQueue()
-    source = iter(instances)
-
-    def work() -> None:
-        while not stop.is_set():
-            future: Future[Certification | None] = Future()
-            try:
-                with lock:
-                    drawn.put(future)
-                    inst = next(source, None)
-                if inst is None:
-                    stop.set()
-                    future.set_result(None)
-                else:
-                    future.set_result(certify(inst.densities, inst.order, slack=slack))
-                    del inst  # before the next draw
-            except BaseException as exc:
-                stop.set()
-                future.set_exception(exc)
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        try:
-            for _ in range(2):
-                pool.submit(work)
-            while (cert := drawn.get().result()) is not None:
-                yield cert
-        finally:
-            stop.set()
-
-
 def cmd_verify(corpus: str, alpha: float, seed: int, count: int, slack: float) -> list[Row]:
     """Certification sweep.
 
@@ -273,11 +219,9 @@ def cmd_verify(corpus: str, alpha: float, seed: int, count: int, slack: float) -
     holding the least of its four margins, each a share of the summed powers
     (ratio - constant); an instance violates when that row is not >= -slack.
     The final row counts violating instances.
-    ``random_corpus`` draws lazily and :func:`_certifications` certifies on
-    two worker threads that each draw their next instance as soon as they
-    are free, with at most two instances alive, so peak memory is flat in
-    ``count``; the rows keep instance order, so the table does not depend on
-    scheduling.
+    ``random_corpus`` draws lazily and each instance is certified before the
+    next is drawn, so peak memory is flat in ``count``; the rows keep
+    instance order, and the first failure is raised with nothing drawn after it.
     """
     if corpus == "default":
         instances = random_corpus(seed, count)
@@ -288,7 +232,8 @@ def cmd_verify(corpus: str, alpha: float, seed: int, count: int, slack: float) -
         raise ValueError(f"unknown corpus {corpus!r}")
     rows: list[Row] = []
     violations = 0
-    for cert in _certifications(instances, slack):
+    for inst in instances:
+        cert = certify(inst.densities, inst.order, slack=slack)
         a, n = cert.report.order.alpha, len(cert.report.powers)
         if not cert.ok:
             violations += 1

@@ -230,7 +230,8 @@ def exponential_density(
     The window ends where the density falls to TRUNCATION_LEVEL times its
     peak, -log(TRUNCATION_LEVEL) means past ``shift`` at every rate. It is at
     least half a spacing wide, so a huge rate gives a one-cell spike that
-    needs no room above one ulp of ``shift``.
+    needs no room above one ulp of ``shift``. A rate so small that the cut
+    overflows the float range is refused by name.
     """
     rate, shift = _as_float(rate, "rate"), _as_float(shift, "shift")
     if not 0.0 < rate < math.inf:
@@ -238,7 +239,10 @@ def exponential_density(
     if not math.isfinite(shift):
         raise ValueError(f"shift must be finite, got {shift!r}")
     spacing = _check_spacing(spacing)
-    hi = max(shift - math.log(TRUNCATION_LEVEL) / rate, shift + 0.5 * spacing)
+    cut = -math.log(TRUNCATION_LEVEL)  # in means
+    if not shift + cut / rate < math.inf:
+        raise ValueError(f"rate {rate!r} is too small: its cut at {cut:.3g} means overflows the float range")
+    hi = max(shift + cut / rate, shift + 0.5 * spacing)
 
     def fn(x: np.ndarray) -> np.ndarray:
         return rate * np.exp(-rate * (x - shift))
@@ -259,21 +263,25 @@ def gaussian_mixture_density(
     divided by the spacing, so the component keeps its mixture weight however
     narrow it is or wherever its mean falls between knots. The window is at least half a
     spacing wide, so a std far below the spacing gives the one-cell spike at any mean.
+    A std so wide that its cut overflows the float range is refused by name.
     """
     weights = _as_floats(weights, "mixture weights")
     means, stds = _as_floats(means, "means"), _as_floats(stds, "stds")
     if not len(weights) == len(means) == len(stds) or len(weights) == 0:
         raise ValueError("weights, means, stds must have equal positive length")
+    cut = math.sqrt(-2.0 * math.log(TRUNCATION_LEVEL))  # in stds
     for w, m, s in zip(weights, means, stds):
         if not w > 0.0:
             raise ValueError(f"mixture weights must be positive, got {w!r}")
         if not (0.0 < s < math.inf and math.isfinite(m)):
             raise ValueError(f"need finite mean and finite std > 0, got {m!r}, {s!r}")
+        if not abs(m) + s * cut < math.inf:
+            raise ValueError(f"std {s!r} is too wide: its cut at +-{cut:.3g} std overflows the float range")
     total = _left_sum(weights)
     if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"mixture weights must sum to 1, got {total!r}")
     spacing = _check_spacing(spacing)
-    halves = [s * math.sqrt(-2.0 * math.log(TRUNCATION_LEVEL)) for s in stds]
+    halves = [s * cut for s in stds]
     lo = min(m - h for m, h in zip(means, halves))
     hi = max(max(m + h for m, h in zip(means, halves)), lo + 0.5 * spacing)
 
@@ -409,18 +417,11 @@ def convolve_many(densities: Sequence[GridDensity]) -> GridDensity:
         raise ValueError(f"the sum spans too many grid cells of {spacing!r}: {n} samples")
     size = _transform_length(n)
     spectrum = np.fft.rfft(densities[0].values, size)
-    # one buffer for every scaled summand and one for every forward spectrum
-    scaled = np.empty(max(d.values.size for d in densities[1:]))
-    forward = np.empty_like(spectrum)
     for d in densities[1:]:
         # each product carries one factor of the spacing, so the spectrum
         # keeps the scale of a density whatever the number of summands
-        summand = np.multiply(d.values, spacing, out=scaled[: d.values.size])
-        spectrum *= np.fft.rfft(summand, size, out=forward)
-    # freed before the inverse transform and the renormalization allocate
-    del scaled, forward
+        spectrum *= np.fft.rfft(d.values * spacing, size)
     raw = np.fft.irfft(spectrum, size)[:n]
-    del spectrum
     return _renormalized(_left_sum(d.origin for d in densities), spacing, raw)
 
 

@@ -7,10 +7,8 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import jsonschema
@@ -387,8 +385,7 @@ class TestVerifyCommand:
         assert lines[-1] == ",violations,0.0,"
 
     def test_rows_equal_a_serial_loop(self):
-        """Certifying two instances at a time gives the rows of a serial loop, bit
-        for bit, also when the two threads trade the GIL every microsecond."""
+        """The rows are those of a plain loop over certify, bit for bit."""
         serial = []
         violations = 0
         for inst in repi.random_corpus(5, 12):
@@ -397,12 +394,7 @@ class TestVerifyCommand:
             violations += not cert.ok
             serial += [(a, "ratio", cert.ratio, n), (a, "margin", min(cert.margins().values()), n)]
         serial.append((None, "violations", float(violations), None))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            rows = cmd_verify("default", 2.0, 5, 12, 1e-4)
-        finally:
-            sys.setswitchinterval(interval)
+        rows = cmd_verify("default", 2.0, 5, 12, 1e-4)
         assert [tuple(map(repr, row)) for row in rows] == [tuple(map(repr, row)) for row in serial]
 
     def test_at_most_two_instances_alive(self, monkeypatch):
@@ -432,13 +424,11 @@ class TestVerifyCommand:
 
     def test_first_error_in_instance_order(self, monkeypatch):
         """When instances 3 and 4 both fail, instance 3's error is raised, as in a
-        serial loop, though 4 fails first; no worker thread outlives the call."""
+        serial loop."""
         keys = [tuple(d.origin for d in inst.densities) for inst in repi.random_corpus(5, 6)]
 
         def failing_certify(densities, alpha, slack):
             i = keys.index(tuple(d.origin for d in densities)) + 1
-            if i == 3:
-                time.sleep(0.05)  # instance 4 fails first
             if i in (3, 4):
                 raise ValueError(f"instance {i}")
             return repi.certify(densities, alpha, slack=slack)
@@ -447,20 +437,18 @@ class TestVerifyCommand:
             for inst in repi.random_corpus(5, 6):
                 failing_certify(inst.densities, inst.order.alpha, 1e-4)
 
-        baseline = threading.active_count()
         monkeypatch.setattr(cli, "certify", failing_certify)
         with pytest.raises(ValueError, match="^instance 3$") as err:
             cmd_verify("default", 2.0, 5, 6, 1e-4)
         assert err.value.__context__ is None
-        assert threading.active_count() == baseline
         with pytest.raises(ValueError, match="^instance 3$"):
             serial()
 
     def test_corpus_memory_flat_in_count(self, monkeypatch):
-        """Instances are certified at most two at a time: 12 peak at most 1.25x the memory of 3.
+        """Instances are certified one at a time: 12 peak at most 1.25x the memory of 3.
 
         Every instance is a fresh copy of one three-summand shape, so the peak
-        does not depend on which two instances the threads happen to overlap.
+        does not depend on which instances are drawn.
         Its grids are at 2^-11, where the instances' arrays dominate the peak.
         """
 
@@ -484,100 +472,38 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "random_corpus", same_shape)
         assert peak(12) <= 1.25 * peak(3)
 
-    @pytest.mark.parametrize("count, overlap", [(1, 1), (2, 2), (3, 2), (12, 2)])
-    def test_two_certifications_overlap(self, monkeypatch, count, overlap):
-        """Certifications really run two at a time, also while an odd count drains
-        its last instance, and never more than two."""
-        lock = threading.Lock()
-        running = peak = 0
-
-        def slow_certify(densities, alpha, slack):
-            nonlocal running, peak
-            with lock:
-                running += 1
-                peak = max(peak, running)
-            try:
-                time.sleep(0.02)
-                return repi.certify(densities, alpha, slack=slack)
-            finally:
-                with lock:
-                    running -= 1
-
-        monkeypatch.setattr(cli, "certify", slow_certify)
-        rows = cmd_verify("default", 2.0, 5, count, 1e-4)
-        assert len(rows) == 2 * count + 1
-        assert peak == overlap
-
-    def test_slow_instance_does_not_hold_up_the_other_worker(self, monkeypatch):
-        """While instance 1 takes 0.3 s, the other worker certifies at least 5 of the
-        instances after it, instead of waiting for instance 1 to be yielded (the
-        two-deep window started 1)."""
-        lock = threading.Lock()
-        events = []
-
-        def timed(i):
-            with lock:
-                events.append(("start", i))
-            time.sleep(0.3 if i == 1 else 0.01)
-            with lock:
-                events.append(("end", i))
-
-        scripted_corpus(monkeypatch, 12, timed)
-        rows = cmd_verify("default", 2.0, 5, 12, 1e-4)
-        assert len(rows) == 25
-        during = events[events.index(("start", 1)) : events.index(("end", 1))]
-        assert sum(kind == "start" for kind, _ in during) - 1 >= 5
-
     def test_failure_stops_the_draws(self, monkeypatch):
-        """Once instance 2 fails, nothing past the instances already drawn is drawn,
-        though instance 1 runs 0.2 s more and the corpus has 1000, and no worker
-        thread outlives the call."""
+        """Once instance 2 fails, no instance after it is certified, of 1000."""
         calls = []
 
         def failing(i):
             calls.append(i)
             if i == 2:
                 raise ValueError("instance 2")
-            time.sleep(0.2 if i == 1 else 0.01)
 
-        baseline = threading.active_count()
         scripted_corpus(monkeypatch, 1000, failing)
         with pytest.raises(ValueError, match="^instance 2$") as err:
             cmd_verify("default", 2.0, 5, 1000, 1e-4)
         assert err.value.__context__ is None
-        assert threading.active_count() == baseline
-        assert 3 <= len(calls) <= 4
+        assert calls == [0, 1, 2]
 
-    def test_closing_early_stops_the_draws(self, monkeypatch):
-        """A certification stream closed after its first item draws at most the
-        instances its workers already hold, of 1000, and leaves no thread behind.
+    def test_certifies_on_the_calling_thread(self, monkeypatch):
+        """Every certify call runs on the thread that calls cmd_verify, and no
+        thread is started, during the run or after it."""
+        threads = []
+        counts = []
 
-        Every certification after instance 0's waits on a gate that opens only
-        when ``close()`` shuts the pool down, after it has set the stop event, so
-        no worker can finish and draw again before the stop (with a 10 ms sleep
-        in its place both workers sometimes did, on one busy core). The 10 s
-        timeout only keeps a broken stream from hanging the test."""
-        calls = []
-        gate = threading.Event()
-        shutdown = ThreadPoolExecutor.shutdown
-
-        def gated(i):
-            calls.append(i)
-            if i:
-                gate.wait(10.0)
-
-        def opening_shutdown(pool, *args, **kwargs):
-            gate.set()
-            return shutdown(pool, *args, **kwargs)
+        def on_thread(i):
+            threads.append(threading.get_ident())
+            counts.append(threading.active_count())
 
         baseline = threading.active_count()
-        scripted_corpus(monkeypatch, 1000, gated)
-        monkeypatch.setattr(ThreadPoolExecutor, "shutdown", opening_shutdown)
-        stream = cli._certifications(cli.random_corpus(5, 1000), 1e-4)
-        next(stream)
-        stream.close()
+        scripted_corpus(monkeypatch, 6, on_thread)
+        rows = cmd_verify("default", 2.0, 5, 6, 1e-4)
+        assert len(rows) == 13
+        assert threads == [threading.get_ident()] * 6
+        assert counts == [baseline] * 6
         assert threading.active_count() == baseline
-        assert 1 <= len(calls) <= 3
 
     def test_violation_exit_code(self, capsys):
         """An impossible tolerance turns into exit code 1."""

@@ -59,7 +59,7 @@ def _weight_array_entropy(density, alpha):
 
 
 def _plain_spectral_product(parts):
-    """The values of convolve_many with a fresh array at every step: the reference."""
+    """The values of convolve_many as one spectral product: the reference."""
     spacing = parts[0].spacing
     n = sum(d.values.size for d in parts) - (len(parts) - 1)
     size = verify._transform_length(n)
@@ -447,6 +447,27 @@ class TestConstructors:
             exponential_density(-1, 0, 0)
 
     @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: gaussian_density(0, 1e308, 1e305), r"std 1e\+308 is too wide: its cut at \+-8\.58 std"),
+            (
+                lambda: exponential_density(1e-310, 0, 1e300),
+                r"rate 1e-310 is too small: its cut at 36\.8 means",
+            ),
+            (
+                lambda: gaussian_mixture_density((0.5, 0.5), (0, 1), (1, 1e308)),
+                r"std 1e\+308 is too wide: its cut at \+-8\.58 std",
+            ),
+        ],
+        ids=["gaussian", "exponential", "mixture"],
+    )
+    def test_cut_past_float_range_names_its_parameter(self, build, match):
+        """A cut window that overflows the float range is refused by the std or the
+        rate that widened it, not as a window with an infinite end."""
+        with pytest.raises(ValueError, match=f"^{match} overflows the float range$"):
+            build()
+
+    @pytest.mark.parametrize(
         "fn", [lambda x: x[:2], lambda x: 1.0, lambda x: np.stack((x, x))], ids=["short", "scalar", "2-d"]
     )
     def test_from_function_needs_one_sample_per_knot(self, fn):
@@ -647,7 +668,8 @@ class TestConvolve:
             convolve_many([wide] * 17)
 
     def test_buffers_match_the_plain_spectral_product(self):
-        """Reusing one spectrum buffer and one summand buffer changes no bit, at 2, 3 and 4 summands."""
+        """The values are the plain spectral product with fresh arrays, bit for bit,
+        at 2, 3 and 4 summands."""
         by_count = {}
         for inst in random_corpus(seed=1, count=12, spacing=2.0 ** -9):
             by_count.setdefault(len(inst.densities), inst.densities)
