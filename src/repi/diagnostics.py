@@ -149,9 +149,9 @@ def _secular_setup(m: RankOneSymmetric):
     lo, hi = (ds[-1], ds[-1] + rho * norm2) if rho > 0.0 else (ds[-2], ds[-1])
 
     def residual(lam):
-        gaps = ds - lam[:, None]
+        gaps = ds - lam[..., None]
         terms = ws / gaps
-        return sign + scale * terms.sum(axis=1), scale * (terms / gaps).sum(axis=1)
+        return sign + scale * terms.sum(axis=-1), scale * (terms / gaps).sum(axis=-1)
 
     return top, residual, float(lo), float(hi)
 
@@ -173,7 +173,10 @@ def secular_max_eigenvalue(m: RankOneSymmetric) -> float:
     Newton (:func:`repi.optimizer._bracketed_newton`) runs on W, or on -W
     for rho < 0, from the bracket's midpoint to adjacent floats with at most
     64 bisection steps, never evaluating the bracket ends: they are the poles.
-    Deflated diagonal entries compete in the final max.
+    It is one row, so it runs on float64 scalars; the residual, written for
+    a point or an array of them, also serves :func:`max_eigenvalue`'s
+    evaluation at two points. Deflated diagonal entries compete in the
+    final max.
     """
     top, residual, lo, hi = _secular_setup(m)
     return max(float(_bracketed_newton(residual, np.array([lo]), np.array([hi]))[0]), top)

@@ -511,6 +511,9 @@ class CorpusInstance:
 #: orders sampled by the random corpus; inf exercises the limit pipeline
 CORPUS_ORDERS = (1.1, 2.0, 5.0, math.inf)
 
+#: summand kinds of the random corpus, drawn by index like the orders
+_CORPUS_KINDS = ("gauss", "unif", "expo", "mix2")
+
 
 def random_corpus(
     seed: int = 1,
@@ -533,11 +536,11 @@ def random_corpus(
 def _corpus_draws(rng: np.random.Generator, count: int, spacing: float) -> Iterator[CorpusInstance]:
     for _ in range(count):
         n = int(rng.integers(2, 5))
-        order = Order(float(rng.choice(CORPUS_ORDERS)))
+        order = Order(CORPUS_ORDERS[int(rng.integers(len(CORPUS_ORDERS)))])
         parts: list[GridDensity] = []
         labels: list[str] = []
         for _ in range(n):
-            kind = str(rng.choice(["gauss", "unif", "expo", "mix2"]))
+            kind = _CORPUS_KINDS[int(rng.integers(len(_CORPUS_KINDS)))]
             if kind == "gauss":
                 parts.append(
                     gaussian_density(float(rng.uniform(-2, 2)), float(rng.uniform(0.4, 1.6)), spacing)

@@ -212,6 +212,39 @@ class TestSolveLeadingWeight:
         root = leading_weight((c, c), math.inf)
         assert abs(root - expected) <= 4 * math.ulp(expected)
 
+    def test_lead_weight_within_three_ulp_of_the_exact_root(self):
+        """The loop closes on adjacent floats around a sign change of the float residual,
+        which is not the exact root: over 20 seeded solves, n up to 64 at alpha 1.1, 2 and
+        5, the lead weight is within 3 ulp of the root of W(x) = 1 bisected in 40 digits
+        from the same float ratios and conjugate. A 50-digit probe of 3600 such solves, n
+        up to 1000, found a median of about 0.4 ulp and a worst of 2.7 ulp; 0.1% were past
+        2 ulp."""
+        rng = np.random.default_rng(71)
+        D = decimal.Decimal
+        with decimal.localcontext(prec=40):
+            for i in range(20):
+                n = int(rng.integers(2, 65))
+                powers = PowerVector(tuple(float(p) for p in np.exp(rng.uniform(-3.0, 3.0, n))))
+                order = as_order((1.1, 2.0, 5.0)[i % 3])
+                lead, ratios = optimizer._leading_ratios(powers)
+                root = optimal_weights(powers, order)[lead]
+                ac, cs = D(order.alpha_conj), [D(c) for c in ratios.tolist()]
+
+                def residual(x):
+                    # psi in the rationalized form, as _psi: 2 c x (a' - x) / (a' + sqrt(...))
+                    return x - 1 + sum(
+                        2 * c * x * (ac - x) / (ac + (ac * ac * (1 - c) + c * (2 * x - ac) ** 2).sqrt())
+                        for c in cs
+                    )
+
+                ulp = D(math.ulp(root))
+                lo, hi = D(root) - 4 * ulp, D(root) + 4 * ulp
+                assert residual(lo) < 0 < residual(hi)
+                while hi - lo > ulp * D("1e-12"):
+                    mid = (lo + hi) / 2
+                    lo, hi = (mid, hi) if residual(mid) < 0 else (lo, mid)
+                assert abs(D(root) - lo) <= 3 * ulp
+
     @pytest.mark.parametrize("powers", [(2.0, 1.0, 1.0), (1.0, 0.5, 0.25), (1.0, 0.9, 0.8), (3.0, 1.0)])
     def test_conjugate_rounding_to_one_is_the_limit_order(self, powers):
         """An order whose conjugate rounds to 1 takes the alpha = inf weights, and its bound is
@@ -446,6 +479,133 @@ class TestEvaluationCounts:
         roots (the second one as -0.0), bisection in the floats' order takes 63."""
         assert secular_max_eigenvalue(m) == root
         assert len(evaluations) == 63
+
+
+def parity_power_vectors(count, rng):
+    """Seeded vectors, n log-uniform in 1..1000, cycling through plain, a tie for the
+    largest, lead-only (every other power 0), zero powers and subnormal powers."""
+    for i in range(count):
+        n = int(round(1000.0 ** rng.uniform()))
+        powers = np.exp(rng.uniform(-3.0, 3.0, n))
+        top = int(powers.argmax())
+        others = np.delete(np.arange(n), top)
+        picked = rng.choice(others, size=min(others.size, int(rng.integers(1, 4))), replace=False)
+        if i % 5 == 1:
+            powers[picked] = powers[top]
+        elif i % 5 == 2:
+            powers[others] = 0.0
+        elif i % 5 == 3:
+            powers[picked] = 0.0
+        elif i % 5 == 4:
+            powers[picked] = 5e-324 * rng.integers(1, 2**20, size=picked.size)
+        yield tuple(float(p) for p in powers)
+
+
+class TestOneRowLoop:
+    """A single row runs _bracketed_newton's scalar loop, a grid its array loop: the two
+    must take the same steps in every bit. The scalar loop uses numpy's scalar math and
+    the grid its SIMD ufunc loops, so this also runs at a lower SIMD level.
+
+    Each solve is compared evaluation by evaluation (x, the residual and its derivative):
+    roots alone seldom show a residual that differs in its last bits, such as a square
+    taken by the float64 scalar pow (which differs from x * x), but every step does.
+    """
+
+    ORDERS = (1.0 + 1e-9, 1.1, 2.0, 5.0, 1e12, 1e16, math.inf)
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """Each residual evaluation of every solve as the float.hex of x, f and f' per row."""
+        calls = []
+        solve = optimizer._bracketed_newton
+
+        def recording(residual, lo, hi, *params):
+            def recorded(x, *args):
+                f, df = residual(x, *args)
+                calls.append(tuple(tuple(float(v).hex() for v in np.ravel(a)) for a in (x, f, df)))
+                return f, df
+
+            return solve(recorded, lo, hi, *params)
+
+        monkeypatch.setattr(optimizer, "_bracketed_newton", recording)
+        monkeypatch.setattr(diagnostics, "_bracketed_newton", recording)
+        return calls
+
+    @staticmethod
+    def twice(steps):
+        """One-row steps as a grid of two equal rows takes them."""
+        return [tuple(row * 2 for row in step) for step in steps]
+
+    def test_weight_solves(self, steps):
+        """bound_report equals both rows of the grid (order, order) in every float and every
+        step: 300 seeded vectors at seven orders, ties at inf included (the flat residual
+        that stops at 1/2), as are lead-only vectors, which evaluate nothing."""
+        rng = np.random.default_rng(61)
+        halves = 0
+        for powers in parity_power_vectors(300, rng):
+            for order in self.ORDERS:
+                steps.clear()
+                alone = report_hexes(bound_report(powers, order))
+                single = list(steps)
+                steps.clear()
+                pair = [report_hexes(r) for r in bound_reports(powers, (order, order))]
+                assert pair == [alone, alone]
+                assert steps == self.twice(single)
+                halves += math.isinf(order) and 0.5.hex() in alone
+        assert halves >= 10
+
+    @staticmethod
+    def secular_cases(rng):
+        for _ in range(600):
+            size = int(round(63.0 ** rng.uniform()))
+            conjugate = float(rng.uniform(1.05, 10.0))
+            weights = 1e-6 + (1.0 - (size + 1) * 1e-6) * rng.dirichlet(np.ones(size + 1))
+            yield reduced_hessian(tuple(weights[:-1]), conjugate / (conjugate - 1.0))
+        yield RankOneSymmetric((-1.0, 0.0), -1e-300, (1.0, 1.0))
+
+    def test_secular_roots(self, steps):
+        """600 seeded reduced Hessians and the root 1e-300 below the pole at 0: each secular
+        root alone equals both rows of a two-row grid, in every float and every step."""
+        solved = 0
+        for m in self.secular_cases(np.random.default_rng(67)):
+            _, residual, lo, hi = diagnostics._secular_setup(m)
+            if residual is None:
+                continue
+            steps.clear()
+            alone = optimizer._bracketed_newton(residual, np.array([lo]), np.array([hi]))
+            single = list(steps)
+            steps.clear()
+            pair = optimizer._bracketed_newton(residual, np.array([lo, lo]), np.array([hi, hi]))
+            assert [v.hex() for v in pair.tolist()] == [alone[0].hex()] * 2
+            assert steps == self.twice(single)
+            solved += 1
+        assert solved >= 500
+        assert alone[0] == -9.999999999999999e-301 and len(single) == 63
+
+    def test_unclosed_rows_raise_the_same_bracket(self, monkeypatch):
+        """A residual that is NaN everywhere never moves its bracket, and a weight solve cut
+        off by a lower iteration cap stops inside its own: in both, the two loops raise the
+        same bracket and residual after the same evaluations."""
+        calls = []
+
+        def nan(x):
+            calls.append(x.size)
+            return x * math.nan, x * math.nan
+
+        for rows in (1, 2):
+            calls.clear()
+            with pytest.raises(RootBracketError) as err:
+                optimizer._bracketed_newton(nan, np.full(rows, 0.25), np.full(rows, 0.75))
+            assert err.value.bracket == (0.25, 0.75) and math.isnan(err.value.residual)
+            assert calls == [rows] * optimizer.MAX_ITERATIONS
+        for cap in (0, 1, 3):
+            monkeypatch.setattr(optimizer, "MAX_ITERATIONS", cap)
+            raised = []
+            for rows in (1, 2):
+                with pytest.raises(RootBracketError) as err:
+                    bound_reports((1.0, 2.0, 3.0), (2.0,) * rows)
+                raised.append([v.hex() for v in (*err.value.bracket, err.value.residual)])
+            assert raised[0] == raised[1]
 
 
 class TestOptimalWeights:
