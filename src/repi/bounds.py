@@ -49,10 +49,14 @@ def sharpened_constant(order: Order | float, n: int) -> float:
     """The n-aware constant alpha^(1/(alpha-1)) (1 - 1/(n a'))^(n a' - 1).
 
     Here a' is the Holder conjugate of alpha. The value strictly decreases
-    in n and converges to :func:`bc_constant` as n grows; it strictly
-    exceeds it for every finite n. Evaluated in log space so that the
-    large-n limit is accurate. A single summand needs no inequality at all,
-    so n = 1 short-circuits to 1.
+    in n and converges to :func:`bc_constant` as n grows; in exact
+    arithmetic it exceeds it for every finite n. In floats the gap rounds
+    away for huge n: the two are equal at n = 2^49 at alpha = 1.1 and at
+    n = 2^52 at alpha = 2, and at some n between powers of two from about
+    2^48 and 2^49.6 on (earlier as alpha nears 1), but this value never
+    falls below ``bc_constant``. Evaluated in log space so that the large-n limit
+    is accurate. A single summand needs no inequality at all, so n = 1
+    short-circuits to 1.
     """
     order = as_order(order)
     n = _positive_int(n, "number of summands")

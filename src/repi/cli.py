@@ -29,7 +29,7 @@ import numpy as np
 from .bounds import bc_constant, sharpened_constant
 from .core import Order, _positive_int, as_power_vector, holder_conjugate
 from .filters import FilterSpec, filter_bounds, gaussian_reference
-from .optimizer import bound_reports
+from .optimizer import _bound_columns
 from .verify import CorpusInstance, certify, gaussian_density, random_corpus, uniform_density
 
 __all__ = ["SweepSpec", "main", "entry"]
@@ -191,14 +191,25 @@ def cmd_constants(spec: SweepSpec) -> list[Row]:
 
 
 def cmd_compare(spec: SweepSpec) -> list[Row]:
-    """Every lower bound on the entropy power of the sum, per order."""
+    """Every lower bound on the entropy power of the sum, per order.
+
+    Reads the constant columns of one grid solve and forms each bound as
+    ``BoundReport.lower_bounds`` does (a constant times the summed powers,
+    and the largest power itself), with the same checks and no report objects.
+    """
     pv = as_power_vector(spec.powers)
-    n = len(pv)
-    return [
-        (report.order.alpha, method, value, n)
-        for report in bound_reports(pv, spec.orders)
-        for method, value in report.lower_bounds().items()
-    ]
+    n, total, bv = len(pv), pv.total, pv.largest
+    _, bc, sharpened, optimized = _bound_columns(pv, spec.orders)
+    rows: list[Row] = []
+    for order, b, s, o in zip(spec.orders, bc, sharpened, optimized):
+        alpha = order.alpha
+        rows += (
+            (alpha, "bc", b * total, n),
+            (alpha, "sharpened", s * total, n),
+            (alpha, "optimized", o * total, n),
+            (alpha, "bv", bv, n),
+        )
+    return rows
 
 
 def cmd_filter(taps: tuple[float, ...], dim: int, alpha: float) -> list[Row]:

@@ -314,20 +314,41 @@ def _check_simplex(w: np.ndarray) -> None:
         raise ValueError(f"weights must sum to 1, got {float(sums[off][0])!r}")
 
 
-def _simplex_rows(weights: np.ndarray) -> list[SimplexWeights]:
-    """One :class:`SimplexWeights` per row, all checked by one :func:`_check_simplex`."""
+def _simplex_rows(weights: np.ndarray, checked: bool = False) -> list[SimplexWeights]:
+    """One :class:`SimplexWeights` per row, all checked by one :func:`_check_simplex`,
+    unless the caller passed these very rows to it already (``checked``)."""
     w = np.asarray(weights, dtype=float)
-    _check_simplex(w)
+    if not checked:
+        _check_simplex(w)
     rows = []
     for row in w.tolist():
-        checked = object.__new__(SimplexWeights)
-        object.__setattr__(checked, "weights", tuple(row))
-        rows.append(checked)
+        point = object.__new__(SimplexWeights)
+        object.__setattr__(point, "weights", tuple(row))
+        rows.append(point)
     return rows
 
 
 def as_simplex_weights(weights: SimplexWeights | Sequence[float]) -> SimplexWeights:
     return weights if isinstance(weights, SimplexWeights) else SimplexWeights(weights)
+
+
+def _check_constants(bc: float, sharpened: float, optimized: float, share: float) -> None:
+    """:class:`BoundReport`'s ordering rules on one order's constants, ``share`` the
+    largest power over the summed powers: bc <= sharpened <= optimized <= 1 and
+    optimized >= share, each within 1e-9. A NaN fails every rule it enters.
+
+    Plain float comparisons: the weight solver's column step runs them once per
+    order of a grid, where a numpy check of each row would cost more than the rules.
+    """
+    tol = 1e-9
+    if not (bc <= sharpened * (1.0 + tol)):
+        raise ValueError("constant ordering violated: bc > sharpened")
+    if not (sharpened <= optimized * (1.0 + tol) + tol):
+        raise ValueError("constant ordering violated: sharpened > optimized")
+    if not (optimized <= 1.0 + tol):
+        raise ValueError("optimized constant exceeds 1")
+    if not (optimized >= share - tol):
+        raise ValueError("optimized bound fell below the max-power bound")
 
 
 @dataclass(frozen=True)
@@ -351,15 +372,7 @@ class BoundReport:
     weights: SimplexWeights
 
     def __post_init__(self) -> None:
-        tol = 1e-9
-        if not (self.bc <= self.sharpened * (1.0 + tol)):
-            raise ValueError("constant ordering violated: bc > sharpened")
-        if not (self.sharpened <= self.optimized * (1.0 + tol) + tol):
-            raise ValueError("constant ordering violated: sharpened > optimized")
-        if not (self.optimized <= 1.0 + tol):
-            raise ValueError("optimized constant exceeds 1")
-        if not (self.optimized >= self._constants()["bv"] - tol):
-            raise ValueError("optimized bound fell below the max-power bound")
+        _check_constants(self.bc, self.sharpened, self.optimized, self._constants()["bv"])
 
     def _constants(self) -> dict[str, float]:
         """Each bound's constant on sum_k N_alpha(X_k), in :meth:`lower_bounds` order."""
@@ -371,3 +384,4 @@ class BoundReport:
         total = self.powers.total
         # bv is the largest power itself, not its share times the total
         return {**{name: c * total for name, c in self._constants().items()}, "bv": self.bv}
+

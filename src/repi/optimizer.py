@@ -32,10 +32,11 @@ of orders as the rows of an (orders x ratios) array, and a single order
 takes the same steps on float64 scalars; an order whose conjugate rounds
 to 1 (alpha above about 1e16) is solved as alpha = inf. A row whose
 limit is the endpoint x = 1 is the closed bracket [1, 1], which returns
-1 unevaluated, and an empty grid closes on the loop's first pass. :func:`bound_reports`
-and its one-order call :func:`bound_report` read every weight and
-constant from the solver; the one other public caller is
-:func:`optimal_weights`, which returns the weights alone.
+1 unevaluated, and an empty grid closes on the loop's first pass.
+:func:`_bound_columns` reads every weight and constant of a grid from one
+solve; :func:`bound_reports`, its one-order call :func:`bound_report` and
+``repi compare`` read them there. The one other public caller of the
+solver is :func:`optimal_weights`, which returns the weights alone.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ from .core import (
     PowerVector,
     SimplexWeights,
     _as_float,
+    _check_constants,
+    _check_simplex,
     _left_sum_array,
     _simplex_rows,
     as_order,
@@ -362,29 +365,58 @@ def bv_asymptotically_tight(infinity_powers: PowerVector | Sequence[float]) -> b
     return _max_power_tight(_leading_ratios(pv)[1])
 
 
+def _bound_columns(
+    pv: PowerVector, orders: Sequence[Order]
+) -> tuple[np.ndarray, list[float], list[float], list[float]]:
+    """The weight rows and the bc, sharpened and optimized constants at every order,
+    as plain lists of floats, from one weight solve.
+
+    This is the one place that builds the four bounds. The rows pass the
+    simplex rules once, as one array, and each order's constants pass
+    :class:`BoundReport`'s ordering rules against the largest power's share
+    of the summed powers, so a bad grid is refused with the message its
+    report would raise. :func:`bound_reports` wraps each order in a report;
+    ``repi compare`` multiplies the columns by the summed powers and builds none.
+    """
+    rows = _weight_rows(pv, orders)
+    log_optimized = _log_constants(rows, pv._log_normalized(), orders)
+    _check_simplex(rows)
+    n = len(pv)
+    bc = [bc_constant(o) for o in orders]
+    sharpened = [sharpened_constant(o, n) for o in orders]
+    optimized = [math.exp(value) for value in log_optimized]
+    share = pv.largest / pv.total
+    for row in zip(bc, sharpened, optimized):
+        _check_constants(*row, share)
+    return rows, bc, sharpened, optimized
+
+
 def bound_reports(
     powers: PowerVector | Sequence[float], orders: Iterable[Order | float]
 ) -> list[BoundReport]:
     """:func:`bound_report` at every order, with one weight solve for all of them.
 
-    Each report equals the one-order ``bound_report`` in every float.
+    The columns of :func:`_bound_columns` with one report per order, whose
+    constructor checks the ordering again. Each report equals the one-order
+    ``bound_report`` in every float.
     """
     orders = [as_order(o) for o in orders]
     pv = as_power_vector(powers)
-    rows = _weight_rows(pv, orders)
-    log_optimized = _log_constants(rows, pv._log_normalized(), orders)
-    n, bv = len(pv), pv.largest
+    rows, bc, sharpened, optimized = _bound_columns(pv, orders)
+    bv = pv.largest
     return [
         BoundReport(
             order=order,
             powers=pv,
-            bc=bc_constant(order),
-            sharpened=sharpened_constant(order, n),
-            optimized=math.exp(value),
+            bc=b,
+            sharpened=s,
+            optimized=o,
             bv=bv,
             weights=weights,
         )
-        for order, value, weights in zip(orders, log_optimized, _simplex_rows(rows))
+        for order, b, s, o, weights in zip(
+            orders, bc, sharpened, optimized, _simplex_rows(rows, checked=True)
+        )
     ]
 
 

@@ -1,6 +1,7 @@
 """Tests for the closed-form constants and the weight objective."""
 
 import math
+import random
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -80,10 +81,20 @@ class TestSharpenedConstant:
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 10.0, math.inf])
     def test_dominates_n_free_constant(self, alpha):
-        """The n-aware constant strictly exceeds the n-free one for all n."""
+        """The n-aware constant strictly exceeds the n-free one at moderate n."""
         floor = bc_constant(alpha)
         for n in (2, 5, 50, 1000):
             assert sharpened_constant(alpha, n) > floor
+
+    def test_never_below_n_free_constant_in_floats(self):
+        """At huge n the float gap rounds away, but the n-aware value never drops below."""
+        assert sharpened_constant(1.1, 2 ** 49) == bc_constant(1.1)
+        assert sharpened_constant(2.0, 2 ** 52) == bc_constant(2.0)
+        rng = random.Random(5)
+        for alpha in (1.0001, 1.1, 2.0, 10.0, 1e17, math.inf):
+            floor = bc_constant(alpha)
+            ns = [2 ** k for k in range(54)] + [int(2.0 ** rng.uniform(30.0, 53.0)) for _ in range(500)]
+            assert all(sharpened_constant(alpha, n) >= floor for n in ns)
 
     def test_converges_to_n_free_constant(self):
         """The large-n limit is the n-free constant."""

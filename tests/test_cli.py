@@ -12,6 +12,7 @@ import weakref
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -147,6 +148,29 @@ def run_lines(argv, capsys):
     return code, out.splitlines()
 
 
+def parity_vectors():
+    """205 seeded power vectors: 200 of n = 1 to 10 and 100 summands, then 5 of 1000,
+    each plain, with ties to the largest, with zero powers, with one subnormal
+    power, or with a lead above the sum of the rest."""
+    rng = np.random.default_rng(37)
+    vectors = []
+    for i in range(205):
+        n = 1000 if i >= 200 else (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 100)[i % 11]
+        kind = i % 5 if i >= 200 else i // 11 % 5
+        powers = np.exp(rng.uniform(-8.0, 8.0, n))
+        picks = rng.permutation(n)
+        if kind == 1 and n > 1:
+            powers[picks[: max(2, n // 4)]] = powers.max()
+        elif kind == 2 and n > 1:
+            powers[picks[: rng.integers(1, min(3, n - 1) + 1)]] = 0.0
+        elif kind == 3:
+            powers[picks[0]] = 1e-310
+        elif kind == 4:
+            powers[picks[0]] = 2.0 * (powers.sum() - powers[picks[0]]) + 1.0
+        vectors.append(tuple(powers.tolist()))
+    return vectors
+
+
 class TestSweepSpec:
     def test_invariants(self):
         """The order grid must be non-empty, increasing and above 1."""
@@ -166,21 +190,22 @@ class TestSweepSpec:
             SweepSpec(alphas=(2.0, 2.0))
 
     def test_orders_built_once(self, monkeypatch):
-        """cmd_compare's reports hold the very Orders of ``spec.orders``, which repr and == ignore."""
+        """cmd_compare solves at the very Orders of ``spec.orders``, which repr and == ignore."""
         spec = SweepSpec(alphas=(1.5, 2.0, math.inf), powers=(1.0, 3.0))
         assert [o.alpha for o in spec.orders] == [1.5, 2.0, math.inf]
         assert "orders" not in repr(spec)
         assert spec == SweepSpec(alphas=(1.5, 2.0, math.inf), powers=(1.0, 3.0))
-        real, reports = cli.bound_reports, []
+        real, solved = cli._bound_columns, []
 
-        def recording(*args):
-            reports.extend(real(*args))
-            return reports
+        def recording(pv, orders):
+            solved.extend(orders)
+            return real(pv, orders)
 
-        monkeypatch.setattr(cli, "bound_reports", recording)
-        cmd_compare(spec)
-        assert len(reports) == 3
-        assert all(r.order is o for r, o in zip(reports, spec.orders))
+        monkeypatch.setattr(cli, "_bound_columns", recording)
+        rows = cmd_compare(spec)
+        assert len(solved) == 3
+        assert all(s is o for s, o in zip(solved, spec.orders))
+        assert all(row[0] is o.alpha for row, o in zip(rows[::4], spec.orders))
 
     def test_table_cell_cap(self):
         """Orders x max(counts, powers) past MAX_TABLE_CELLS is refused; 4096 x 1000 is not."""
@@ -197,7 +222,7 @@ class TestSweepSpec:
         def no_solve(*args, **kwargs):
             raise AssertionError("the table was solved")
 
-        monkeypatch.setattr(cli, "bound_reports", no_solve)
+        monkeypatch.setattr(cli, "_bound_columns", no_solve)
         powers = ",".join(["1"] * 1025)
         with pytest.raises(SystemExit) as err:
             main(["compare", "--powers", powers, "--alpha-grid", f"1.01:2:{MAX_GRID_ORDERS}"])
@@ -277,6 +302,58 @@ class TestCompareCommand:
         assert [(a, m, v.hex(), n) for a, m, v, n in rows] == [
             (a, m, v.hex(), n) for a, m, v, n in expected
         ]
+
+    @pytest.mark.parametrize("grid", ["1.01:10000:200", "1.5,1e16,1e17,inf"])
+    def test_rows_equal_the_grid_reports(self, grid):
+        """cmd_compare's rows are the ``lower_bounds()`` of ``bound_reports`` over the
+        same orders, in float.hex, for seeded vectors with ties, zero and subnormal
+        powers and a dominant lead, from one summand to a thousand."""
+        alphas = _parse_alpha_grid(grid)
+        for powers in parity_vectors():
+            spec = SweepSpec(alphas=alphas, powers=powers)
+            expected = [
+                (report.order.alpha, method, value.hex(), len(powers))
+                for report in repi.bound_reports(powers, spec.orders)
+                for method, value in report.lower_bounds().items()
+            ]
+            rows = cmd_compare(spec)
+            assert [(a, m, v.hex(), n) for a, m, v, n in rows] == expected, powers
+
+    def test_builds_no_report_objects(self, monkeypatch):
+        """The table comes from the constant columns: no BoundReport, no SimplexWeights."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("cmd_compare built a report object")
+
+        monkeypatch.setattr(repi.BoundReport, "__init__", refuse)
+        monkeypatch.setattr(repi.SimplexWeights, "__init__", refuse)
+        # _simplex_rows builds SimplexWeights without calling __init__
+        for module in (repi.core, repi.optimizer):
+            monkeypatch.setattr(module, "_simplex_rows", refuse)
+        alphas = _parse_alpha_grid("1.01:10000:200") + (math.inf,)
+        rows = cmd_compare(SweepSpec(alphas=alphas, powers=(10.0, 20.0, 90.0)))
+        assert len(rows) == 4 * len(alphas)
+
+    @pytest.mark.parametrize(
+        "sharpened, rule", [(math.nan, "bc > sharpened"), (2.0, "sharpened > optimized")]
+    )
+    def test_ordering_refusal_is_bound_reports(self, monkeypatch, capsys, sharpened, rule):
+        """A sharpened constant that breaks the ordering at the second of three orders
+        stops compare with exit 2 and the one line that ``bound_report`` raises there."""
+        real = repi.optimizer.sharpened_constant
+
+        def broken(order, n):
+            return sharpened if order.alpha == 2.0 else real(order, n)
+
+        monkeypatch.setattr(repi.optimizer, "sharpened_constant", broken)
+        for alpha in (1.5, 3.0):
+            repi.bound_report((1.0, 2.0, 3.0), alpha)
+        with pytest.raises(ValueError, match=rule) as refused:
+            repi.bound_report((1.0, 2.0, 3.0), 2.0)
+        with pytest.raises(SystemExit) as err:
+            main(["compare", "--powers", "1,2,3", "--alpha-grid", "1.5,2,3"])
+        assert err.value.code == 2
+        assert capsys.readouterr() == ("", f"repi: error: {refused.value}\n")
 
     def test_degenerate_powers_exit(self, capsys):
         """All-zero powers are a usage error."""
