@@ -337,7 +337,7 @@ class TestCompareCommand:
     @pytest.mark.parametrize(
         "sharpened, rule", [(math.nan, "bc > sharpened"), (2.0, "sharpened > optimized")]
     )
-    def test_ordering_refusal_is_bound_reports(self, monkeypatch, capsys, sharpened, rule):
+    def test_ordering_refusal_matches_bound_report(self, monkeypatch, capsys, sharpened, rule):
         """A sharpened constant that breaks the ordering at the second of three orders
         stops compare with exit 2 and the one line that ``bound_report`` raises there."""
         real = repi.optimizer.sharpened_constant
